@@ -65,7 +65,6 @@ from .regularization import (
     regularizer_value,
 )
 from .trainer import (
-    DISPOSABLE_THRESHOLD,
     EpochReport,
     TrainConfig,
     TrainResult,
@@ -126,7 +125,6 @@ __all__ = [
     "group_norms",
     "regularizer_gradient",
     "regularizer_value",
-    "DISPOSABLE_THRESHOLD",
     "EpochReport",
     "TrainConfig",
     "TrainResult",

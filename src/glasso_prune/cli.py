@@ -257,7 +257,7 @@ def cmd_sweep(args) -> int:
 
         mode = _inspection_mode(run_cfg)
         best_val = max(r.val_accuracy for r in result.history)
-        disposable = sum(disposable_counts(result.best_network, mode))
+        disposable = sum(disposable_counts(result.best_network, mode, cfg.theta))
         outcome = apply_mask(
             result.best_network, make_mask(result.best_network, mode, cfg.theta)
         )

@@ -162,6 +162,7 @@ class ExperimentConfig:
             lr_decay=self.lr_decay,
             seed=self.seed,
             beta_coupling=self.beta_coupling,
+            theta=self.theta,
         )
 
     def load_splits(self) -> tuple[Dataset, Dataset, Dataset]:

@@ -8,6 +8,7 @@ loudly on malformed input; nothing is silently truncated.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -112,7 +113,11 @@ def load_idx(images_path, labels_path, standardize: bool = False) -> Dataset:
 
 
 def load_csv(path, label_column: str) -> Dataset:
-    """Numeric CSV with a header row; one column holds integer labels."""
+    """Numeric CSV with a header row; one column holds integer labels.
+
+    Every cell must be a finite number: nan and inf are rejected, not
+    carried into training.
+    """
     path = str(path)
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
@@ -137,6 +142,11 @@ def load_csv(path, label_column: str) -> Dataset:
                 raise DataFormatError(
                     f"{path}: row {row_no} contains a non-numeric cell"
                 ) from None
+            for name, value in zip(header, values):
+                if not math.isfinite(value):
+                    raise DataFormatError(
+                        f"{path}: row {row_no} column {name!r} is not finite ({value})"
+                    )
             label = values.pop(label_idx)
             if label != int(label):
                 raise DataFormatError(

@@ -40,15 +40,18 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable for large |v|.
 
-    Splits on the sign of the argument so exp() is only ever called on
-    non-positive values; saturates to 0/1 without overflow warnings.
+    exp() is only ever called on -|v|, so it saturates to 0/1 without
+    overflow warnings. With e = exp(-|v|), v >= 0 gives 1 / (1 + e) and
+    v < 0 gives e / (1 + e): the same operands per element as splitting
+    on the sign, without gathering and scattering through a boolean mask.
     """
     v = np.asarray(v, dtype=np.float64)
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
+    e = np.abs(v)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(v >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

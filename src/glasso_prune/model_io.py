@@ -72,6 +72,10 @@ def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
     for _ in range(num_layers):
         rows = r.u32()
         cols = r.u32()
+        if rows == 0 or cols == 0:
+            raise ModelFormatError(
+                f"{name}: layer {len(layers) + 1} has zero width ({rows}x{cols})"
+            )
         w = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(r.take(8 * rows), dtype="<f8")
         layers.append(LayerParams(w.copy(), b.copy()))

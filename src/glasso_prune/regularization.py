@@ -94,13 +94,16 @@ def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
     return spec.alpha * glasso + spec.beta * l2
 
 
-def regularizer_gradient(net: MlpNetwork, spec: RegularizerSpec) -> GradientSet:
-    """Gradient of regularizer_value with the safeguarded group term.
+def regularizer_gradient(
+    net: MlpNetwork, spec: RegularizerSpec, grad: GradientSet
+) -> GradientSet:
+    """Add the gradient of regularizer_value into grad; returns grad.
 
     Each grouped vector contributes alpha * w / max(||w||, epsilon_norm),
-    which is exactly zero for an exactly-zero group.
+    which is exactly zero for an exactly-zero group. Adding in place
+    spares the trainer a zero GradientSet per minibatch step; pass
+    GradientSet.zeros_like(net) to get the penalty gradient alone.
     """
-    grad = GradientSet.zeros_like(net)
     big_l = net.num_layers
     if spec.mode is Mode.L2_ALL:
         for l, p in enumerate(net.layers):

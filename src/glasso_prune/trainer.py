@@ -21,8 +21,6 @@ from .errors import ShapeMismatchError, TrainingDiverged
 from .network import GradientSet, MlpNetwork, forward_batch
 from .regularization import Mode, RegularizerSpec, group_norms, regularizer_gradient, regularizer_value
 
-DISPOSABLE_THRESHOLD = 1e-2  # group norm below this marks a node disposable
-
 
 @dataclass
 class TrainConfig:
@@ -34,6 +32,7 @@ class TrainConfig:
     lr_decay: float = 1.0
     seed: int = 0
     beta_coupling: bool = False
+    theta: float = 1e-2  # group norm below this counts a node as disposable
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -47,6 +46,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not self.theta > 0:
+            raise ValueError(f"theta must be positive, got {self.theta}")
         if self.beta_coupling:
             self.spec = replace(self.spec, beta=0.1 * self.spec.alpha)
 
@@ -94,32 +95,43 @@ def load_history(path) -> list[EpochReport]:
     return [EpochReport.from_json_line(line) for line in lines if line.strip()]
 
 
-def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float = DISPOSABLE_THRESHOLD) -> list[int]:
+def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int]:
     """Hidden nodes per layer whose group norm falls below the threshold."""
     return [int(np.sum(norms < threshold)) for norms in group_norms(net, mode)]
 
 
-def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
-    """Fraction of samples whose argmax logit matches the label."""
+def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
+    """Yield (logits, labels) for consecutive batches of a non-empty dataset."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_shapes(net, dataset)
-    hits = 0
     for start in range(0, dataset.n, batch_size):
         stop = min(start + batch_size, dataset.n)
         logits = forward_batch(net, dataset.features[start:stop])[-1]
-        hits += int(np.sum(np.argmax(logits, axis=1) == dataset.labels[start:stop]))
+        yield logits, dataset.labels[start:stop]
+
+
+def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
+    """Fraction of samples whose argmax logit matches the label."""
+    hits = 0
+    for logits, labels in _logit_batches(net, dataset, batch_size):
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     return hits / dataset.n
 
 
-def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
-    """Mean cross-entropy over a dataset (no regularizer term)."""
+def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> tuple[float, float]:
+    """Mean cross-entropy (no regularizer term) and accuracy, in one pass.
+
+    The accuracy equals evaluate(net, dataset, batch_size) exactly; the
+    trainer's epoch-end report gets both from one forward pass.
+    """
     total = 0.0
-    for start in range(0, dataset.n, batch_size):
-        stop = min(start + batch_size, dataset.n)
-        logits = forward_batch(net, dataset.features[start:stop])[-1]
-        total += float(np.sum(_batch_ce(logits, dataset.labels[start:stop])))
-    return total / dataset.n
+    hits = 0
+    for logits, labels in _logit_batches(net, dataset, batch_size):
+        shifted, _, sums = _softmax_terms(logits)
+        total += float(np.sum(_batch_ce(shifted, sums, labels)))
+        hits += int(np.sum(np.argmax(logits, axis=1) == labels))
+    return total / dataset.n, hits / dataset.n
 
 
 def _check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
@@ -135,10 +147,16 @@ def _check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
         )
 
 
-def _batch_ce(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-max-shifted logits, their exponentials and the row sums of those."""
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    return log_norm - shifted[np.arange(len(labels)), labels]
+    exps = np.exp(shifted)
+    return shifted, exps, exps.sum(axis=1)
+
+
+def _batch_ce(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy from _softmax_terms' shifted logits and sums."""
+    return np.log(sums) - shifted[np.arange(len(labels)), labels]
 
 
 def _batch_gradients(
@@ -146,12 +164,10 @@ def _batch_gradients(
 ) -> tuple[float, GradientSet]:
     """Mean CE loss and mean CE gradient over one minibatch."""
     zs = forward_batch(net, xs)
-    losses = _batch_ce(zs[-1], labels)
-    loss = float(losses.mean())
+    shifted, probs, sums = _softmax_terms(zs[-1])
+    loss = float(_batch_ce(shifted, sums, labels).mean())
     n = len(labels)
-    shifted = zs[-1] - zs[-1].max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs /= sums[:, np.newaxis]
     delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n
@@ -206,7 +222,7 @@ def train(
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
                     )
-                grads.add_(regularizer_gradient(net, cfg.spec))
+                regularizer_gradient(net, cfg.spec, grads)
                 for l, p in enumerate(net.layers):
                     vw, vb = velocity.d_weights[l], velocity.d_biases[l]
                     vw *= cfg.momentum
@@ -215,13 +231,16 @@ def train(
                     vb -= lr * grads.d_biases[l]
                     p.weights += vw
                     p.bias += vb
+            train_ce, train_acc = mean_loss(net, train_set)
             report = EpochReport(
                 epoch=epoch,
-                train_loss=mean_loss(net, train_set) + regularizer_value(net, cfg.spec),
-                train_accuracy=evaluate(net, train_set),
+                train_loss=train_ce + regularizer_value(net, cfg.spec),
+                train_accuracy=train_acc,
                 val_accuracy=evaluate(net, val_set),
                 disposable_per_layer=(
-                    disposable_counts(net, cfg.spec.mode) if cfg.spec.mode.grouped else []
+                    disposable_counts(net, cfg.spec.mode, cfg.theta)
+                    if cfg.spec.mode.grouped
+                    else []
                 ),
             )
             history.append(report)

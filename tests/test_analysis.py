@@ -215,7 +215,7 @@ def test_final_disposable_equals_mask_removals():
     for seed in range(3):
         net = init_network([4, 6, 5, 3], seed=seed)
         net.layers[1].weights[:, :2] *= 1e-6
-        counts = disposable_counts(net, Mode.GLASSO_OUT)
+        counts = disposable_counts(net, Mode.GLASSO_OUT, 1e-2)
         mask = make_mask(net, Mode.GLASSO_OUT, 1e-2)
         removed = [int((~k).sum()) for k in mask.keep]
         assert counts == removed

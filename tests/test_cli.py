@@ -6,6 +6,7 @@ import pytest
 from glasso_prune.analysis import CURVE_HEADER, HISTOGRAM_HEADER
 from glasso_prune.cli import main
 from glasso_prune.model_io import load_model, model_bytes
+from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import load_history
 
 BASE_CFG = """
@@ -276,3 +277,28 @@ def test_data_shape_mismatch_exits_4(trained_run, tmp_path):
         ["prune", str(run / "model.glnn"), "--mode", "out", "--data", str(other)]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("label", ["nan", "inf"])
+def test_train_non_finite_csv_label_exits_4(tmp_path, capsys, label):
+    data = tmp_path / "d.csv"
+    data.write_text(f"a,b,y\n1,2,0\n3,4,1\n5,6,{label}\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(
+        f"dataset = csv\ncsv_path = {data}\ncsv_label_column = y\n"
+        f"layer_sizes = 2,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n"
+    )
+    assert main(["train", str(cfg)]) == 4
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_sweep_disposable_total_uses_config_theta(tmp_path):
+    # theta 0.5 sits inside the trained norm range, far above 1e-2
+    out_root = tmp_path / "theta"
+    cfg = write_cfg(tmp_path, f"theta = 0.5\noutput_dir = {out_root}\n")
+    assert main(["sweep", str(cfg), "--alphas", "0.02"]) == 0
+    row = (out_root / "summary.csv").read_text().splitlines()[1].split(",")
+    net = load_model(out_root / "alpha_0.02" / "model.glnn")
+    expected = sum(int(np.sum(n < 0.5)) for n in group_norms(net, Mode.GLASSO_OUT))
+    assert expected > 0
+    assert int(row[2]) == expected

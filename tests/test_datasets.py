@@ -255,3 +255,21 @@ def test_split_rejects_class_missing_from_train():
     )
     with pytest.raises(ValueError):
         split(ds, (0.5, 0.25, 0.25), seed=0)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_csv_non_finite_label_rejected(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b,y\n1,2,0\n3,4,{cell}\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    assert "row 3" in str(err.value) and "'y'" in str(err.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_feature_rejected(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(f"a,b,y\n1,2,0\n3,{cell},1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    assert "row 3" in str(err.value) and "'b'" in str(err.value)

@@ -77,6 +77,50 @@ def test_sigmoid_open_interval():
     assert np.all(out < 1.0)
 
 
+def branchy_sigmoid(v):
+    """Oracle: split on the sign and gather/scatter through boolean masks."""
+    v = np.asarray(v, dtype=np.float64)
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape
+    npt.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_sigmoid_bit_identical_to_branchy_oracle_at_edges():
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, 5e-324, 1e-320, tiny / 2, tiny, 36.7, 709.0, 745.0, 1000.0, np.inf]
+    v = as_vector(edges + [-x for x in edges])
+    frozen = v.copy()
+    out = sigmoid(v)
+    assert_bits_equal(out, branchy_sigmoid(frozen))
+    assert_bits_equal(v, frozen)  # input untouched
+    # -0.0 takes the v >= 0 branch in both forms
+    assert np.signbit(v[len(edges)]) and out[len(edges)] == 0.5
+
+
+def test_sigmoid_bit_identical_to_branchy_oracle_random():
+    rng = np.random.default_rng(17)
+    for scale in (0.2, 0.5, 1.0, 2.0, 5.0, 10.0):
+        for shape in ((128, 256), (7, 3), (1, 1), (512, 10)):
+            v = rng.standard_normal(shape) * scale
+            frozen = v.copy()
+            out = sigmoid(v)
+            assert_bits_equal(out, branchy_sigmoid(frozen))
+            assert_bits_equal(v, frozen)
+
+
+def test_sigmoid_nan_stays_nan():
+    out = sigmoid(as_vector([np.nan, 0.0]))
+    assert np.isnan(out[0]) and out[1] == 0.5
+
+
 def test_cross_entropy_uniform_logits():
     for k in (2, 5, 9):
         loss, grad = softmax_cross_entropy(as_vector(np.full(k, 1.7)), 0)

@@ -153,3 +153,18 @@ def test_save_is_deterministic(tmp_path):
     save_model(net, p1)
     save_model(net, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 2), (2, 0), (0, 0)])
+def test_zero_width_layer_rejected(rows, cols):
+    # second layer hand-built with a zero dimension; a 0x0 layer carries
+    # no payload at all, so only the header check can catch it
+    blob = MAGIC + struct.pack("<II", VERSION, 2)
+    blob += struct.pack("<II", 2, 2) + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
+    blob += struct.pack("<2d", 0.0, 0.0)
+    blob += struct.pack("<II", rows, cols)
+    blob += struct.pack(f"<{rows * cols}d", *[1.0] * (rows * cols))
+    blob += struct.pack(f"<{rows}d", *[0.0] * rows)
+    with pytest.raises(ModelFormatError) as err:
+        model_from_bytes(blob)
+    assert "zero width" in str(err.value)

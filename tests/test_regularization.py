@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from glasso_prune.linalg import as_matrix, as_vector
-from glasso_prune.network import LayerParams, MlpNetwork, init_network
+from glasso_prune.network import GradientSet, LayerParams, MlpNetwork, init_network
 from glasso_prune.regularization import (
     Mode,
     RegularizerSpec,
@@ -19,6 +19,10 @@ def net_from_weights(*weight_lists):
         w = as_matrix(w)
         layers.append(LayerParams(w, np.zeros(w.shape[0])))
     return MlpNetwork(layers)
+
+
+def penalty_gradient(net, spec):
+    return regularizer_gradient(net, spec, GradientSet.zeros_like(net))
 
 
 def transposed_reversed(net):
@@ -170,14 +174,14 @@ def test_value_matches_loop_oracle():
 def test_gradient_unit_column():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
-    grads = regularizer_gradient(net, spec)
+    grads = penalty_gradient(net, spec)
     npt.assert_allclose(grads.d_weights[1][:, 0], [0.6, 0.8], atol=1e-15)
 
 
 def test_gradient_zero_column_safeguard():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
-    grads = regularizer_gradient(net, spec)
+    grads = penalty_gradient(net, spec)
     npt.assert_array_equal(grads.d_weights[1][:, 1], [0.0, 0.0])
 
 
@@ -195,7 +199,7 @@ def test_gradient_finite_differences():
             )
             if mode is not Mode.L2_ALL:
                 assert all(np.all(v > 1e-3) for v in group_norms(net, mode))
-            grads = regularizer_gradient(net, spec)
+            grads = penalty_gradient(net, spec)
             for l, p in enumerate(net.layers):
                 for idx in np.ndindex(p.weights.shape):
                     orig = p.weights[idx]
@@ -227,7 +231,7 @@ def test_gradient_group_block_norm_capped_at_alpha():
         net = init_network([3, 5, 4, 2], seed)
         for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
             spec = RegularizerSpec(mode=mode, alpha=alpha, beta=0.0)
-            grads = regularizer_gradient(net, spec)
+            grads = penalty_gradient(net, spec)
             mats = (
                 grads.d_weights[1:] if mode is Mode.GLASSO_OUT else grads.d_weights[:-1]
             )
@@ -270,7 +274,7 @@ def test_l2_gradient_is_identity_scaling():
         p.bias[:] = 0.25
     beta = 0.6
     spec = RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=beta)
-    grads = regularizer_gradient(net, spec)
+    grads = penalty_gradient(net, spec)
     for p, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
         npt.assert_allclose(dw, beta * p.weights, atol=1e-15)
         npt.assert_allclose(db, beta * p.bias, atol=1e-15)
@@ -281,6 +285,35 @@ def test_biases_never_grouped_always_l2():
     for p in net.layers:
         p.bias[:] = 1.0
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.5)
-    grads = regularizer_gradient(net, spec)
+    grads = penalty_gradient(net, spec)
     for p, db in zip(net.layers, grads.d_biases):
         npt.assert_allclose(db, 0.5 * p.bias, atol=1e-15)
+
+
+def test_gradient_adds_into_given_set():
+    rng = np.random.default_rng(8)
+    net = init_network([3, 5, 4, 2], seed=7)
+    for p in net.layers:
+        p.bias[:] = rng.standard_normal(len(p.bias))
+    for mode in Mode:
+        spec = RegularizerSpec(
+            mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 0.3, beta=0.05
+        )
+        base = GradientSet(
+            [rng.standard_normal(p.weights.shape) for p in net.layers],
+            [rng.standard_normal(p.bias.shape) for p in net.layers],
+        )
+        given = GradientSet(
+            [w.copy() for w in base.d_weights], [b.copy() for b in base.d_biases]
+        )
+        arrays = given.d_weights + given.d_biases
+        assert regularizer_gradient(net, spec, given) is given
+        # same array objects, updated in place
+        assert all(a is b for a, b in zip(arrays, given.d_weights + given.d_biases))
+        alone = penalty_gradient(net, spec)
+        for g, b, a in zip(
+            given.d_weights + given.d_biases,
+            base.d_weights + base.d_biases,
+            alone.d_weights + alone.d_biases,
+        ):
+            npt.assert_array_equal(g, b + a)

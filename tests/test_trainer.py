@@ -5,12 +5,19 @@ import pytest
 from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError, TrainingDiverged
 from glasso_prune.linalg import as_matrix, as_vector
-from glasso_prune.network import LayerParams, MlpNetwork, init_network, predict
-from glasso_prune.regularization import Mode, RegularizerSpec
+from glasso_prune.network import (
+    GradientSet,
+    LayerParams,
+    MlpNetwork,
+    forward_batch,
+    init_network,
+    predict,
+)
+from glasso_prune.regularization import Mode, RegularizerSpec, group_norms
 from glasso_prune.trainer import (
-    DISPOSABLE_THRESHOLD,
     EpochReport,
     TrainConfig,
+    _batch_gradients,
     disposable_counts,
     evaluate,
     load_history,
@@ -49,6 +56,10 @@ def test_config_validation():
         TrainConfig(spec=plain_spec(), lr_decay=1.5)
     with pytest.raises(ValueError):
         TrainConfig(spec=plain_spec(), learning_rate=-0.1)
+    with pytest.raises(ValueError):
+        TrainConfig(spec=plain_spec(), theta=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(spec=plain_spec(), theta=float("nan"))
 
 
 def test_beta_coupling_forces_tenth():
@@ -272,10 +283,10 @@ def test_disposable_counts_by_threshold():
     net.layers[1].weights[:, 0] = 1e-4  # node 0 outgoing column tiny
     net.layers[1].weights[:, 1] = 0.5
     net.layers[1].weights[:, 2] = 0.5
-    counts = disposable_counts(net, Mode.GLASSO_OUT)
+    counts = disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-2)
     assert counts == [1]
     assert disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-5) == [0]
-    assert DISPOSABLE_THRESHOLD == 1e-2
+    assert TrainConfig(spec=plain_spec()).theta == 1e-2
 
 
 def test_history_log_roundtrip(tmp_path):
@@ -336,8 +347,87 @@ def test_train_loss_includes_regularizer():
     # exceed pure CE at epoch 1 (weights cannot have collapsed in one epoch)
     r_plain = train(net, data, data, plain)
     r_heavy = train(net, data, data, heavy)
-    ce_only = mean_loss(r_heavy.best_network, data)
+    ce_only, _ = mean_loss(r_heavy.best_network, data)
     assert r_heavy.history[0].train_loss > ce_only
     assert r_plain.history[0].train_loss == pytest.approx(
-        mean_loss(r_plain.best_network, data), abs=1e-12
+        mean_loss(r_plain.best_network, data)[0], abs=1e-12
     )
+
+
+def test_history_disposable_counts_use_config_theta():
+    # learning_rate 0 keeps the network fixed, so every epoch counts the
+    # same norms: 0.003 and 0.03 lie below theta 0.05, only 0.003 below 1e-2
+    net = init_network([6, 4, 3], seed=0)
+    w = net.layers[1].weights
+    for j, norm in enumerate((0.003, 0.03, 0.3, 3.0)):
+        w[:, j] *= norm / np.linalg.norm(w[:, j])
+    data = small_task()
+    cfg = TrainConfig(
+        spec=plain_spec(alpha=0.01), epochs=3, learning_rate=0.0, seed=1, theta=0.05
+    )
+    result = train(net, data, data, cfg)
+    expected = [int(np.sum(n < 0.05)) for n in group_norms(net, Mode.GLASSO_OUT)]
+    assert expected == [2]
+    assert [r.disposable_per_layer for r in result.history] == [expected] * 3
+
+
+def ce_by_separate_softmax(logits, labels):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shifted).sum(axis=1))
+    return log_norm - shifted[np.arange(len(labels)), labels]
+
+
+def test_mean_loss_accuracy_equals_evaluate():
+    for seed in range(3):
+        net = init_network([6, 9, 3], seed=seed)
+        data = small_task(seed=seed)
+        for batch_size in (7, 16, 512):
+            _, acc = mean_loss(net, data, batch_size)
+            assert acc == evaluate(net, data, batch_size)
+
+
+def test_mean_loss_equals_sum_of_separate_passes():
+    for seed in range(3):
+        net = init_network([6, 9, 3], seed=seed)
+        data = small_task(seed=seed)
+        for batch_size in (7, 16, 512):
+            total = 0.0
+            for start in range(0, data.n, batch_size):
+                stop = min(start + batch_size, data.n)
+                logits = forward_batch(net, data.features[start:stop])[-1]
+                total += float(np.sum(ce_by_separate_softmax(logits, data.labels[start:stop])))
+            loss, _ = mean_loss(net, data, batch_size)
+            assert loss == total / data.n
+
+
+def test_mean_loss_empty_dataset_errors():
+    net = init_network([4, 5, 3], seed=2)
+    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), num_classes=3)
+    with pytest.raises(ValueError):
+        mean_loss(net, empty)
+
+
+def test_batch_gradients_match_two_softmax_oracle():
+    # the minibatch step shares one softmax between loss and delta; the
+    # oracle computes them separately and must agree bit for bit
+    rng = np.random.default_rng(21)
+    net = init_network([6, 9, 7, 3], seed=4)
+    xs = rng.standard_normal((16, 6)) * 3
+    labels = rng.integers(0, 3, 16)
+    zs = forward_batch(net, xs)
+    want_loss = float(ce_by_separate_softmax(zs[-1], labels).mean())
+    shifted = zs[-1] - zs[-1].max(axis=1, keepdims=True)
+    delta = np.exp(shifted)
+    delta /= delta.sum(axis=1, keepdims=True)
+    delta[np.arange(16), labels] -= 1.0
+    delta /= 16
+    want = GradientSet([None] * 3, [None] * 3)
+    for l in (2, 1, 0):
+        want.d_weights[l] = delta.T @ zs[l]
+        want.d_biases[l] = delta.sum(axis=0)
+        if l > 0:
+            delta = (delta @ net.layers[l].weights) * zs[l] * (1.0 - zs[l])
+    loss, got = _batch_gradients(net, xs, labels)
+    assert loss == want_loss
+    for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+        npt.assert_array_equal(g, w)
