@@ -2,136 +2,26 @@
 
 Train sigmoid networks whose loss includes a group penalty on per-node
 weight vectors, watch unnecessary hidden nodes collapse toward zero norm,
-then remove them outright with no retraining step.
+then remove them outright with no retraining step. The package root
+re-exports what a train-then-prune script needs; everything else is
+imported from its module (network, trainer, pruning, ...).
 """
 
-from .analysis import (
-    AnalysisBundle,
-    HistogramSpec,
-    NormHistogram,
-    bimodality_gap,
-    norm_histogram,
-    write_bundle,
-)
-from .config import ExperimentConfig, parse_config, parse_config_text
-from .datasets import (
-    Dataset,
-    context_stack,
-    load_csv,
-    load_idx,
-    split,
-    synth_gaussians,
-)
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    GlassoPruneError,
-    ModelFormatError,
-    ShapeMismatchError,
-    TrainingDiverged,
-)
-from .network import (
-    ForwardTrace,
-    GradientSet,
-    LayerParams,
-    MlpNetwork,
-    backward,
-    forward,
-    forward_batch,
-    init_network,
-    predict,
-)
-from .model_io import (
-    load_model,
-    model_bytes,
-    model_from_bytes,
-    model_from_json,
-    model_to_json,
-    save_model,
-)
-from .pruning import (
-    PruneMask,
-    PruneOutcome,
-    apply_mask,
-    forced_removal_curve,
-    make_mask,
-    match_count_prune,
-)
-from .regularization import (
-    Mode,
-    RegularizerSpec,
-    group_norms,
-    regularizer_gradient,
-    regularizer_value,
-)
-from .trainer import (
-    EpochReport,
-    TrainConfig,
-    TrainResult,
-    disposable_counts,
-    evaluate,
-    load_history,
-    mean_loss,
-    train,
-)
+from .config import parse_config
+from .network import init_network
+from .pruning import apply_mask, make_mask
+from .regularization import Mode
+from .trainer import evaluate, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisBundle",
-    "HistogramSpec",
-    "NormHistogram",
-    "bimodality_gap",
-    "norm_histogram",
-    "write_bundle",
-    "ExperimentConfig",
-    "parse_config",
-    "parse_config_text",
-    "Dataset",
-    "context_stack",
-    "load_csv",
-    "load_idx",
-    "split",
-    "synth_gaussians",
-    "ConfigError",
-    "DataFormatError",
-    "GlassoPruneError",
-    "ModelFormatError",
-    "ShapeMismatchError",
-    "TrainingDiverged",
-    "ForwardTrace",
-    "GradientSet",
-    "LayerParams",
-    "MlpNetwork",
-    "backward",
-    "forward",
-    "forward_batch",
-    "init_network",
-    "predict",
-    "load_model",
-    "model_bytes",
-    "model_from_bytes",
-    "model_from_json",
-    "model_to_json",
-    "save_model",
-    "PruneMask",
-    "PruneOutcome",
-    "apply_mask",
-    "forced_removal_curve",
-    "make_mask",
-    "match_count_prune",
     "Mode",
-    "RegularizerSpec",
-    "group_norms",
-    "regularizer_gradient",
-    "regularizer_value",
-    "EpochReport",
-    "TrainConfig",
-    "TrainResult",
-    "disposable_counts",
+    "apply_mask",
     "evaluate",
-    "load_history",
-    "mean_loss",
+    "init_network",
+    "make_mask",
+    "parse_config",
     "train",
     "__version__",
 ]

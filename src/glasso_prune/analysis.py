@@ -25,24 +25,10 @@ RETAINED_HEADER = "layer,kept,total"
 
 POOLED_LAYER = 0  # layer id for the all-hidden-layers histogram rows
 
-
-@dataclass
-class HistogramSpec:
-    log10_min: float = -8.0
-    log10_max: float = 2.0
-    bins: int = 50
-
-    def __post_init__(self):
-        if self.bins < 1:
-            raise ValueError(f"bins must be >= 1, got {self.bins}")
-        if not self.log10_min < self.log10_max:
-            raise ValueError(
-                f"need log10_min < log10_max, got {self.log10_min}, {self.log10_max}"
-            )
-
-    def edges(self) -> np.ndarray:
-        """Norm-value bin edges (length bins + 1)."""
-        return 10.0 ** np.linspace(self.log10_min, self.log10_max, self.bins + 1)
+# histogram bins: HIST_BINS equal steps in log10(norm) over [-8, 2]
+HIST_LOG10_MIN = -8.0
+HIST_LOG10_MAX = 2.0
+HIST_BINS = 50
 
 
 @dataclass
@@ -59,41 +45,34 @@ class LayerHistogram:
 
 @dataclass
 class NormHistogram:
-    spec: HistogramSpec
     layers: list[LayerHistogram]  # pooled first, then per hidden layer
 
 
-def _bin_norms(norms: np.ndarray, spec: HistogramSpec) -> tuple[int, np.ndarray, int]:
-    width = (spec.log10_max - spec.log10_min) / spec.bins
-    counts = np.zeros(spec.bins, dtype=np.int64)
+def _bin_norms(norms: np.ndarray) -> tuple[int, np.ndarray, int]:
+    width = (HIST_LOG10_MAX - HIST_LOG10_MIN) / HIST_BINS
+    counts = np.zeros(HIST_BINS, dtype=np.int64)
     under = over = 0
     for n in norms:
         if n <= 0.0:
             under += 1
             continue
-        i = int(np.floor((np.log10(n) - spec.log10_min) / width))
+        i = int(np.floor((np.log10(n) - HIST_LOG10_MIN) / width))
         if i < 0:
             under += 1
-        elif i >= spec.bins:
+        elif i >= HIST_BINS:
             over += 1
         else:
             counts[i] += 1
     return under, counts, over
 
 
-def norm_histogram(
-    net: MlpNetwork, mode: Mode, spec: HistogramSpec | None = None
-) -> NormHistogram:
+def norm_histogram(net: MlpNetwork, mode: Mode) -> NormHistogram:
     """Group-norm histogram per hidden layer plus a pooled set of rows."""
-    spec = spec or HistogramSpec()
     per_layer = group_norms(net, mode)
-    layers = []
-    pooled = _bin_norms(np.concatenate(per_layer), spec)
-    layers.append(LayerHistogram(POOLED_LAYER, pooled[0], pooled[1], pooled[2]))
+    layers = [LayerHistogram(POOLED_LAYER, *_bin_norms(np.concatenate(per_layer)))]
     for l, norms in enumerate(per_layer, start=1):
-        under, counts, over = _bin_norms(norms, spec)
-        layers.append(LayerHistogram(l, under, counts, over))
-    return NormHistogram(spec, layers)
+        layers.append(LayerHistogram(l, *_bin_norms(norms)))
+    return NormHistogram(layers)
 
 
 def bimodality_gap(
@@ -126,7 +105,8 @@ class AnalysisBundle:
     gap_report: dict | None = None
 
 
-def _fmt(x) -> str:
+def fmt_float(x) -> str:
+    """Shortest decimal that parses back to the same float."""
     return repr(float(x))
 
 
@@ -144,13 +124,13 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
 
     if bundle.histogram is not None:
         hist = bundle.histogram
-        edges = hist.spec.edges()
+        edges = 10.0 ** np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
         lines = [HISTOGRAM_HEADER]
         for lh in hist.layers:
-            lines.append(f"0.0,{_fmt(edges[0])},{lh.layer},{lh.underflow}")
+            lines.append(f"0.0,{fmt_float(edges[0])},{lh.layer},{lh.underflow}")
             for i, count in enumerate(lh.counts):
-                lines.append(f"{_fmt(edges[i])},{_fmt(edges[i + 1])},{lh.layer},{int(count)}")
-            lines.append(f"{_fmt(edges[-1])},inf,{lh.layer},{lh.overflow}")
+                lines.append(f"{fmt_float(edges[i])},{fmt_float(edges[i + 1])},{lh.layer},{int(count)}")
+            lines.append(f"{fmt_float(edges[-1])},inf,{lh.layer},{lh.overflow}")
         path = out_dir / "histogram.csv"
         _write_text(path, lines)
         written.append(path)
@@ -158,7 +138,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     if bundle.pruning_curve is not None:
         lines = [CURVE_HEADER]
         for removed, acc in bundle.pruning_curve:
-            lines.append(f"{int(removed)},{_fmt(acc)}")
+            lines.append(f"{int(removed)},{fmt_float(acc)}")
         path = out_dir / "curve.csv"
         _write_text(path, lines)
         written.append(path)

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import AnalysisBundle, bimodality_gap, norm_histogram, write_bundle
+from .analysis import AnalysisBundle, bimodality_gap, fmt_float, norm_histogram, write_bundle
 from .config import ExperimentConfig, parse_config
 from .datasets import Dataset
 from .errors import (
@@ -27,10 +27,6 @@ from .network import MlpNetwork, init_network
 from .pruning import apply_mask, forced_removal_curve, make_mask, match_count_prune
 from .regularization import Mode
 from .trainer import TrainResult, disposable_counts, evaluate, load_history, train
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _cli_mode(name: str) -> Mode:
@@ -82,20 +78,21 @@ def run_training(
 
     if cfg.emit_bundle:
         mode = _inspection_mode(cfg)
-        mask = make_mask(result.best_network, mode, cfg.theta)
-        retained = [
-            (l, int(k.sum()), int(k.size))
-            for l, k in enumerate(mask.keep, start=1)
-        ]
         bundle = AnalysisBundle(
             histogram=norm_histogram(result.best_network, mode),
             history=result.history,
-            retained_profile=retained,
+            retained_profile=_retained_profile(result.best_network, mode, cfg.theta),
             gap_report=_gap_report(result.best_network, mode),
         )
         write_bundle(bundle, out_dir)
 
     return result, splits, float(test_acc)
+
+
+def _retained_profile(net: MlpNetwork, mode: Mode, theta: float) -> list[tuple[int, int, int]]:
+    """(layer, kept, total) per hidden layer for a theta threshold."""
+    mask = make_mask(net, mode, theta)
+    return [(l, int(k.sum()), int(k.size)) for l, k in enumerate(mask.keep, start=1)]
 
 
 def _gap_report(net: MlpNetwork, mode: Mode, band_lo=1e-2, band_hi=1e-1) -> dict:
@@ -115,8 +112,8 @@ def cmd_train(args) -> int:
     result, _, test_acc = run_training(cfg, Path(cfg.output_dir))
     best_val = max(r.val_accuracy for r in result.history)
     print(
-        f"trained {cfg.epochs} epochs; best val acc {_fmt(best_val)} "
-        f"at epoch {result.best_epoch}; test acc {_fmt(test_acc)}"
+        f"trained {cfg.epochs} epochs; best val acc {fmt_float(best_val)} "
+        f"at epoch {result.best_epoch}; test acc {fmt_float(test_acc)}"
     )
     print(f"wrote {cfg.output_dir}")
     return 0
@@ -134,7 +131,8 @@ def cmd_prune(args) -> int:
             raise ConfigError(f"--match-count must be non-negative, got {args.match_count}")
         outcome = match_count_prune(net, mode, args.match_count, eval_set=test_set)
     else:
-        outcome = apply_mask(net, make_mask(net, mode, args.theta))
+        theta = cfg.theta if args.theta is None else args.theta
+        outcome = apply_mask(net, make_mask(net, mode, theta))
         outcome.accuracy = evaluate(outcome.pruned_network, test_set)
 
     out_dir = Path(args.out) if args.out else Path(args.model).parent
@@ -152,7 +150,7 @@ def cmd_prune(args) -> int:
 
     print(
         f"removed {outcome.total_removed} of {sum(net.hidden_sizes)} hidden nodes; "
-        f"test acc {_fmt(before)} -> {_fmt(outcome.accuracy)}"
+        f"test acc {fmt_float(before)} -> {fmt_float(outcome.accuracy)}"
     )
     print(f"wrote {out_dir / 'pruned_model.glnn'}")
     return 0
@@ -191,6 +189,7 @@ def cmd_analyze(args) -> int:
     if is_model:
         net = load_model(target)
         mode = _cli_mode(args.mode)
+        cfg = parse_config(args.data) if args.data is not None else None
         if wants["disposable"]:
             raise ConfigError("--disposable needs a history.jsonl file, not a model")
         if wants["histogram"]:
@@ -198,15 +197,13 @@ def cmd_analyze(args) -> int:
         if wants["gap"]:
             bundle.gap_report = _gap_report(net, mode)
         if wants["retained"]:
-            mask = make_mask(net, mode, args.theta)
-            bundle.retained_profile = [
-                (l, int(k.sum()), int(k.size))
-                for l, k in enumerate(mask.keep, start=1)
-            ]
+            theta = args.theta
+            if theta is None:
+                theta = cfg.theta if cfg is not None else 1e-2
+            bundle.retained_profile = _retained_profile(net, mode, theta)
         if wants["curve"]:
-            if args.data is None:
+            if cfg is None:
                 raise ConfigError("--curve needs --data to evaluate accuracy")
-            cfg = parse_config(args.data)
             _, _, test_set = cfg.load_splits()
             bundle.pruning_curve = forced_removal_curve(
                 net, mode, test_set, step=args.step
@@ -243,7 +240,7 @@ def cmd_sweep(args) -> int:
     for a in alphas:
         if a < 0:
             raise ConfigError(f"--alphas values must be non-negative, got {a}")
-        sub = out_root / f"alpha_{_fmt(a)}"
+        sub = out_root / f"alpha_{fmt_float(a)}"
         if base_mode is Mode.L2_ALL:
             run_cfg = dataclasses.replace(
                 cfg, alpha=0.0, beta=0.1 * a, beta_coupling=False, output_dir=str(sub)
@@ -262,10 +259,10 @@ def cmd_sweep(args) -> int:
             result.best_network, make_mask(result.best_network, mode, cfg.theta)
         )
         post_acc = evaluate(outcome.pruned_network, test_set)
-        rows.append(f"{_fmt(a)},{_fmt(best_val)},{disposable},{_fmt(post_acc)}")
+        rows.append(f"{fmt_float(a)},{fmt_float(best_val)},{disposable},{fmt_float(post_acc)}")
         print(
-            f"alpha {_fmt(a)}: best val acc {_fmt(best_val)}, "
-            f"{disposable} disposable, post-prune acc {_fmt(post_acc)}"
+            f"alpha {fmt_float(a)}: best val acc {fmt_float(best_val)}, "
+            f"{disposable} disposable, post-prune acc {fmt_float(post_acc)}"
         )
 
     out_root.mkdir(parents=True, exist_ok=True)
@@ -291,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="path to a .glnn model")
     p.add_argument("--mode", choices=("out", "in"), required=True,
                    help="group direction: outgoing or incoming weight vectors")
-    p.add_argument("--theta", type=float, default=1e-2,
-                   help="group-norm removal threshold (default 1e-2)")
+    p.add_argument("--theta", type=float, default=None,
+                   help="group-norm removal threshold (default: theta of --data)")
     p.add_argument("--match-count", type=int, default=None, metavar="N",
                    help="ignore theta and remove exactly the N smallest groups")
     p.add_argument("--data", required=True,
@@ -312,8 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="kept-vs-total nodes per layer at the theta threshold")
     p.add_argument("--mode", choices=("out", "in"), default="out",
                    help="group direction for model diagnostics (default out)")
-    p.add_argument("--theta", type=float, default=1e-2,
-                   help="threshold for --retained (default 1e-2)")
+    p.add_argument("--theta", type=float, default=None,
+                   help="threshold for --retained (default: theta of --data, "
+                   "else 1e-2)")
     p.add_argument("--step", type=int, default=100,
                    help="nodes removed per curve point (default 100)")
     p.add_argument("--data", default=None,

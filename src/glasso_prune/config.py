@@ -3,22 +3,28 @@
 Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are skipped. Lists (layer_sizes, split_fractions) are comma
 separated. A file whose first non-space character is '{' is parsed as a
-JSON object with the same keys instead. Unknown keys are rejected, and all
-nested invariants are checked at parse time so a bad config never reaches
-the trainer.
+JSON object with the same keys instead. Unknown keys are rejected, numbers
+must be finite (and integral for integer keys), and all nested invariants
+are checked at parse time, so a bad config never reaches the trainer.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import json
-
-from .datasets import Dataset, load_csv, load_idx, split, synth_gaussians
+from .datasets import Dataset, load_csv, load_idx, split, standardize, synth_gaussians
 from .errors import ConfigError
 from .regularization import Mode, RegularizerSpec
 from .trainer import TrainConfig
+
+
+def _to_str(s):
+    if not isinstance(s, str):
+        raise TypeError(f"expected a string, got {s!r}")
+    return s
 
 
 def _to_bool(s):
@@ -31,45 +37,62 @@ def _to_bool(s):
     raise ValueError(f"expected a boolean, got {s!r}")
 
 
-def _to_int_list(s):
-    if isinstance(s, list):
-        return [int(x) for x in s]
-    return [int(x) for x in s.split(",") if x.strip()]
+def _to_int(s):
+    # JSON may hand over 3.0 for an integer key, but never 3.5, inf or true
+    if isinstance(s, float) and not s.is_integer():
+        raise ValueError(f"expected an integer, got {s!r}")
+    if isinstance(s, bool) or not isinstance(s, (int, float, str)):
+        raise TypeError(f"expected an integer, got {s!r}")
+    return int(s)
 
 
-def _to_float_list(s):
-    if isinstance(s, list):
-        return [float(x) for x in s]
-    return [float(x) for x in s.split(",") if x.strip()]
+def _to_float(s):
+    if isinstance(s, bool) or not isinstance(s, (int, float, str)):
+        raise TypeError(f"expected a number, got {s!r}")
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return value
+
+
+def _list_of(convert):
+    def to_list(s):
+        if isinstance(s, str):
+            s = [x for x in s.split(",") if x.strip()]
+        elif not isinstance(s, list):
+            raise TypeError(f"expected a list or comma separated values, got {s!r}")
+        return [convert(x) for x in s]
+
+    return to_list
 
 
 _CONVERTERS = {
-    "dataset": str,
-    "synth_classes": int,
-    "synth_dim": int,
-    "synth_per_class": int,
-    "synth_separation": float,
-    "idx_images": str,
-    "idx_labels": str,
+    "dataset": _to_str,
+    "synth_classes": _to_int,
+    "synth_dim": _to_int,
+    "synth_per_class": _to_int,
+    "synth_separation": _to_float,
+    "idx_images": _to_str,
+    "idx_labels": _to_str,
     "standardize": _to_bool,
-    "csv_path": str,
-    "csv_label_column": str,
-    "data_seed": int,
-    "split_fractions": _to_float_list,
-    "layer_sizes": _to_int_list,
-    "mode": str,
-    "alpha": float,
-    "beta": float,
+    "csv_path": _to_str,
+    "csv_label_column": _to_str,
+    "data_seed": _to_int,
+    "split_fractions": _list_of(_to_float),
+    "layer_sizes": _list_of(_to_int),
+    "mode": _to_str,
+    "alpha": _to_float,
+    "beta": _to_float,
     "beta_coupling": _to_bool,
-    "epsilon_norm": float,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "momentum": float,
-    "lr_decay": float,
-    "seed": int,
-    "theta": float,
-    "output_dir": str,
+    "epsilon_norm": _to_float,
+    "epochs": _to_int,
+    "batch_size": _to_int,
+    "learning_rate": _to_float,
+    "momentum": _to_float,
+    "lr_decay": _to_float,
+    "seed": _to_int,
+    "theta": _to_float,
+    "output_dir": _to_str,
     "emit_history": _to_bool,
     "emit_model": _to_bool,
     "emit_bundle": _to_bool,
@@ -121,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'layer_sizes' needs at least input,hidden,output, got {self.layer_sizes}"
             )
+        if min(self.layer_sizes) < 1:
+            raise ConfigError(f"key 'layer_sizes' must all be >= 1, got {self.layer_sizes}")
         if self.theta <= 0:
             raise ConfigError(f"key 'theta' must be positive, got {self.theta}")
         if self.alpha < 0:
@@ -175,10 +200,13 @@ class ExperimentConfig:
                 self.data_seed,
             )
         elif self.dataset == "idx":
-            full = load_idx(self.idx_images, self.idx_labels, self.standardize)
+            full = load_idx(self.idx_images, self.idx_labels)
         else:
             full = load_csv(self.csv_path, self.csv_label_column)
-        return split(full, tuple(self.split_fractions), self.data_seed)
+        splits = split(full, tuple(self.split_fractions), self.data_seed)
+        if self.dataset == "idx" and self.standardize:
+            return standardize(*splits)
+        return splits
 
     def to_dict(self) -> dict:
         """Complete resolved key set; echoing this reproduces the run."""
@@ -208,7 +236,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
     if text.lstrip().startswith("{"):
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"{name}: invalid JSON: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{name}: JSON config must be an object")
@@ -221,7 +249,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{name}: unknown key {key!r}")
         try:
             values[key] = _CONVERTERS[key](value)
-        except (ValueError, TypeError) as e:
+        except (ValueError, TypeError, OverflowError) as e:
             raise ConfigError(f"{name}: key {key!r}: {e}") from None
     for required in ("dataset", "layer_sizes", "mode"):
         if required not in values:
@@ -239,17 +267,3 @@ def parse_config(path) -> ExperimentConfig:
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     return parse_config_text(text, str(path))
-
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    """Write a config in the key=value grammar (used by sweep runs)."""
-    lines = []
-    for key, value in cfg.to_dict().items():
-        if isinstance(value, list):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

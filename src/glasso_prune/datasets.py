@@ -59,11 +59,10 @@ def _read_u32_be(data: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
-def load_idx(images_path, labels_path, standardize: bool = False) -> Dataset:
+def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair (the MNIST container format).
 
-    Pixels are scaled to [0, 1] by /255; standardize additionally shifts
-    and scales each feature to zero mean / unit variance over the file.
+    Pixels are scaled to [0, 1] by /255.
     """
     images_path, labels_path = str(images_path), str(labels_path)
     img = Path(images_path).read_bytes()
@@ -103,11 +102,6 @@ def load_idx(images_path, labels_path, standardize: bool = False) -> Dataset:
         )
     labels = np.frombuffer(lab_payload, dtype=np.uint8).astype(np.int64)
 
-    if standardize:
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        std[std == 0] = 1.0
-        features = (features - mean) / std
     num_classes = int(labels.max()) + 1 if count else 1
     return Dataset(features, labels, num_classes)
 
@@ -193,30 +187,6 @@ def synth_gaussians(
     return Dataset(features, labels, num_classes)
 
 
-def context_stack(frames: Dataset, window: int) -> Dataset:
-    """Concatenate `window` consecutive frames centered on each target.
-
-    Edges repeat the boundary frame, so the output dim is window * dim for
-    every sample. Sample order defines the frame sequence.
-    """
-    if window < 1 or window % 2 == 0:
-        raise ValueError(f"window must be odd and positive, got {window}")
-    if frames.n == 0:
-        raise DataFormatError("cannot context-stack an empty sequence")
-    half = window // 2
-    idx = np.arange(frames.n)
-    pieces = [
-        frames.features[np.clip(idx + off, 0, frames.n - 1)]
-        for off in range(-half, half + 1)
-    ]
-    return Dataset(
-        np.concatenate(pieces, axis=1),
-        frames.labels.copy(),
-        frames.num_classes,
-        frames.split_tag,
-    )
-
-
 def split(
     ds: Dataset, fractions: tuple[float, float, float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
@@ -243,3 +213,19 @@ def split(
     if missing:
         raise ValueError(f"classes {missing} are absent from the train split")
     return parts[0], parts[1], parts[2]
+
+
+def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
+    """Shift and scale every split by the train split's per-feature statistics.
+
+    Mean and std come from train alone, so held-out splits leak nothing
+    into the transform. A feature that is constant in train is only
+    shifted: its computed std can be a rounding residue rather than 0.
+    """
+    mean = train.features.mean(axis=0)
+    std = train.features.std(axis=0)
+    std[np.ptp(train.features, axis=0) == 0] = 1.0
+    return tuple(
+        Dataset((d.features - mean) / std, d.labels, d.num_classes, d.split_tag)
+        for d in (train, *others)
+    )

@@ -10,7 +10,7 @@ class ShapeMismatchError(GlassoPruneError, ValueError):
 
 
 class ModelFormatError(GlassoPruneError):
-    """A model file is not valid GLNN (bad magic, version, or truncation)."""
+    """A model file is not valid GLNN (bad header, shape, size or value)."""
 
 
 class DataFormatError(GlassoPruneError, ValueError):

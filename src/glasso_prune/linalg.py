@@ -28,15 +28,6 @@ def as_vector(a) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v with an explicit shape check."""
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatchError(
-            f"matvec shape mismatch: matrix {m.shape} x vector {v.shape}"
-        )
-    return m @ v
-
-
 def sigmoid(v: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, stable for large |v|.
 
@@ -53,32 +44,6 @@ def sigmoid(v: np.ndarray) -> np.ndarray:
     e += 1.0
     out /= e
     return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis with max-subtraction."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
-def softmax_cross_entropy(logits: np.ndarray, target: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of softmax(logits) against a class index.
-
-    Returns (loss, gradient) where the gradient is softmax(logits) minus
-    the one-hot target, so its entries sum to zero.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if not 0 <= target < logits.shape[0]:
-        raise IndexError(
-            f"target {target} out of range for {logits.shape[0]} classes"
-        )
-    shifted = logits - np.max(logits)
-    log_norm = np.log(np.sum(np.exp(shifted)))
-    loss = float(log_norm - shifted[target])
-    grad = np.exp(shifted - log_norm)
-    grad[target] -= 1.0
-    return loss, grad
 
 
 def column_norms(m: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Model serialization: the GLNN binary format plus a JSON debug export.
+"""Model serialization: the GLNN binary format.
 
 GLNN layout (all integers little-endian u32, all floats little-endian
 f64):
@@ -6,12 +6,13 @@ f64):
     magic "GLNN" | version=1 | L | L records of
         rows | cols | rows*cols weights (row-major) | rows biases
 
-Writing the same network twice produces byte-identical files.
+Writing the same network twice produces byte-identical files. Loading
+rejects truncation, trailing bytes, zero-width layers, shapes that do not
+chain, and non-finite weights or biases.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
@@ -78,6 +79,10 @@ def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
             )
         w = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
         b = np.frombuffer(r.take(8 * rows), dtype="<f8")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ModelFormatError(
+                f"{name}: layer {len(layers) + 1} has a non-finite weight or bias"
+            )
         layers.append(LayerParams(w.copy(), b.copy()))
     if r.pos != len(data):
         raise ModelFormatError(f"{name}: {len(data) - r.pos} trailing bytes")
@@ -90,28 +95,3 @@ def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
 def load_model(path) -> MlpNetwork:
     path = Path(path)
     return model_from_bytes(path.read_bytes(), str(path))
-
-
-def model_to_json(net: MlpNetwork) -> str:
-    """Lossless JSON export; floats use shortest round-trip decimals."""
-    doc = {
-        "format": "glnn",
-        "version": VERSION,
-        "layers": [
-            {"weights": p.weights.tolist(), "bias": p.bias.tolist()}
-            for p in net.layers
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-def model_from_json(text: str) -> MlpNetwork:
-    doc = json.loads(text)
-    if doc.get("format") != "glnn" or doc.get("version") != VERSION:
-        raise ModelFormatError(
-            f"unexpected JSON model header: {doc.get('format')!r} "
-            f"v{doc.get('version')!r}"
-        )
-    return MlpNetwork(
-        [LayerParams(np.array(l["weights"]), np.array(l["bias"])) for l in doc["layers"]]
-    )

@@ -1,14 +1,16 @@
-"""Sigmoid MLP with a linear logit layer: parameters, forward pass, backprop.
+"""Sigmoid MLP with a linear logit layer: parameters, the batched forward
+pass, and the softmax cross-entropy gradient that training descends.
 
 Layer l of the network maps z^(l-1) to a^l = W^l z^(l-1) + b^l. Hidden
 layers apply the logistic sigmoid, the last layer emits raw logits and the
 cross-entropy loss applies softmax. Layer indices follow the convention
-that layers[0] holds W^1/b^1 (input -> first hidden).
+that layers[0] holds W^1/b^1 (input -> first hidden). Samples are rows:
+the forward and gradient functions take an (n, dim) batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,22 +80,6 @@ class MlpNetwork:
 
 
 @dataclass
-class ForwardTrace:
-    """Per-layer values kept for backpropagation.
-
-    outputs[0] is the input vector, outputs[l] is z^l for hidden layers and
-    the raw logits for l == L. activations[l-1] is a^l.
-    """
-
-    activations: list[np.ndarray]
-    outputs: list[np.ndarray]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.outputs[-1]
-
-
-@dataclass
 class GradientSet:
     """Per-layer parameter gradients, shape-mirroring a network."""
 
@@ -106,14 +92,6 @@ class GradientSet:
             [np.zeros_like(p.weights) for p in net.layers],
             [np.zeros_like(p.bias) for p in net.layers],
         )
-
-    def add_(self, other: "GradientSet") -> "GradientSet":
-        """In-place accumulation; returns self."""
-        for dw, ow in zip(self.d_weights, other.d_weights):
-            dw += ow
-        for db, ob in zip(self.d_biases, other.d_biases):
-            db += ob
-        return self
 
 
 def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
@@ -137,25 +115,6 @@ def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def forward(net: MlpNetwork, x: np.ndarray) -> ForwardTrace:
-    """Run one input through the network, keeping all intermediates."""
-    x = linalg.as_vector(x)
-    if x.shape[0] != net.layers[0].n_in:
-        raise ShapeMismatchError(
-            f"input has dim {x.shape[0]}, network expects {net.layers[0].n_in}"
-        )
-    activations = []
-    outputs = [x]
-    z = x
-    last = net.num_layers - 1
-    for l, p in enumerate(net.layers):
-        a = linalg.matvec(p.weights, z) + p.bias
-        activations.append(a)
-        z = a if l == last else linalg.sigmoid(a)
-        outputs.append(z)
-    return ForwardTrace(activations, outputs)
-
-
 def forward_batch(net: MlpNetwork, xs: np.ndarray) -> list[np.ndarray]:
     """Forward pass over a (n, dim) batch.
 
@@ -175,23 +134,40 @@ def forward_batch(net: MlpNetwork, xs: np.ndarray) -> list[np.ndarray]:
     return zs
 
 
-def predict(net: MlpNetwork, x: np.ndarray) -> int:
-    """Class with the highest logit; ties go to the lowest index."""
-    return int(np.argmax(forward(net, x).logits))
+def softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-max-shifted logits, their exponentials and the row sums of those."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    return shifted, exps, exps.sum(axis=1)
 
 
-def backward(net: MlpNetwork, trace: ForwardTrace, target: int) -> GradientSet:
-    """Gradients of the softmax cross-entropy loss for one sample."""
-    n_out = net.layers[-1].n_out
-    if not 0 <= target < n_out:
-        raise IndexError(f"target {target} out of range for {n_out} classes")
+def cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-sample cross-entropy from softmax_terms' shifted logits and sums."""
+    return np.log(sums) - shifted[np.arange(len(labels)), labels]
+
+
+def batch_gradients(
+    net: MlpNetwork, xs: np.ndarray, labels: np.ndarray
+) -> tuple[float, GradientSet]:
+    """Mean cross-entropy and its gradient over one (n, dim) minibatch.
+
+    One softmax serves both the loss and the output delta; the delta is
+    then backpropagated through the sigmoid layers via z * (1 - z).
+    """
+    zs = forward_batch(net, xs)
+    shifted, probs, sums = softmax_terms(zs[-1])
+    loss = float(cross_entropy(shifted, sums, labels).mean())
+    n = len(labels)
+    probs /= sums[:, np.newaxis]
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
     d_weights = [None] * net.num_layers
     d_biases = [None] * net.num_layers
-    _, delta = linalg.softmax_cross_entropy(trace.logits, target)
     for l in range(net.num_layers - 1, -1, -1):
-        d_weights[l] = np.outer(delta, trace.outputs[l])
-        d_biases[l] = delta
+        d_weights[l] = delta.T @ zs[l]
+        d_biases[l] = delta.sum(axis=0)
         if l > 0:
-            z = trace.outputs[l]
-            delta = (net.layers[l].weights.T @ delta) * z * (1.0 - z)
-    return GradientSet(d_weights, d_biases)
+            z = zs[l]
+            delta = (delta @ net.layers[l].weights) * z * (1.0 - z)
+    return loss, GradientSet(d_weights, d_biases)

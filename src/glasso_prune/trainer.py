@@ -1,8 +1,9 @@
 """Minibatch SGD with momentum on the regularized cross-entropy loss.
 
 Per update: v <- momentum * v - lr * (mean CE gradient + regularizer
-gradient), params <- params + v. The CE gradient is averaged over the
-minibatch while the regularizer gradient enters once at full strength.
+gradient), params <- params + v. The CE gradient (network.batch_gradients)
+is averaged over the minibatch while the regularizer gradient enters once
+at full strength.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
 run is fully reproducible from its config.
 """
@@ -15,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import linalg
 from .datasets import Dataset
 from .errors import ShapeMismatchError, TrainingDiverged
-from .network import GradientSet, MlpNetwork, forward_batch
+from .network import (
+    GradientSet, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
+)
 from .regularization import Mode, RegularizerSpec, group_norms, regularizer_gradient, regularizer_value
 
 
@@ -128,8 +130,8 @@ def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> tuple
     total = 0.0
     hits = 0
     for logits, labels in _logit_batches(net, dataset, batch_size):
-        shifted, _, sums = _softmax_terms(logits)
-        total += float(np.sum(_batch_ce(shifted, sums, labels)))
+        shifted, _, sums = softmax_terms(logits)
+        total += float(np.sum(cross_entropy(shifted, sums, labels)))
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     return total / dataset.n, hits / dataset.n
 
@@ -145,41 +147,6 @@ def _check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
             f"label {int(dataset.labels.max())} out of range for "
             f"{net.layers[-1].n_out} output nodes"
         )
-
-
-def _softmax_terms(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-max-shifted logits, their exponentials and the row sums of those."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exps = np.exp(shifted)
-    return shifted, exps, exps.sum(axis=1)
-
-
-def _batch_ce(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Per-sample cross-entropy from _softmax_terms' shifted logits and sums."""
-    return np.log(sums) - shifted[np.arange(len(labels)), labels]
-
-
-def _batch_gradients(
-    net: MlpNetwork, xs: np.ndarray, labels: np.ndarray
-) -> tuple[float, GradientSet]:
-    """Mean CE loss and mean CE gradient over one minibatch."""
-    zs = forward_batch(net, xs)
-    shifted, probs, sums = _softmax_terms(zs[-1])
-    loss = float(_batch_ce(shifted, sums, labels).mean())
-    n = len(labels)
-    probs /= sums[:, np.newaxis]
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    d_weights = [None] * net.num_layers
-    d_biases = [None] * net.num_layers
-    for l in range(net.num_layers - 1, -1, -1):
-        d_weights[l] = delta.T @ zs[l]
-        d_biases[l] = delta.sum(axis=0)
-        if l > 0:
-            z = zs[l]
-            delta = (delta @ net.layers[l].weights) * z * (1.0 - z)
-    return loss, GradientSet(d_weights, d_biases)
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
@@ -215,7 +182,7 @@ def train(
             perm = _epoch_rng(cfg.seed, epoch).permutation(train_set.n)
             for batch_no, start in enumerate(range(0, train_set.n, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
-                loss, grads = _batch_gradients(
+                loss, grads = batch_gradients(
                     net, train_set.features[idx], train_set.labels[idx]
                 )
                 if not np.isfinite(loss):

@@ -8,6 +8,7 @@ whole module takes about 40 s on one core.
 """
 
 import dataclasses
+import json
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,40 +16,35 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from glasso_prune import (
+from glasso_prune import cli
+from glasso_prune.analysis import (
     AnalysisBundle,
-    Dataset,
-    GradientSet,
-    Mode,
-    PruneMask,
-    RegularizerSpec,
-    apply_mask,
-    backward,
     bimodality_gap,
-    cli,
-    evaluate,
-    forced_removal_curve,
-    forward,
-    group_norms,
-    init_network,
-    load_idx,
-    load_model,
-    make_mask,
-    match_count_prune,
-    mean_loss,
-    model_bytes,
-    model_from_bytes,
     norm_histogram,
-    parse_config,
-    regularizer_gradient,
-    regularizer_value,
-    save_model,
-    train,
+    read_curve_csv,
+    read_histogram_csv,
     write_bundle,
 )
-from glasso_prune.analysis import read_curve_csv, read_histogram_csv
-from glasso_prune.config import write_config
+from glasso_prune.config import parse_config
+from glasso_prune.datasets import Dataset, load_idx
 from glasso_prune.errors import DataFormatError
+from glasso_prune.model_io import load_model, model_bytes, model_from_bytes, save_model
+from glasso_prune.network import batch_gradients, forward_batch, init_network
+from glasso_prune.pruning import (
+    PruneMask,
+    apply_mask,
+    forced_removal_curve,
+    make_mask,
+    match_count_prune,
+)
+from glasso_prune.regularization import (
+    Mode,
+    RegularizerSpec,
+    group_norms,
+    regularizer_gradient,
+    regularizer_value,
+)
+from glasso_prune.trainer import evaluate, mean_loss, train
 
 SEEDS = (42, 43, 44, 45, 46)
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -110,7 +106,12 @@ def reference_runs():
 
 
 def test_criterion_1_total_gradient_matches_finite_differences():
-    """Analytic CE + penalty gradient vs central differences, entrywise."""
+    """The training gradient (batched CE plus penalty) vs central differences.
+
+    The gradient comes from the two calls train makes per minibatch,
+    batch_gradients and regularizer_gradient; the differenced objective
+    is mean_loss plus regularizer_value.
+    """
     sizes = [3, 5, 4, 2]
     h = 1e-5
     worst = 0.0
@@ -125,12 +126,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
             ys = rng.integers(0, sizes[-1], size=6).astype(np.int64)
             batch = Dataset(xs, ys, num_classes=sizes[-1])
 
-            grad = GradientSet.zeros_like(net)
-            for x, y in zip(batch.features, batch.labels):
-                grad.add_(backward(net, forward(net, x), int(y)))
-            for layer in range(len(net.layers)):
-                grad.d_weights[layer] /= batch.n
-                grad.d_biases[layer] /= batch.n
+            _, grad = batch_gradients(net, batch.features, batch.labels)
             regularizer_gradient(net, spec, grad)
 
             norms = group_norms(net, mode)
@@ -200,8 +196,8 @@ def test_criterion_2_zero_group_pruning_is_logit_identical():
                     net.layers[layer - 1].weights[i, :] = 0.0
         pruned = apply_mask(net, PruneMask(keep, mode, None)).pruned_network
         for _ in range(100):
-            x = rng.normal(0.0, 1.2, size=sizes[0])
-            diff = np.max(np.abs(forward(net, x).logits - forward(pruned, x).logits))
+            x = rng.normal(0.0, 1.2, size=(1, sizes[0]))
+            diff = np.max(np.abs(forward_batch(net, x)[-1] - forward_batch(pruned, x)[-1]))
             worst = max(worst, float(diff))
     passed = worst <= 1e-12
     assert _report(
@@ -236,9 +232,9 @@ def test_criterion_3_out_prune_deviation_below_dropped_norm_sum():
             keep1[int(rng.integers(0, sizes[1]))] = True
         keep = [keep1, np.ones(sizes[2], dtype=bool)]
         pruned = apply_mask(net, PruneMask(keep, Mode.GLASSO_OUT, None)).pruned_network
-        x = rng.normal(0.0, 1.5, size=sizes[0])
+        x = rng.normal(0.0, 1.5, size=(1, sizes[0]))
         dev = float(
-            np.linalg.norm(forward(net, x).outputs[2] - forward(pruned, x).outputs[2])
+            np.linalg.norm(forward_batch(net, x)[2] - forward_batch(pruned, x)[2])
         )
         dropped = np.flatnonzero(~keep1)
         bound = float(np.sum(np.linalg.norm(net.layers[1].weights[:, dropped], axis=0)))
@@ -391,7 +387,8 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
     for tag in ("first", "second"):
         out_dir = tmp_path / tag
         cfg_path = tmp_path / f"{tag}.cfg"
-        write_config(dataclasses.replace(cfg, output_dir=str(out_dir)), cfg_path)
+        doc = dict(cfg.to_dict(), output_dir=str(out_dir))
+        cfg_path.write_text(json.dumps(doc), encoding="utf-8")
         assert cli.main(["train", str(cfg_path)]) == 0
         dirs.append(out_dir)
     names = sorted(p.name for p in dirs[0].iterdir())

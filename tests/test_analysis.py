@@ -10,7 +10,6 @@ from glasso_prune.analysis import (
     POOLED_LAYER,
     RETAINED_HEADER,
     AnalysisBundle,
-    HistogramSpec,
     bimodality_gap,
     norm_histogram,
     read_curve_csv,
@@ -32,13 +31,6 @@ def unit_norm_net():
         for j in range(w.shape[1]):
             w[0, j] = 1.0
     return net
-
-
-def test_histogram_spec_validation():
-    with pytest.raises(ValueError):
-        HistogramSpec(bins=0)
-    with pytest.raises(ValueError):
-        HistogramSpec(log10_min=2.0, log10_max=-8.0)
 
 
 def test_all_unit_norms_land_in_one_bin():
@@ -70,10 +62,8 @@ def test_exact_zero_norm_goes_to_underflow():
 
 def test_overflow_bucket():
     net = init_network([3, 4, 2], seed=2)
-    net.layers[1].weights[:, 0] *= 1e6
-    spec = HistogramSpec(log10_min=-8.0, log10_max=2.0, bins=50)
     net.layers[1].weights[:, 0] = 1e10
-    hist = norm_histogram(net, Mode.GLASSO_OUT, spec)
+    hist = norm_histogram(net, Mode.GLASSO_OUT)
     assert hist.layers[0].overflow >= 1
 
 

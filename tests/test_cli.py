@@ -302,3 +302,56 @@ def test_sweep_disposable_total_uses_config_theta(tmp_path):
     expected = sum(int(np.sum(n < 0.5)) for n in group_norms(net, Mode.GLASSO_OUT))
     assert expected > 0
     assert int(row[2]) == expected
+
+
+def theta_half_removals(net):
+    removed = sum(int(np.sum(n < 0.5)) for n in group_norms(net, Mode.GLASSO_OUT))
+    assert 0 < removed < sum(net.hidden_sizes)
+    return removed
+
+
+def test_prune_theta_defaults_to_data_config_theta(trained_run, tmp_path):
+    _, _, run = trained_run
+    data = write_cfg(tmp_path, "theta = 0.5\n")
+    out = tmp_path / "pruned"
+    argv = ["prune", str(run / "model.glnn"), "--mode", "out", "--data", str(data)]
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads((out / "prune.json").read_text())
+    assert doc["theta"] == 0.5
+    assert doc["total_removed"] == theta_half_removals(load_model(run / "model.glnn"))
+    # an explicit --theta still wins
+    assert main(argv + ["--theta", "1e-12", "--out", str(tmp_path / "explicit")]) == 0
+    doc = json.loads((tmp_path / "explicit" / "prune.json").read_text())
+    assert doc["total_removed"] == 0
+
+
+def test_analyze_retained_theta_defaults(trained_run, tmp_path):
+    _, _, run = trained_run
+    net = load_model(run / "model.glnn")
+    model = str(run / "model.glnn")
+    data = write_cfg(tmp_path, "theta = 0.5\n")
+    assert main(["analyze", model, "--retained", "--data", str(data),
+                 "--out", str(tmp_path / "cfg")]) == 0
+    kept = (tmp_path / "cfg" / "retained.csv").read_text().splitlines()[1]
+    assert kept == f"1,{16 - theta_half_removals(net)},16"
+    # without --data the threshold falls back to 1e-2
+    assert main(["analyze", model, "--retained", "--out", str(tmp_path / "plain")]) == 0
+    kept = (tmp_path / "plain" / "retained.csv").read_text().splitlines()[1]
+    expected = int(np.sum(group_norms(net, Mode.GLASSO_OUT)[0] >= 1e-2))
+    assert kept == f"1,{expected},16"
+
+
+@pytest.mark.parametrize("command", ["prune", "analyze"])
+def test_non_finite_model_exits_4(trained_run, tmp_path, capsys, command):
+    _, cfg, run = trained_run
+    net = load_model(run / "model.glnn")
+    net.layers[1].weights[0, 3] = np.nan
+    bad = tmp_path / "nan.glnn"
+    bad.write_bytes(model_bytes(net))
+    argv = [command, str(bad), "--mode", "out", "--out", str(tmp_path / "o")]
+    if command == "prune":
+        argv += ["--data", str(cfg)]
+    else:
+        argv += ["--histogram"]
+    assert main(argv) == 4
+    assert "non-finite" in capsys.readouterr().err

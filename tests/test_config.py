@@ -2,12 +2,7 @@ import json
 
 import pytest
 
-from glasso_prune.config import (
-    ExperimentConfig,
-    parse_config,
-    parse_config_text,
-    write_config,
-)
+from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
 from glasso_prune.errors import ConfigError
 from glasso_prune.regularization import Mode
 
@@ -207,7 +202,7 @@ def test_parse_config_file_and_write_roundtrip(tmp_path):
     src.write_text(FULL)
     cfg = parse_config(src)
     back = tmp_path / "echo.cfg"
-    write_config(cfg, back)
+    back.write_text(json.dumps(cfg.to_dict()))
     assert parse_config(back) == cfg
 
 
@@ -220,3 +215,41 @@ def test_to_dict_is_complete():
     cfg = parse_config_text(FULL)
     doc = cfg.to_dict()
     assert ExperimentConfig(**doc) == cfg
+
+
+@pytest.mark.parametrize(
+    "key,json_value,kv_value",
+    [
+        ("layer_sizes", 5, None),
+        ("output_dir", None, None),
+        ("csv_path", 5, None),
+        ("split_fractions", None, None),
+        ("layer_sizes", [8, 16.5, 3], "8,16.5,3"),
+        ("layer_sizes", [8, 0, 3], "8,0,3"),
+        ("epochs", float("inf"), "inf"),
+        ("epochs", 2.5, None),
+        ("epochs", True, None),
+        ("learning_rate", float("nan"), "nan"),
+        ("alpha", float("nan"), "nan"),
+        ("epsilon_norm", float("inf"), "inf"),
+        pytest.param("theta", 10**400, None, id="theta-huge-int"),
+        ("split_fractions", [0.8, float("nan"), 0.1], "0.8,nan,0.1"),
+    ],
+)
+def test_malformed_value_rejected_at_parse(key, json_value, kv_value):
+    doc = {"dataset": "synth", "layer_sizes": [8, 16, 3], "mode": "glasso_out"}
+    # json.dumps writes inf/nan as Infinity/NaN, which json.loads reads back
+    texts = [json.dumps(dict(doc, **{key: json_value}))]
+    if kv_value is not None:
+        kv = {"dataset": "synth", "layer_sizes": "8,16,3", "mode": "glasso_out", key: kv_value}
+        texts.append("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    for text in texts:
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        assert key in str(err.value)
+
+
+def test_json_integral_float_accepted_for_int_key():
+    doc = {"dataset": "synth", "layer_sizes": [8.0, 16, 3], "mode": "l2", "epochs": 4.0}
+    cfg = parse_config_text(json.dumps(doc))
+    assert cfg.layer_sizes == [8, 16, 3] and cfg.epochs == 4

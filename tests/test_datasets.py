@@ -4,9 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from glasso_prune.config import parse_config_text
 from glasso_prune.datasets import (
     Dataset,
-    context_stack,
     load_csv,
     load_idx,
     split,
@@ -90,11 +90,45 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(img_path, lab_path)
 
 
+def idx_splits(img_path, lab_path, standardize):
+    cfg = parse_config_text(
+        f"dataset = idx\nidx_images = {img_path}\nidx_labels = {lab_path}\n"
+        f"standardize = {str(standardize).lower()}\nlayer_sizes = 4,3,2\n"
+        "mode = glasso_out\nsplit_fractions = 0.5,0.25,0.25\ndata_seed = 3\n"
+    )
+    return cfg.load_splits()
+
+
+def varied_images(n=20, seed=0):
+    # distinct 2x2 images; pixel (0, 0) is constant so one feature has std 0
+    images = np.random.default_rng(seed).integers(0, 256, (n, 2, 2), dtype=np.uint8)
+    images[:, 0, 0] = 7
+    return images
+
+
 def test_idx_standardize(tmp_path):
-    images = np.arange(8, dtype=np.uint8).reshape(2, 2, 2) * 30
-    img_path, lab_path = write_idx_pair(tmp_path, images, [0, 1])
-    ds = load_idx(img_path, lab_path, standardize=True)
-    npt.assert_allclose(ds.features.mean(axis=0), 0.0, atol=1e-12)
+    img_path, lab_path = write_idx_pair(tmp_path, varied_images(), [0, 1] * 10)
+    train, val, test = idx_splits(img_path, lab_path, standardize=True)
+    npt.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
+    npt.assert_allclose(train.features.std(axis=0)[1:], 1.0, atol=1e-12)
+    # a constant feature is shifted but not blown up by a rounding residue
+    npt.assert_allclose(train.features[:, 0], 0.0, atol=1e-12)
+    assert (train.n, val.n, test.n) == (10, 5, 5)
+
+
+def test_idx_standardize_uses_train_split_only(tmp_path):
+    images = varied_images()
+    img_path, lab_path = write_idx_pair(tmp_path, images, [0, 1] * 10)
+    raw_test = idx_splits(img_path, lab_path, standardize=False)[2]
+    flat = images.reshape(len(images), -1) / 255.0
+    victim = int(np.flatnonzero((flat == raw_test.features[0]).all(axis=1))[0])
+    before = idx_splits(img_path, lab_path, standardize=True)
+
+    images[victim] = 255 - images[victim]
+    write_idx_pair(tmp_path, images, [0, 1] * 10)
+    after = idx_splits(img_path, lab_path, standardize=True)
+    assert after[0].features.tobytes() == before[0].features.tobytes()
+    assert after[2].features.tobytes() != before[2].features.tobytes()
 
 
 def test_csv_two_rows(tmp_path):
@@ -173,43 +207,6 @@ def test_synth_shapes_and_balance():
     assert ds.features.shape == (45, 7)
     for k in range(3):
         assert int((ds.labels == k).sum()) == 15
-
-
-def test_context_stack_window_one_identity():
-    ds = synth_gaussians(2, 4, 10, 2.0, seed=13)
-    out = context_stack(ds, 1)
-    npt.assert_array_equal(out.features, ds.features)
-    npt.assert_array_equal(out.labels, ds.labels)
-
-
-def test_context_stack_three_frames():
-    frames = Dataset(
-        np.array([[1.0, 10.0], [2.0, 20.0], [3.0, 30.0]]),
-        np.array([0, 1, 0]),
-        num_classes=2,
-    )
-    out = context_stack(frames, 3)
-    npt.assert_array_equal(out.features[1], [1, 10, 2, 20, 3, 30])
-    # edges repeat the boundary frame
-    npt.assert_array_equal(out.features[0], [1, 10, 1, 10, 2, 20])
-    npt.assert_array_equal(out.features[2], [2, 20, 3, 30, 3, 30])
-    assert out.dim == 6
-
-
-def test_context_stack_429_dims():
-    frames = Dataset(
-        np.zeros((5, 39)), np.zeros(5, dtype=np.int64), num_classes=1
-    )
-    assert context_stack(frames, 11).dim == 429
-
-
-def test_context_stack_validation():
-    ds = synth_gaussians(2, 4, 5, 2.0, seed=14)
-    with pytest.raises(ValueError):
-        context_stack(ds, 2)
-    empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), num_classes=1)
-    with pytest.raises(ValueError):
-        context_stack(empty, 3)
 
 
 def test_split_sizes():

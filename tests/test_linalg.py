@@ -3,55 +3,11 @@ import numpy.testing as npt
 import pytest
 from mpmath import mp
 
-from glasso_prune.errors import ShapeMismatchError
-from glasso_prune.linalg import (
-    as_matrix,
-    as_vector,
-    column_norms,
-    matvec,
-    row_norms,
-    sigmoid,
-    softmax,
-    softmax_cross_entropy,
-)
-
-
-def test_matvec_identity():
-    m = as_matrix(np.eye(3))
-    v = as_vector([1.0, 2.0, 3.0])
-    npt.assert_array_equal(matvec(m, v), [1.0, 2.0, 3.0])
-
-
-def test_matvec_projection():
-    m = as_matrix([[1.0, 0.0], [0.0, 0.0]])
-    npt.assert_array_equal(matvec(m, as_vector([5.0, 7.0])), [5.0, 0.0])
-
-
-def test_matvec_against_triple_loop():
-    rng = np.random.default_rng(3)
-    m = as_matrix(rng.standard_normal((4, 4)))
-    v = as_vector(rng.standard_normal(4))
-    expected = np.zeros(4)
-    for i in range(4):
-        for j in range(4):
-            expected[i] += m[i, j] * v[j]
-    npt.assert_allclose(matvec(m, v), expected, rtol=0, atol=1e-12)
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        matvec(as_matrix(np.eye(3)), as_vector([1.0, 2.0]))
-
-
-def test_matvec_linearity():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        m = as_matrix(rng.standard_normal((5, 7)))
-        u = as_vector(rng.standard_normal(7))
-        v = as_vector(rng.standard_normal(7))
-        npt.assert_allclose(
-            matvec(m, u + v), matvec(m, u) + matvec(m, v), atol=1e-10
-        )
+from glasso_prune.datasets import Dataset
+from glasso_prune.errors import DataFormatError
+from glasso_prune.linalg import as_matrix, as_vector, column_norms, row_norms, sigmoid
+from glasso_prune.network import LayerParams, MlpNetwork, batch_gradients, softmax_terms
+from glasso_prune.trainer import mean_loss
 
 
 def test_sigmoid_symmetry_point():
@@ -121,15 +77,39 @@ def test_sigmoid_nan_stays_nan():
     assert np.isnan(out[0]) and out[1] == 0.5
 
 
+# Cross-entropy lives in the network's batched core. These checks feed it
+# fixed logits through a network with zero weights whose output bias holds
+# the logits: the loss comes from mean_loss on a one-row dataset, and the
+# logit gradient is the output-bias gradient of batch_gradients.
+
+
+def logits_net(logits):
+    k = len(logits)
+    return MlpNetwork(
+        [
+            LayerParams(np.zeros((2, 1)), np.zeros(2)),
+            LayerParams(np.zeros((k, 2)), np.asarray(logits, dtype=np.float64)),
+        ]
+    )
+
+
+def cross_entropy_of(logits, target):
+    """(loss, gradient with respect to the logits) for one row."""
+    net = logits_net(logits)
+    one = Dataset(np.zeros((1, 1)), np.array([target]), num_classes=len(logits))
+    _, grads = batch_gradients(net, one.features, one.labels)
+    return mean_loss(net, one)[0], grads.d_biases[-1]
+
+
 def test_cross_entropy_uniform_logits():
     for k in (2, 5, 9):
-        loss, grad = softmax_cross_entropy(as_vector(np.full(k, 1.7)), 0)
+        loss, grad = cross_entropy_of(np.full(k, 1.7), 0)
         assert loss == pytest.approx(np.log(k), abs=1e-12)
         npt.assert_allclose(grad, np.full(k, 1.0 / k) - np.eye(k)[0], atol=1e-12)
 
 
 def test_cross_entropy_saturated_correct():
-    loss, _ = softmax_cross_entropy(as_vector([1000.0, 0.0]), 0)
+    loss, _ = cross_entropy_of([1000.0, 0.0], 0)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
@@ -138,7 +118,7 @@ def test_cross_entropy_high_precision_oracle():
     rng = np.random.default_rng(17)
     logits = rng.standard_normal(5) * 3
     target = 2
-    loss, _ = softmax_cross_entropy(as_vector(logits), target)
+    loss, _ = cross_entropy_of(logits, target)
 
     mp.prec = 128
     exps = [mp.e ** mp.mpf(float(x)) for x in logits]
@@ -149,36 +129,39 @@ def test_cross_entropy_high_precision_oracle():
 def test_cross_entropy_grad_sums_to_zero():
     rng = np.random.default_rng(8)
     for _ in range(5):
-        _, grad = softmax_cross_entropy(as_vector(rng.standard_normal(6)), 3)
+        _, grad = cross_entropy_of(rng.standard_normal(6), 3)
         assert abs(grad.sum()) < 1e-12
 
 
 def test_cross_entropy_grad_finite_differences():
     rng = np.random.default_rng(21)
-    logits = as_vector(rng.standard_normal(4))
-    _, grad = softmax_cross_entropy(logits, 1)
+    logits = rng.standard_normal(4)
+    _, grad = cross_entropy_of(logits, 1)
     h = 1e-5
     for i in range(4):
         bumped = logits.copy()
         bumped[i] += h
-        hi, _ = softmax_cross_entropy(bumped, 1)
+        hi, _ = cross_entropy_of(bumped, 1)
         bumped[i] -= 2 * h
-        lo, _ = softmax_cross_entropy(bumped, 1)
+        lo, _ = cross_entropy_of(bumped, 1)
         numeric = (hi - lo) / (2 * h)
         assert grad[i] == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
 
 def test_cross_entropy_target_out_of_range():
+    net = logits_net([0.0, 1.0])
     with pytest.raises(IndexError):
-        softmax_cross_entropy(as_vector([0.0, 1.0]), 2)
-    with pytest.raises(IndexError):
-        softmax_cross_entropy(as_vector([0.0, 1.0]), -1)
+        batch_gradients(net, np.zeros((1, 1)), np.array([2]))
+    # a negative label would index from the end; Dataset refuses it first
+    with pytest.raises(DataFormatError):
+        Dataset(np.zeros((1, 1)), np.array([-1]), num_classes=2)
 
 
 def test_softmax_sums_to_one():
     rng = np.random.default_rng(2)
-    probs = softmax(as_vector(rng.standard_normal(7) * 100))
-    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    _, exps, sums = softmax_terms(rng.standard_normal((3, 7)) * 100)
+    probs = exps / sums[:, np.newaxis]
+    npt.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(probs >= 0.0)
 
 

@@ -2,17 +2,18 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from glasso_prune.datasets import Dataset
 from glasso_prune.errors import ShapeMismatchError
-from glasso_prune.linalg import as_matrix, as_vector, sigmoid, softmax, softmax_cross_entropy
+from glasso_prune.linalg import as_matrix, as_vector
 from glasso_prune.network import (
     LayerParams,
     MlpNetwork,
-    backward,
-    forward,
+    batch_gradients,
     forward_batch,
     init_network,
-    predict,
+    softmax_terms,
 )
+from glasso_prune.trainer import mean_loss
 
 
 def zero_network(sizes):
@@ -24,8 +25,18 @@ def zero_network(sizes):
 
 
 def network_loss(net, x, target):
-    loss, _ = softmax_cross_entropy(forward(net, x).logits, target)
-    return loss
+    # the epoch-end loss path on a one-row dataset
+    one = Dataset(x[np.newaxis, :], np.array([target]), num_classes=net.layers[-1].n_out)
+    return mean_loss(net, one)[0]
+
+
+def row_gradients(net, x, target):
+    return batch_gradients(net, x[np.newaxis, :], np.array([target]))[1]
+
+
+def predicted(net, xs):
+    """Class with the highest logit per row; ties go to the lowest index."""
+    return np.argmax(forward_batch(net, np.atleast_2d(xs))[-1], axis=1)
 
 
 def test_layer_params_shape_invariant():
@@ -92,10 +103,9 @@ def test_init_rejects_degenerate_sizes():
 
 def test_forward_zero_network():
     net = zero_network([3, 4, 2])
-    trace = forward(net, as_vector([0.3, -1.0, 2.0]))
-    npt.assert_array_equal(trace.activations[0], np.zeros(4))
-    npt.assert_array_equal(trace.outputs[1], np.full(4, 0.5))
-    npt.assert_array_equal(trace.logits, np.zeros(2))
+    zs = forward_batch(net, as_matrix([[0.3, -1.0, 2.0]]))
+    npt.assert_array_equal(zs[1], np.full((1, 4), 0.5))
+    npt.assert_array_equal(zs[-1], np.zeros((1, 2)))
 
 
 def test_forward_hand_computed_scalar_chain():
@@ -106,47 +116,47 @@ def test_forward_hand_computed_scalar_chain():
             LayerParams(as_matrix([[-1.0]]), as_vector([0.3])),
         ]
     )
-    trace = forward(net, as_vector([0.5]))
+    zs = forward_batch(net, as_matrix([[0.5]]))
     a1 = 2.0 * 0.5 + 0.1
     z1 = 1.0 / (1.0 + np.exp(-a1))
-    npt.assert_allclose(trace.activations[0], [a1], atol=1e-15)
-    npt.assert_allclose(trace.outputs[1], [z1], atol=1e-15)
-    npt.assert_allclose(trace.logits, [-z1 + 0.3], atol=1e-15)
+    npt.assert_allclose(zs[1], [[z1]], atol=1e-15)
+    npt.assert_allclose(zs[-1], [[-z1 + 0.3]], atol=1e-15)
 
 
 def test_forward_deterministic():
     net = init_network([5, 6, 3], seed=2)
-    x = as_vector(np.linspace(-1, 1, 5))
-    t1 = forward(net, x)
-    t2 = forward(net, x)
-    for a, b in zip(t1.outputs, t2.outputs):
+    x = as_matrix([np.linspace(-1, 1, 5)])
+    for a, b in zip(forward_batch(net, x), forward_batch(net, x)):
         npt.assert_array_equal(a, b)
 
 
 def test_forward_dimension_mismatch():
     net = init_network([5, 6, 3], seed=2)
     with pytest.raises(ShapeMismatchError):
-        forward(net, as_vector([1.0, 2.0]))
+        forward_batch(net, as_matrix([[1.0, 2.0]]))
 
 
 def test_forward_batch_matches_forward():
-    net = init_network([4, 7, 3], seed=9)
+    # per-row reference: matrix-vector products and a plain logistic
+    net = init_network([4, 7, 5, 3], seed=9)
     rng = np.random.default_rng(9)
     xs = rng.standard_normal((6, 4))
     zs = forward_batch(net, xs)
     for i in range(6):
-        trace = forward(net, as_vector(xs[i]))
-        npt.assert_allclose(zs[-1][i], trace.logits, atol=1e-12)
+        z = xs[i]
+        for l, p in enumerate(net.layers):
+            a = p.weights @ z + p.bias
+            z = a if l == net.num_layers - 1 else 1.0 / (1.0 + np.exp(-a))
+            npt.assert_allclose(zs[l + 1][i], z, atol=1e-12)
 
 
 def test_hidden_outputs_bounded():
     net = init_network([6, 12, 12, 4], seed=3)
     rng = np.random.default_rng(30)
-    for _ in range(20):
-        trace = forward(net, as_vector(rng.standard_normal(6) * 10))
-        for z in trace.outputs[1:-1]:
-            assert np.all(z > 0.0)
-            assert np.all(z < 1.0)
+    zs = forward_batch(net, rng.standard_normal((20, 6)) * 10)
+    for z in zs[1:-1]:
+        assert np.all(z > 0.0)
+        assert np.all(z < 1.0)
 
 
 def logits_net(logits):
@@ -158,27 +168,28 @@ def logits_net(logits):
 
 
 def test_predict_known_logits():
-    assert predict(logits_net([0.1, 0.9, 0.3]), as_vector([0.0])) == 1
+    assert predicted(logits_net([0.1, 0.9, 0.3]), [0.0]) == [1]
 
 
 def test_predict_tie_breaks_low():
-    assert predict(logits_net([1.0, 1.0]), as_vector([0.0])) == 0
+    assert predicted(logits_net([1.0, 1.0]), [0.0]) == [0]
 
 
 def test_predict_agrees_with_softmax_argmax():
     rng = np.random.default_rng(14)
     for seed in range(5):
         net = init_network([4, 6, 5], seed=seed)
-        x = as_vector(rng.standard_normal(4))
-        probs = softmax(forward(net, x).logits)
-        assert predict(net, x) == int(np.argmax(probs))
+        xs = rng.standard_normal((3, 4))
+        _, exps, sums = softmax_terms(forward_batch(net, xs)[-1])
+        probs = exps / sums[:, np.newaxis]
+        npt.assert_array_equal(predicted(net, xs), np.argmax(probs, axis=1))
 
 
 def test_backward_finite_differences():
     net = init_network([3, 4, 4, 2], seed=5)
     x = as_vector([0.2, -0.7, 1.1])
     target = 1
-    grads = backward(net, forward(net, x), target)
+    grads = row_gradients(net, x, target)
     h = 1e-5
     for l, p in enumerate(net.layers):
         for idx in np.ndindex(p.weights.shape):
@@ -204,8 +215,7 @@ def test_backward_finite_differences():
 def test_backward_zero_gradient_fixed_point():
     # a single output class makes softmax exactly one-hot
     net = init_network([3, 4, 1], seed=6)
-    trace = forward(net, as_vector([0.5, 0.5, 0.5]))
-    grads = backward(net, trace, 0)
+    grads = row_gradients(net, as_vector([0.5, 0.5, 0.5]), 0)
     for dw, db in zip(grads.d_weights, grads.d_biases):
         npt.assert_array_equal(dw, np.zeros_like(dw))
         npt.assert_array_equal(db, np.zeros_like(db))
@@ -213,7 +223,7 @@ def test_backward_zero_gradient_fixed_point():
 
 def test_backward_shapes_mirror_network():
     net = init_network([3, 5, 4, 2], seed=7)
-    grads = backward(net, forward(net, as_vector([1.0, 0.0, -1.0])), 0)
+    grads = row_gradients(net, as_vector([1.0, 0.0, -1.0]), 0)
     for p, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
         assert dw.shape == p.weights.shape
         assert db.shape == p.bias.shape
@@ -221,9 +231,8 @@ def test_backward_shapes_mirror_network():
 
 def test_backward_target_out_of_range():
     net = init_network([3, 4, 2], seed=8)
-    trace = forward(net, as_vector([0.0, 0.0, 0.0]))
     with pytest.raises(IndexError):
-        backward(net, trace, 2)
+        row_gradients(net, as_vector([0.0, 0.0, 0.0]), 2)
 
 
 def test_loss_directional_derivative():
@@ -231,7 +240,7 @@ def test_loss_directional_derivative():
     net = init_network([3, 5, 4, 2], seed=10)
     x = as_vector([0.4, -0.2, 0.9])
     target = 0
-    grads = backward(net, forward(net, x), target)
+    grads = row_gradients(net, x, target)
     rng = np.random.default_rng(44)
     eps = 1e-5
     for _ in range(20):
@@ -257,21 +266,22 @@ def test_predict_invariant_under_output_bias_shift():
     rng = np.random.default_rng(15)
     for seed in range(5):
         net = init_network([4, 6, 5], seed=seed)
-        x = as_vector(rng.standard_normal(4))
-        before = predict(net, x)
+        xs = rng.standard_normal((3, 4))
+        before = predicted(net, xs)
         shifted = net.copy()
         shifted.layers[-1].bias += 3.7
-        assert predict(shifted, x) == before
+        npt.assert_array_equal(predicted(shifted, xs), before)
 
 
 def test_sigmoid_derivative_identity_used_by_backward():
     # hidden delta carries z*(1-z); spot-check against the chain rule on a1
     net = init_network([2, 3, 2], seed=20)
     x = as_vector([0.3, -0.6])
-    trace = forward(net, x)
-    grads = backward(net, trace, 1)
-    z1 = trace.outputs[1]
-    probs = softmax(trace.logits)
+    grads = row_gradients(net, x, 1)
+    zs = forward_batch(net, x[np.newaxis, :])
+    z1 = zs[1][0]
+    logits = zs[-1][0]
+    probs = np.exp(logits) / np.sum(np.exp(logits))
     delta_out = probs - np.array([0.0, 1.0])
     delta_hidden = (net.layers[1].weights.T @ delta_out) * z1 * (1.0 - z1)
     npt.assert_allclose(grads.d_biases[0], delta_hidden, atol=1e-12)

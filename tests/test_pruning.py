@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from glasso_prune.datasets import Dataset, synth_gaussians
-from glasso_prune.linalg import as_matrix, as_vector, column_norms, row_norms, sigmoid
-from glasso_prune.network import LayerParams, MlpNetwork, forward, init_network
+from glasso_prune.linalg import as_vector, column_norms, row_norms, sigmoid
+from glasso_prune.network import forward_batch, init_network
 from glasso_prune.pruning import (
     PruneMask,
     apply_mask,
@@ -30,14 +30,11 @@ def bimodal_net(seed=0, low=1e-5, high=0.8):
 
 
 def logits_close(a, b, inputs, tol=1e-12):
-    worst = 0.0
-    for x in inputs:
-        la = forward(a, as_vector(x)).logits
-        lb = forward(b, as_vector(x)).logits
-        if la.shape != lb.shape:
-            return False
-        worst = max(worst, float(np.max(np.abs(la - lb))))
-    return worst <= tol
+    la = forward_batch(a, inputs)[-1]
+    lb = forward_batch(b, inputs)[-1]
+    if la.shape != lb.shape:
+        return False
+    return float(np.max(np.abs(la - lb))) <= tol
 
 
 def test_make_mask_threshold_separates_clusters():
@@ -156,7 +153,7 @@ def test_out_mode_perturbation_bound():
         bound = norms[drop].sum()
 
         x = rng.standard_normal(4)
-        z1 = forward(net, as_vector(x)).outputs[1]
+        z1 = forward_batch(net, x[np.newaxis, :])[1][0]
         a2_full = net.layers[1].weights @ z1 + net.layers[1].bias
         a2_pruned = net.layers[1].weights[:, keep] @ z1[keep] + net.layers[1].bias
         deviation = np.max(np.abs(a2_full - a2_pruned))
@@ -171,9 +168,8 @@ def test_in_mode_constant_output_lipschitz_bound():
         net = init_network([5, 7, 3], seed=100 + trial)
         net.layers[0].weights[2, :] *= 1e-3
         x = rng.standard_normal(5)
-        trace = forward(net, as_vector(x))
-        z_prev = trace.outputs[0]
-        z = trace.outputs[1][2]
+        z_prev = x
+        z = forward_batch(net, x[np.newaxis, :])[1][0, 2]
         const = sigmoid(as_vector([net.layers[0].bias[2]]))[0]
         bound = 0.25 * row_norms(net.layers[0].weights)[2] * np.linalg.norm(z_prev)
         assert abs(z - const) <= bound + 1e-15

@@ -2,7 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from glasso_prune.linalg import as_matrix, as_vector
+from glasso_prune.linalg import as_matrix
 from glasso_prune.network import GradientSet, LayerParams, MlpNetwork, init_network
 from glasso_prune.regularization import (
     Mode,

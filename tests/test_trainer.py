@@ -9,15 +9,14 @@ from glasso_prune.network import (
     GradientSet,
     LayerParams,
     MlpNetwork,
+    batch_gradients,
     forward_batch,
     init_network,
-    predict,
 )
 from glasso_prune.regularization import Mode, RegularizerSpec, group_norms
 from glasso_prune.trainer import (
     EpochReport,
     TrainConfig,
-    _batch_gradients,
     disposable_counts,
     evaluate,
     load_history,
@@ -162,7 +161,7 @@ def test_separable_two_gaussians_reach_high_accuracy():
 def test_evaluate_single_sample():
     net = init_network([4, 5, 3], seed=2)
     x = np.ones((1, 4))
-    label = predict(net, as_vector(x[0]))
+    label = int(np.argmax(forward_batch(net, x)[-1][0]))
     good = Dataset(x, np.array([label], dtype=np.int64), num_classes=3)
     assert evaluate(net, good) == 1.0
 
@@ -171,9 +170,7 @@ def test_evaluate_adversarial_labels():
     net = init_network([4, 5, 3], seed=2)
     rng = np.random.default_rng(7)
     xs = rng.standard_normal((20, 4))
-    wrong = np.array(
-        [(predict(net, as_vector(x)) + 1) % 3 for x in xs], dtype=np.int64
-    )
+    wrong = (np.argmax(forward_batch(net, xs)[-1], axis=1) + 1) % 3
     assert evaluate(net, Dataset(xs, wrong, num_classes=3)) == 0.0
 
 
@@ -183,7 +180,7 @@ def test_evaluate_matches_loop_oracle():
     hits = sum(
         1
         for x, y in zip(data.features, data.labels)
-        if predict(net, as_vector(x)) == y
+        if np.argmax(forward_batch(net, x[np.newaxis, :])[-1][0]) == y
     )
     assert evaluate(net, data) == pytest.approx(hits / data.n, abs=1e-15)
 
@@ -427,7 +424,7 @@ def test_batch_gradients_match_two_softmax_oracle():
         want.d_biases[l] = delta.sum(axis=0)
         if l > 0:
             delta = (delta @ net.layers[l].weights) * zs[l] * (1.0 - zs[l])
-    loss, got = _batch_gradients(net, xs, labels)
+    loss, got = batch_gradients(net, xs, labels)
     assert loss == want_loss
     for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         npt.assert_array_equal(g, w)
