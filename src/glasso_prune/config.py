@@ -156,9 +156,20 @@ class ExperimentConfig:
             Mode.from_string(self.mode)
         except ValueError as e:
             raise ConfigError(f"key 'mode': {e}") from None
+        for key in ("seed", "data_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
         if len(self.split_fractions) != 3:
             raise ConfigError(
                 f"key 'split_fractions' needs exactly three values, got {self.split_fractions}"
+            )
+        if min(self.split_fractions) <= 0:
+            raise ConfigError(
+                f"key 'split_fractions' must all be positive, got {self.split_fractions}"
+            )
+        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
+            raise ConfigError(
+                f"key 'split_fractions' must sum to 1, got sum {sum(self.split_fractions)!r}"
             )
         # surface RegularizerSpec/TrainConfig invariant violations now,
         # pointing at the offending keys

@@ -1,8 +1,8 @@
 """Dense linear-algebra and scalar-function kernels.
 
 Matrices are 2-d float64 numpy arrays in row-major (C) order, vectors are
-1-d float64 arrays. Everything here is a pure function; inputs are never
-modified.
+1-d float64 arrays. Inputs are never modified, except the array a caller
+passes as `out`, which receives the result.
 """
 
 from __future__ import annotations
@@ -28,29 +28,32 @@ def as_vector(a) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-def sigmoid(v: np.ndarray) -> np.ndarray:
+def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise logistic function, stable for large |v|.
 
     exp() is only ever called on -|v|, so it saturates to 0/1 without
     overflow warnings. With e = exp(-|v|), v >= 0 gives 1 / (1 + e) and
     v < 0 gives e / (1 + e): the same operands per element as splitting
     on the sign, without gathering and scattering through a boolean mask.
+    The numerator is max(e, v >= 0), which is 1 or e because e <= 1, and
+    NaN where e is NaN. The result goes into out when given (out=v
+    works in place), else into a new array.
     """
     v = np.asarray(v, dtype=np.float64)
     e = np.abs(v)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(v >= 0, 1.0, e)
+    out = np.maximum(e, v >= 0, out=out)
     e += 1.0
     out /= e
     return out
 
 
 def column_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every column."""
-    return np.linalg.norm(m, axis=0)
+    """Euclidean norm of every column, by np.linalg.norm's own formula."""
+    return np.sqrt(np.add.reduce(m * m, axis=0))
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row."""
-    return np.linalg.norm(m, axis=1)
+    """Euclidean norm of every row, by np.linalg.norm's own formula."""
+    return np.sqrt(np.add.reduce(m * m, axis=1))

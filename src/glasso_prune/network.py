@@ -115,11 +115,16 @@ def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def forward_batch(net: MlpNetwork, xs: np.ndarray) -> list[np.ndarray]:
+def forward_batch(
+    net: MlpNetwork, xs: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Forward pass over a (n, dim) batch.
 
     Returns [Z^0 .. Z^L] where row i of Z^l corresponds to sample i; the
-    last entry holds raw logits.
+    last entry holds raw logits. When out is given, out[l] is a C-ordered
+    (n, n_out) float64 array that receives Z^(l+1), so a caller can reuse
+    its buffers across batches; the GEMMs and their shapes are the same
+    either way, and so are the bits.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 2 or xs.shape[1] != net.layers[0].n_in:
@@ -129,8 +134,9 @@ def forward_batch(net: MlpNetwork, xs: np.ndarray) -> list[np.ndarray]:
     zs = [xs]
     last = net.num_layers - 1
     for l, p in enumerate(net.layers):
-        a = zs[-1] @ p.weights.T + p.bias
-        zs.append(a if l == last else linalg.sigmoid(a))
+        a = np.matmul(zs[-1], p.weights.T, out=None if out is None else out[l])
+        a += p.bias
+        zs.append(a if l == last else linalg.sigmoid(a, out=a))
     return zs
 
 
@@ -169,5 +175,7 @@ def batch_gradients(
         d_biases[l] = delta.sum(axis=0)
         if l > 0:
             z = zs[l]
-            delta = (delta @ net.layers[l].weights) * z * (1.0 - z)
+            delta = delta @ net.layers[l].weights
+            delta *= z
+            delta *= 1.0 - z
     return loss, GradientSet(d_weights, d_biases)

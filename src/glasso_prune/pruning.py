@@ -156,9 +156,10 @@ def forced_removal_curve(
 ) -> list[tuple[int, float]]:
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
-    Each point re-applies a cumulative mask to the original network. The
-    curve starts at (0, unpruned accuracy) and stops before any batch that
-    would empty a hidden layer.
+    Each point re-applies a cumulative mask to the original network; each
+    mask extends the previous one by the next step nodes. The curve starts
+    at (0, unpruned accuracy) and stops before any batch that would empty
+    a hidden layer.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -166,11 +167,11 @@ def forced_removal_curve(
         raise ValueError("eval_set is empty")
     ranked = _ranked_nodes(net, mode)
     hidden = net.hidden_sizes
+    kept_per_layer = list(hidden)
+    keep = [np.ones(n, dtype=bool) for n in hidden]
     curve = [(0, evaluate(net, eval_set))]
     for count in range(step, len(ranked) + 1, step):
-        kept_per_layer = list(hidden)
-        keep = [np.ones(n, dtype=bool) for n in hidden]
-        for _, l, j in ranked[:count]:
+        for _, l, j in ranked[count - step : count]:
             keep[l][j] = False
             kept_per_layer[l] -= 1
         if min(kept_per_layer) == 0:

@@ -11,6 +11,7 @@ run is fully reproducible from its config.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -102,14 +103,48 @@ def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int
     return [int(np.sum(norms < threshold)) for norms in group_norms(net, mode)]
 
 
+class _EvalBuffers(threading.local):
+    """Per-thread activation buffers for evaluation forward passes.
+
+    One flat float64 buffer per layer slot, replaced by a larger one only
+    when a request outgrows it, so a pass over a dataset, and the passes
+    over ever narrower pruned networks, reuse the same memory instead of
+    allocating (and page-faulting in) fresh arrays for every batch.
+    """
+
+    def __init__(self):
+        self.flat: list[np.ndarray] = []
+
+    def views(self, rows: int, widths: list[int]) -> list[np.ndarray]:
+        """C-ordered (rows, width) views, one per slot, valid until the next call."""
+        self.flat += [np.empty(0)] * (len(widths) - len(self.flat))
+        views = []
+        for slot, width in enumerate(widths):
+            if self.flat[slot].size < rows * width:
+                self.flat[slot] = np.empty(rows * width)
+            views.append(self.flat[slot][: rows * width].reshape(rows, width))
+        return views
+
+
+_eval_buffers = _EvalBuffers()
+
+
 def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
-    """Yield (logits, labels) for consecutive batches of a non-empty dataset."""
+    """Yield (logits, labels) for consecutive batches of a non-empty dataset.
+
+    The logits live in this thread's _EvalBuffers and are overwritten by
+    the next batch, so a consumer must finish with each batch before
+    asking for the next one and must not keep the array; evaluate and
+    mean_loss reduce each batch to numbers first.
+    """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     _check_shapes(net, dataset)
+    widths = [p.n_out for p in net.layers]
     for start in range(0, dataset.n, batch_size):
         stop = min(start + batch_size, dataset.n)
-        logits = forward_batch(net, dataset.features[start:stop])[-1]
+        out = _eval_buffers.views(stop - start, widths)
+        logits = forward_batch(net, dataset.features[start:stop], out=out)[-1]
         yield logits, dataset.labels[start:stop]
 
 
@@ -192,10 +227,13 @@ def train(
                 regularizer_gradient(net, cfg.spec, grads)
                 for l, p in enumerate(net.layers):
                     vw, vb = velocity.d_weights[l], velocity.d_biases[l]
+                    gw, gb = grads.d_weights[l], grads.d_biases[l]
+                    gw *= lr
+                    gb *= lr
                     vw *= cfg.momentum
-                    vw -= lr * grads.d_weights[l]
+                    vw -= gw
                     vb *= cfg.momentum
-                    vb -= lr * grads.d_biases[l]
+                    vb -= gb
                     p.weights += vw
                     p.bias += vb
             train_ce, train_acc = mean_loss(net, train_set)

@@ -234,6 +234,11 @@ def test_to_dict_is_complete():
         ("epsilon_norm", float("inf"), "inf"),
         pytest.param("theta", 10**400, None, id="theta-huge-int"),
         ("split_fractions", [0.8, float("nan"), 0.1], "0.8,nan,0.1"),
+        ("seed", -1, "-1"),
+        ("data_seed", -3, "-3"),
+        ("split_fractions", [0.5, 0.3, 0.3], "0.5,0.3,0.3"),
+        ("split_fractions", [0.5, 0.6, -0.1], "0.5,0.6,-0.1"),
+        ("split_fractions", [0.9, 0.1, 0.0], "0.9,0.1,0"),
     ],
 )
 def test_malformed_value_rejected_at_parse(key, json_value, kv_value):

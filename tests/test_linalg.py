@@ -77,6 +77,20 @@ def test_sigmoid_nan_stays_nan():
     assert np.isnan(out[0]) and out[1] == 0.5
 
 
+def test_sigmoid_in_place_bit_identical():
+    # out=v overwrites the input with exactly the bits sigmoid(v) returns
+    tiny = np.finfo(np.float64).tiny
+    edges = [0.0, 5e-324, 1e-320, tiny / 2, tiny, 36.7, 709.0, 745.0, 1000.0, np.inf]
+    rng = np.random.default_rng(18)
+    inputs = [as_vector(edges + [-x for x in edges] + [np.nan])]
+    inputs += [rng.standard_normal((128, 256)) * scale for scale in (0.2, 1.0, 10.0)]
+    for v in inputs:
+        expected = sigmoid(v)
+        w = v.copy()
+        assert sigmoid(w, out=w) is w
+        assert_bits_equal(w, expected)
+
+
 # Cross-entropy lives in the network's batched core. These checks feed it
 # fixed logits through a network with zero weights whose output bias holds
 # the logits: the loss comes from mean_loss on a one-row dataset, and the
@@ -185,6 +199,14 @@ def test_column_norms_against_loop():
 def test_row_norms_known_values():
     npt.assert_array_equal(row_norms(as_matrix([[3.0, 4.0], [0.0, 0.0]])), [5.0, 0.0])
     npt.assert_array_equal(row_norms(as_matrix(np.eye(2))), [1.0, 1.0])
+
+
+def test_norms_bit_identical_to_numpy_norm():
+    rng = np.random.default_rng(8)
+    for shape in ((256, 256), (10, 256), (256, 64), (3, 1)):
+        m = as_matrix(rng.standard_normal(shape))
+        assert_bits_equal(column_norms(m), np.linalg.norm(m, axis=0))
+        assert_bits_equal(row_norms(m), np.linalg.norm(m, axis=1))
 
 
 def test_row_norms_transpose_duality():

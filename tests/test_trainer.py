@@ -13,10 +13,12 @@ from glasso_prune.network import (
     forward_batch,
     init_network,
 )
+from glasso_prune.pruning import match_count_prune
 from glasso_prune.regularization import Mode, RegularizerSpec, group_norms
 from glasso_prune.trainer import (
     EpochReport,
     TrainConfig,
+    _eval_buffers,
     disposable_counts,
     evaluate,
     load_history,
@@ -395,6 +397,36 @@ def test_mean_loss_equals_sum_of_separate_passes():
                 total += float(np.sum(ce_by_separate_softmax(logits, data.labels[start:stop])))
             loss, _ = mean_loss(net, data, batch_size)
             assert loss == total / data.n
+
+
+def test_evaluation_unaffected_by_other_networks():
+    # evaluation reuses one set of activation buffers; passes over a wider
+    # and a narrower pruned network in between must not change net A's
+    data = synth_gaussians(3, 6, 333, 4.0, seed=5)
+    net_a = init_network([6, 40, 30, 3], seed=5)
+    wider = init_network([6, 90, 70, 3], seed=6)
+    narrower = match_count_prune(net_a, Mode.GLASSO_OUT, 40).pruned_network
+    for batch_size in (512, 100):  # neither divides n = 999
+        def results(net):
+            return evaluate(net, data, batch_size), mean_loss(net, data, batch_size)
+
+        before = results(net_a)
+        for other in (wider, narrower):
+            results(other)
+            assert results(net_a) == before
+
+
+def test_evaluate_reuses_buffers():
+    data = small_task(seed=3)
+    net = init_network([6, 9, 3], seed=3)
+    evaluate(net, data)
+    before = list(_eval_buffers.flat)
+    for _ in range(3):
+        evaluate(net, data)
+        mean_loss(net, data)
+    after = _eval_buffers.flat
+    assert len(after) == len(before)
+    assert all(a is b for a, b in zip(after, before))
 
 
 def test_mean_loss_empty_dataset_errors():
