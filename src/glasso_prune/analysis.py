@@ -30,6 +30,11 @@ HIST_LOG10_MIN = -8.0
 HIST_LOG10_MAX = 2.0
 HIST_BINS = 50
 
+# band of bimodality_gap and gap.json: criterion 4's fixed band, which
+# does not follow theta
+GAP_BAND_LO = 1e-2
+GAP_BAND_HI = 1e-1
+
 
 @dataclass
 class LayerHistogram:
@@ -78,8 +83,8 @@ def norm_histogram(net: MlpNetwork, mode: Mode) -> NormHistogram:
 def bimodality_gap(
     net: MlpNetwork,
     mode: Mode,
-    band_lo: float = 1e-2,
-    band_hi: float = 1e-1,
+    band_lo: float = GAP_BAND_LO,
+    band_hi: float = GAP_BAND_HI,
 ) -> float:
     """Fraction of hidden-node group norms inside [band_lo, band_hi].
 

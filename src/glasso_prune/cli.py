@@ -12,7 +12,10 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import AnalysisBundle, bimodality_gap, fmt_float, norm_histogram, write_bundle
+from .analysis import (
+    GAP_BAND_HI, GAP_BAND_LO, AnalysisBundle, bimodality_gap, fmt_float, norm_histogram,
+    write_bundle,
+)
 from .config import ExperimentConfig, parse_config
 from .datasets import Dataset
 from .errors import (
@@ -24,13 +27,9 @@ from .errors import (
 )
 from .model_io import MAGIC, load_model, save_model
 from .network import MlpNetwork, init_network
-from .pruning import apply_mask, forced_removal_curve, make_mask, match_count_prune
+from .pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
 from .regularization import Mode
 from .trainer import TrainResult, disposable_counts, evaluate, load_history, train
-
-
-def _cli_mode(name: str) -> Mode:
-    return Mode.GLASSO_OUT if name == "out" else Mode.GLASSO_IN
 
 
 def _inspection_mode(cfg: ExperimentConfig) -> Mode:
@@ -41,6 +40,13 @@ def _inspection_mode(cfg: ExperimentConfig) -> Mode:
     """
     mode = Mode.from_string(cfg.mode)
     return Mode.GLASSO_OUT if mode is Mode.L2_ALL else mode
+
+
+def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
+    """--mode if given, else the inspection mode of the --data config, else out."""
+    if name is None:
+        return _inspection_mode(cfg) if cfg is not None else Mode.GLASSO_OUT
+    return Mode.GLASSO_OUT if name == "out" else Mode.GLASSO_IN
 
 
 def run_training(
@@ -90,18 +96,18 @@ def run_training(
 
 
 def _retained_profile(net: MlpNetwork, mode: Mode, theta: float) -> list[tuple[int, int, int]]:
-    """(layer, kept, total) per hidden layer for a theta threshold."""
+    """(layer, kept, total) per hidden layer, as a theta prune keeps them."""
     mask = make_mask(net, mode, theta)
     return [(l, int(k.sum()), int(k.size)) for l, k in enumerate(mask.keep, start=1)]
 
 
-def _gap_report(net: MlpNetwork, mode: Mode, band_lo=1e-2, band_hi=1e-1) -> dict:
+def _gap_report(net: MlpNetwork, mode: Mode) -> dict:
     return {
         "mode": mode.value,
-        "band_lo": float(band_lo),
-        "band_hi": float(band_hi),
-        "gap_fraction": float(bimodality_gap(net, mode, band_lo, band_hi)),
-        "hidden_nodes": int(sum(net.hidden_sizes)),
+        "band_lo": GAP_BAND_LO,
+        "band_hi": GAP_BAND_HI,
+        "gap_fraction": bimodality_gap(net, mode),
+        "hidden_nodes": sum(net.hidden_sizes),
     }
 
 
@@ -121,36 +127,43 @@ def cmd_train(args) -> int:
 
 def cmd_prune(args) -> int:
     net = load_model(args.model)
-    mode = _cli_mode(args.mode)
     cfg = parse_config(args.data)
-    _, _, test_set = cfg.load_splits()
-
-    before = evaluate(net, test_set)
+    mode = _group_mode(args.mode, cfg)
     if args.match_count is not None:
         if args.match_count < 0:
             raise ConfigError(f"--match-count must be non-negative, got {args.match_count}")
-        outcome = match_count_prune(net, mode, args.match_count, eval_set=test_set)
+        mask = match_count_mask(net, mode, args.match_count)
     else:
-        theta = cfg.theta if args.theta is None else args.theta
-        outcome = apply_mask(net, make_mask(net, mode, theta))
-        outcome.accuracy = evaluate(outcome.pruned_network, test_set)
+        mask = make_mask(net, mode, cfg.theta if args.theta is None else args.theta)
+
+    _, _, test_set = cfg.load_splits()
+    before = evaluate(net, test_set)
+    pruned = apply_mask(net, mask)
+    after = evaluate(pruned, test_set)
 
     out_dir = Path(args.out) if args.out else Path(args.model).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_model(outcome.pruned_network, out_dir / "pruned_model.glnn")
+    save_model(pruned, out_dir / "pruned_model.glnn")
 
-    doc = outcome.to_json_dict()
-    doc["model"] = str(args.model)
-    doc["before_accuracy"] = float(before)
-    doc["after_accuracy"] = float(outcome.accuracy)
-    doc["layer_sizes_before"] = net.layer_sizes
-    doc["layer_sizes_after"] = outcome.pruned_network.layer_sizes
+    doc = {
+        "mode": mode.value,
+        "theta": mask.theta,
+        "removed_per_layer": mask.removed_per_layer(),
+        "retained_per_layer": mask.retained_per_layer(),
+        "total_removed": mask.total_removed(),
+        "accuracy": after,  # same as after_accuracy; kept so the key list is stable
+        "model": str(args.model),
+        "before_accuracy": before,
+        "after_accuracy": after,
+        "layer_sizes_before": net.layer_sizes,
+        "layer_sizes_after": pruned.layer_sizes,
+    }
     with open(out_dir / "prune.json", "w", encoding="utf-8", newline="") as f:
         f.write(json.dumps(doc, indent=2) + "\n")
 
     print(
-        f"removed {outcome.total_removed} of {sum(net.hidden_sizes)} hidden nodes; "
-        f"test acc {fmt_float(before)} -> {fmt_float(outcome.accuracy)}"
+        f"removed {mask.total_removed()} of {sum(net.hidden_sizes)} hidden nodes; "
+        f"test acc {fmt_float(before)} -> {fmt_float(after)}"
     )
     print(f"wrote {out_dir / 'pruned_model.glnn'}")
     return 0
@@ -188,8 +201,8 @@ def cmd_analyze(args) -> int:
     bundle = AnalysisBundle()
     if is_model:
         net = load_model(target)
-        mode = _cli_mode(args.mode)
         cfg = parse_config(args.data) if args.data is not None else None
+        mode = _group_mode(args.mode, cfg)
         if wants["disposable"]:
             raise ConfigError("--disposable needs a history.jsonl file, not a model")
         if wants["histogram"]:
@@ -233,13 +246,14 @@ def cmd_sweep(args) -> int:
         alphas = [float(a) for a in alphas]
     except ValueError as e:
         raise ConfigError(f"--alphas: {e}") from None
+    for a in alphas:
+        if not 0 <= a < float("inf"):
+            raise ConfigError(f"--alphas values must be finite and non-negative, got {a}")
 
     base_mode = Mode.from_string(cfg.mode)
     out_root = Path(cfg.output_dir)
     rows = ["alpha,best_val_acc,disposable_total,post_prune_acc"]
     for a in alphas:
-        if a < 0:
-            raise ConfigError(f"--alphas values must be non-negative, got {a}")
         sub = out_root / f"alpha_{fmt_float(a)}"
         if base_mode is Mode.L2_ALL:
             run_cfg = dataclasses.replace(
@@ -252,13 +266,11 @@ def cmd_sweep(args) -> int:
         result, splits, _ = run_training(run_cfg, sub)
         _, _, test_set = splits
 
+        net = result.best_network
         mode = _inspection_mode(run_cfg)
         best_val = max(r.val_accuracy for r in result.history)
-        disposable = sum(disposable_counts(result.best_network, mode, cfg.theta))
-        outcome = apply_mask(
-            result.best_network, make_mask(result.best_network, mode, cfg.theta)
-        )
-        post_acc = evaluate(outcome.pruned_network, test_set)
+        disposable = sum(disposable_counts(net, mode, cfg.theta))
+        post_acc = evaluate(apply_mask(net, make_mask(net, mode, cfg.theta)), test_set)
         rows.append(f"{fmt_float(a)},{fmt_float(best_val)},{disposable},{fmt_float(post_acc)}")
         print(
             f"alpha {fmt_float(a)}: best val acc {fmt_float(best_val)}, "
@@ -286,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prune", help="threshold-prune a saved model")
     p.add_argument("model", help="path to a .glnn model")
-    p.add_argument("--mode", choices=("out", "in"), required=True,
-                   help="group direction: outgoing or incoming weight vectors")
+    p.add_argument("--mode", choices=("out", "in"), default=None,
+                   help="group direction: outgoing or incoming weight vectors "
+                   "(default: that of the --data config's mode, out for l2)")
     p.add_argument("--theta", type=float, default=None,
                    help="group-norm removal threshold (default: theta of --data)")
     p.add_argument("--match-count", type=int, default=None, metavar="N",
@@ -307,8 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-epoch disposable-node CSV from a history file")
     p.add_argument("--retained", action="store_true",
                    help="kept-vs-total nodes per layer at the theta threshold")
-    p.add_argument("--mode", choices=("out", "in"), default="out",
-                   help="group direction for model diagnostics (default out)")
+    p.add_argument("--mode", choices=("out", "in"), default=None,
+                   help="group direction for model diagnostics (default: that "
+                   "of the --data config's mode, out for l2 or without --data)")
     p.add_argument("--theta", type=float, default=None,
                    help="threshold for --retained (default: theta of --data, "
                    "else 1e-2)")

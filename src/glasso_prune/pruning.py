@@ -20,7 +20,7 @@ from .datasets import Dataset
 from .errors import ShapeMismatchError
 from .linalg import sigmoid
 from .network import LayerParams, MlpNetwork
-from .regularization import Mode, group_norms
+from .regularization import Mode, below_theta, group_norms
 from .trainer import evaluate
 
 
@@ -41,34 +41,11 @@ class PruneMask:
     def removed_per_layer(self) -> list[int]:
         return [int(np.sum(~k)) for k in self.keep]
 
+    def retained_per_layer(self) -> list[int]:
+        return [int(np.sum(k)) for k in self.keep]
+
     def total_removed(self) -> int:
         return sum(self.removed_per_layer())
-
-
-@dataclass
-class PruneOutcome:
-    pruned_network: MlpNetwork
-    mask: PruneMask
-    removed_per_layer: list[int]
-    retained_per_layer: list[int]
-    total_removed: int
-    accuracy: float | None = None
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "mode": self.mode_name,
-            "theta": None if self.mask.theta is None else float(self.mask.theta),
-            "removed_per_layer": self.removed_per_layer,
-            "retained_per_layer": self.retained_per_layer,
-            "total_removed": self.total_removed,
-        }
-        if self.accuracy is not None:
-            doc["accuracy"] = float(self.accuracy)
-        return doc
-
-    @property
-    def mode_name(self) -> str:
-        return self.mask.mode.value
 
 
 def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> PruneMask:
@@ -77,22 +54,18 @@ def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> PruneMask:
     A layer is never emptied: if every node falls below theta the
     largest-norm one is retained and a warning is issued.
     """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    keep = []
-    for l, norms in enumerate(group_norms(net, mode), start=1):
-        k = norms >= theta
+    keep = [~below for below in below_theta(net, mode, theta)]
+    for l, k in enumerate(keep, start=1):
         if not k.any():
-            k[int(np.argmax(norms))] = True
+            k[int(np.argmax(group_norms(net, mode)[l - 1]))] = True
             warnings.warn(
                 f"thresholding would empty hidden layer {l}; "
                 f"keeping its largest-norm node"
             )
-        keep.append(k)
     return PruneMask(keep, mode, theta)
 
 
-def apply_mask(net: MlpNetwork, mask: PruneMask) -> PruneOutcome:
+def apply_mask(net: MlpNetwork, mask: PruneMask) -> MlpNetwork:
     """Rebuild the network without the dropped nodes.
 
     Working from the original parameters: dropped node j of hidden layer l
@@ -126,15 +99,7 @@ def apply_mask(net: MlpNetwork, mask: PruneMask) -> PruneOutcome:
         layers.append(
             LayerParams(p.weights[np.ix_(keep[l], keep[l - 1])], bias[keep[l]])
         )
-    pruned = MlpNetwork(layers)
-    removed = mask.removed_per_layer()
-    return PruneOutcome(
-        pruned_network=pruned,
-        mask=mask,
-        removed_per_layer=removed,
-        retained_per_layer=[int(np.sum(k)) for k in mask.keep],
-        total_removed=sum(removed),
-    )
+    return MlpNetwork(layers)
 
 
 def _ranked_nodes(net: MlpNetwork, mode: Mode) -> list[tuple[float, int, int]]:
@@ -176,22 +141,16 @@ def forced_removal_curve(
             kept_per_layer[l] -= 1
         if min(kept_per_layer) == 0:
             break
-        outcome = apply_mask(net, PruneMask(keep, mode, theta=None))
-        curve.append((count, evaluate(outcome.pruned_network, eval_set)))
+        pruned = apply_mask(net, PruneMask(keep, mode, theta=None))
+        curve.append((count, evaluate(pruned, eval_set)))
     return curve
 
 
-def match_count_prune(
-    net: MlpNetwork,
-    mode: Mode,
-    n_remove: int,
-    eval_set: Dataset | None = None,
-) -> PruneOutcome:
-    """Remove exactly the n_remove smallest-norm hidden nodes.
+def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> PruneMask:
+    """Mask removing exactly the n_remove smallest-norm hidden nodes.
 
     Nodes whose removal would empty their layer are skipped in favor of the
-    next-smallest candidates. When eval_set is given the outcome carries
-    the pruned network's accuracy on it.
+    next-smallest candidates.
     """
     if n_remove < 0:
         raise ValueError(f"n_remove must be >= 0, got {n_remove}")
@@ -212,7 +171,4 @@ def match_count_prune(
             f"cannot remove {n_remove} of {sum(hidden)} hidden nodes while "
             f"keeping one per layer"
         )
-    outcome = apply_mask(net, PruneMask(keep, mode, theta=None))
-    if eval_set is not None:
-        outcome.accuracy = evaluate(outcome.pruned_network, eval_set)
-    return outcome
+    return PruneMask(keep, mode, theta=None)

@@ -77,6 +77,17 @@ def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
     return [row_norms(net.layers[l - 1].weights) for l in range(1, big_l)]
 
 
+def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
+    """Per hidden layer, True for each node whose group norm is below theta.
+
+    This is the selection rule: every disposable count and every threshold
+    mask is built from it, so one theta means one thing everywhere.
+    """
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
+    return [norms < theta for norms in group_norms(net, mode)]
+
+
 def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
     """Total penalty: alpha * sum of group norms + beta * L2 terms."""
     l2 = 0.0

@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset
-from .errors import ShapeMismatchError, TrainingDiverged
+from .errors import DataFormatError, ShapeMismatchError, TrainingDiverged
 from .network import (
     GradientSet, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
 )
-from .regularization import Mode, RegularizerSpec, group_norms, regularizer_gradient, regularizer_value
+from .regularization import Mode, RegularizerSpec, below_theta, regularizer_gradient, regularizer_value
 
 
 @dataclass
@@ -49,8 +49,8 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if not self.theta > 0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0 < self.theta < np.inf:
+            raise ValueError(f"theta must be positive and finite, got {self.theta}")
         if self.beta_coupling:
             self.spec = replace(self.spec, beta=0.1 * self.spec.alpha)
 
@@ -94,13 +94,23 @@ class TrainResult:
 
 
 def load_history(path) -> list[EpochReport]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    return [EpochReport.from_json_line(line) for line in lines if line.strip()]
+    """Parse a history.jsonl file; a malformed line raises DataFormatError."""
+    reports = []
+    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            reports.append(EpochReport.from_json_line(line))
+        except (ValueError, KeyError, TypeError) as e:
+            raise DataFormatError(
+                f"{path}, line {i}: not an epoch record ({type(e).__name__}: {e})"
+            ) from None
+    return reports
 
 
 def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int]:
     """Hidden nodes per layer whose group norm falls below the threshold."""
-    return [int(np.sum(norms < threshold)) for norms in group_norms(net, mode)]
+    return [int(np.sum(below)) for below in below_theta(net, mode, threshold)]
 
 
 class _EvalBuffers(threading.local):

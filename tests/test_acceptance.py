@@ -35,7 +35,7 @@ from glasso_prune.pruning import (
     apply_mask,
     forced_removal_curve,
     make_mask,
-    match_count_prune,
+    match_count_mask,
 )
 from glasso_prune.regularization import (
     Mode,
@@ -94,7 +94,7 @@ def reference_runs():
             if mode is not Mode.L2_ALL:
                 mask = make_mask(net, mode, cfg.theta)
                 rec.removed = mask.total_removed()
-                rec.pruned_acc = evaluate(apply_mask(net, mask).pruned_network, test_set)
+                rec.pruned_acc = evaluate(apply_mask(net, mask), test_set)
                 rec.gap = bimodality_gap(net, mode)
             runs[(key, seed)] = rec
     return SimpleNamespace(
@@ -194,7 +194,7 @@ def test_criterion_2_zero_group_pruning_is_logit_identical():
                     net.layers[layer].weights[:, i] = 0.0
                 else:
                     net.layers[layer - 1].weights[i, :] = 0.0
-        pruned = apply_mask(net, PruneMask(keep, mode, None)).pruned_network
+        pruned = apply_mask(net, PruneMask(keep, mode, None))
         for _ in range(100):
             x = rng.normal(0.0, 1.2, size=(1, sizes[0]))
             diff = np.max(np.abs(forward_batch(net, x)[-1] - forward_batch(pruned, x)[-1]))
@@ -231,7 +231,7 @@ def test_criterion_3_out_prune_deviation_below_dropped_norm_sum():
         if not keep1.any():
             keep1[int(rng.integers(0, sizes[1]))] = True
         keep = [keep1, np.ones(sizes[2], dtype=bool)]
-        pruned = apply_mask(net, PruneMask(keep, Mode.GLASSO_OUT, None)).pruned_network
+        pruned = apply_mask(net, PruneMask(keep, Mode.GLASSO_OUT, None))
         x = rng.normal(0.0, 1.5, size=(1, sizes[0]))
         pre = [
             forward_batch(n, x)[1] @ n.layers[1].weights.T + n.layers[1].bias
@@ -301,7 +301,7 @@ def test_criterion_5_prune_without_loss_vs_l2(reference_runs):
         drops = []
         for mode, count in ((Mode.GLASSO_OUT, out_r.removed), (Mode.GLASSO_IN, in_r.removed)):
             acc = evaluate(
-                match_count_prune(l2_r.net, mode, count).pruned_network, R.test_set
+                apply_mask(l2_r.net, match_count_mask(l2_r.net, mode, count)), R.test_set
             )
             drops.append(l2_r.base - acc)
         least_l2_drop = min(least_l2_drop, *drops)
@@ -327,11 +327,11 @@ def test_criterion_6_low_norm_cluster_removal(reference_runs):
         l2_r = R.runs[("l2", seed)]
         count = out_r.removed
         g_acc = evaluate(
-            match_count_prune(out_r.net, Mode.GLASSO_OUT, count).pruned_network,
+            apply_mask(out_r.net, match_count_mask(out_r.net, Mode.GLASSO_OUT, count)),
             R.test_set,
         )
         l_acc = evaluate(
-            match_count_prune(l2_r.net, Mode.GLASSO_OUT, count).pruned_network,
+            apply_mask(l2_r.net, match_count_mask(l2_r.net, Mode.GLASSO_OUT, count)),
             R.test_set,
         )
         worst_dev = max(worst_dev, abs(g_acc - out_r.base))

@@ -3,11 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from glasso_prune.analysis import CURVE_HEADER, HISTOGRAM_HEADER
-from glasso_prune.cli import main
+from glasso_prune.analysis import (
+    CURVE_HEADER, HISTOGRAM_HEADER, AnalysisBundle, bimodality_gap, norm_histogram,
+    write_bundle,
+)
+from glasso_prune.cli import entry, main
+from glasso_prune.config import parse_config
 from glasso_prune.model_io import load_model, model_bytes
 from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import load_history
+from glasso_prune.trainer import evaluate, load_history
 
 BASE_CFG = """
 dataset = synth
@@ -355,3 +359,140 @@ def test_non_finite_model_exits_4(trained_run, tmp_path, capsys, command):
         argv += ["--histogram"]
     assert main(argv) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+# perfbench reads total_removed and retained_per_layer from prune.json
+PRUNE_JSON_KEYS = [
+    "mode", "theta", "removed_per_layer", "retained_per_layer", "total_removed",
+    "accuracy", "model", "before_accuracy", "after_accuracy",
+    "layer_sizes_before", "layer_sizes_after",
+]
+
+
+@pytest.mark.parametrize(
+    "how", [["--theta", "0.5"], ["--match-count", "3"]], ids=["theta", "match-count"]
+)
+def test_prune_json_keys_in_order(trained_run, tmp_path, how):
+    _, cfg, run = trained_run
+    model, out = run / "model.glnn", tmp_path / "o"
+    argv = ["prune", str(model), "--mode", "out", "--data", str(cfg), "--out", str(out)]
+    assert main(argv + how) == 0
+    doc = json.loads((out / "prune.json").read_text())
+    assert list(doc) == PRUNE_JSON_KEYS
+    assert doc["mode"] == "glasso_out"
+    assert doc["theta"] == (0.5 if how[0] == "--theta" else None)
+    removed, retained = doc["removed_per_layer"], doc["retained_per_layer"]
+    assert doc["total_removed"] == sum(removed) > 0
+    assert [k + r for k, r in zip(retained, removed)] == [16]
+    assert doc["layer_sizes_before"] == [8, 16, 3]
+    assert doc["layer_sizes_after"] == [8, *retained, 3]
+    assert doc["model"] == str(model)
+    test_set = parse_config(cfg).load_splits()[2]
+    assert doc["before_accuracy"] == evaluate(load_model(model), test_set)
+    pruned = load_model(out / "pruned_model.glnn")
+    assert doc["accuracy"] == doc["after_accuracy"] == evaluate(pruned, test_set)
+
+
+@pytest.mark.parametrize("theta", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["prune", "analyze"])
+def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta):
+    _, cfg, run = trained_run
+    out = tmp_path / "o"
+    argv = [command, str(run / "model.glnn"), "--mode", "out", "--theta", theta,
+            "--out", str(out)]
+    argv += ["--data", str(cfg)] if command == "prune" else ["--retained"]
+    assert main(argv) == 2
+    assert "theta must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_line", ["{}", "not json"])
+def test_analyze_malformed_history_exits_4(trained_run, tmp_path, capsys, bad_line):
+    _, _, run = trained_run
+    history = tmp_path / "history.jsonl"
+    first = (run / "history.jsonl").read_text().splitlines()[0]
+    history.write_text(f"{first}\n{bad_line}\n")
+    assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
+    assert f"{history}, line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("alphas", ["0.01,-1", "nan", "0.01,inf"])
+def test_sweep_checks_every_alpha_before_training(tmp_path, capsys, alphas):
+    out_root = tmp_path / "never"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    assert main(["sweep", str(cfg), "--alphas", alphas]) == 2
+    assert "--alphas" in capsys.readouterr().err
+    assert not out_root.exists()
+
+
+def mode_cfg(tmp_path, mode):
+    text = BASE_CFG.replace("mode = glasso_out", f"mode = {mode}")
+    if mode == "l2":
+        text = text.replace("alpha = 0.02", "alpha = 0.0")
+    path = tmp_path / f"{mode}.cfg"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "data_mode, flag, expected",
+    [
+        ("glasso_in", None, "glasso_in"),
+        ("glasso_out", None, "glasso_out"),
+        ("l2", None, "glasso_out"),
+        ("glasso_in", "out", "glasso_out"),
+        ("glasso_out", "in", "glasso_in"),
+    ],
+)
+def test_prune_mode_defaults_to_data_config(trained_run, tmp_path, data_mode, flag, expected):
+    _, _, run = trained_run
+    out = tmp_path / "o"
+    argv = ["prune", str(run / "model.glnn"), "--match-count", "2",
+            "--data", str(mode_cfg(tmp_path, data_mode)), "--out", str(out)]
+    assert main(argv + (["--mode", flag] if flag else [])) == 0
+    assert json.loads((out / "prune.json").read_text())["mode"] == expected
+
+
+@pytest.mark.parametrize(
+    "data_mode, flag, expected",
+    [
+        ("glasso_in", None, "glasso_in"),
+        ("l2", None, "glasso_out"),
+        (None, None, "glasso_out"),
+        ("glasso_in", "out", "glasso_out"),
+    ],
+)
+def test_analyze_mode_defaults_to_data_config(trained_run, tmp_path, data_mode, flag, expected):
+    _, _, run = trained_run
+    out = tmp_path / "o"
+    argv = ["analyze", str(run / "model.glnn"), "--gap", "--histogram", "--out", str(out)]
+    if data_mode:
+        argv += ["--data", str(mode_cfg(tmp_path, data_mode))]
+    assert main(argv + (["--mode", flag] if flag else [])) == 0
+    assert json.loads((out / "gap.json").read_text())["mode"] == expected
+    net = load_model(run / "model.glnn")
+    write_bundle(AnalysisBundle(histogram=norm_histogram(net, Mode(expected))), tmp_path)
+    assert (out / "histogram.csv").read_bytes() == (tmp_path / "histogram.csv").read_bytes()
+
+
+def test_gap_json_band_is_fixed(trained_run, tmp_path):
+    # gap.json reports criterion 4's band whatever theta the --data config sets
+    _, _, run = trained_run
+    data = write_cfg(tmp_path, "theta = 0.5\n")
+    out = tmp_path / "gap"
+    argv = ["analyze", str(run / "model.glnn"), "--gap", "--data", str(data), "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads((out / "gap.json").read_text())
+    assert list(doc) == ["mode", "band_lo", "band_hi", "gap_fraction", "hidden_nodes"]
+    assert (doc["band_lo"], doc["band_hi"]) == (1e-2, 1e-1)
+    net = load_model(run / "model.glnn")
+    assert doc["gap_fraction"] == bimodality_gap(net, Mode.GLASSO_OUT)
+    assert doc["hidden_nodes"] == 16
+
+
+def test_console_entry_exits_with_main_code(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["glasso-prune", "analyze", str(tmp_path / "ghost.glnn")])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 2

@@ -10,10 +10,10 @@ from glasso_prune.pruning import (
     apply_mask,
     forced_removal_curve,
     make_mask,
-    match_count_prune,
+    match_count_mask,
 )
 from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import evaluate
+from glasso_prune.trainer import disposable_counts, evaluate
 
 
 def bimodal_net(seed=0, low=1e-5, high=0.8):
@@ -50,11 +50,11 @@ def test_make_mask_below_all_norms_is_identity():
     net = init_network([3, 5, 4, 2], seed=2)
     mask = make_mask(net, Mode.GLASSO_OUT, 1e-9)
     assert all(np.all(k) for k in mask.keep)
-    outcome = apply_mask(net, mask)
-    assert outcome.total_removed == 0
-    assert outcome.pruned_network.layer_sizes == net.layer_sizes
+    assert mask.total_removed() == 0
+    pruned = apply_mask(net, mask)
+    assert pruned.layer_sizes == net.layer_sizes
     rng = np.random.default_rng(0)
-    assert logits_close(net, outcome.pruned_network, rng.standard_normal((10, 3)))
+    assert logits_close(net, pruned, rng.standard_normal((10, 3)))
 
 
 def test_make_mask_agrees_with_loop_oracle():
@@ -67,11 +67,14 @@ def test_make_mask_agrees_with_loop_oracle():
 
 
 def test_make_mask_rejects_nonpositive_theta():
+    # the threshold rule behind masks and disposable counts takes only a
+    # positive finite theta
     net = init_network([3, 4, 2], seed=0)
-    with pytest.raises(ValueError):
-        make_mask(net, Mode.GLASSO_OUT, 0.0)
-    with pytest.raises(ValueError):
-        make_mask(net, Mode.GLASSO_OUT, -1.0)
+    for theta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make_mask(net, Mode.GLASSO_OUT, theta)
+        with pytest.raises(ValueError, match="positive and finite"):
+            disposable_counts(net, Mode.GLASSO_OUT, theta)
 
 
 def test_make_mask_never_empties_a_layer():
@@ -98,10 +101,10 @@ def test_apply_mask_out_zero_column_exact():
         mode=Mode.GLASSO_OUT,
         theta=1e-2,
     )
-    outcome = apply_mask(net, mask)
-    assert outcome.pruned_network.layer_sizes == [4, 5, 3]
+    pruned = apply_mask(net, mask)
+    assert pruned.layer_sizes == [4, 5, 3]
     rng = np.random.default_rng(1)
-    assert logits_close(net, outcome.pruned_network, rng.standard_normal((100, 4)))
+    assert logits_close(net, pruned, rng.standard_normal((100, 4)))
 
 
 def test_apply_mask_in_zero_row_exact():
@@ -115,10 +118,10 @@ def test_apply_mask_in_zero_row_exact():
         mode=Mode.GLASSO_IN,
         theta=1e-2,
     )
-    outcome = apply_mask(net, mask)
-    assert outcome.pruned_network.layer_sizes == [4, 5, 3]
+    pruned = apply_mask(net, mask)
+    assert pruned.layer_sizes == [4, 5, 3]
     rng = np.random.default_rng(2)
-    assert logits_close(net, outcome.pruned_network, rng.standard_normal((100, 4)))
+    assert logits_close(net, pruned, rng.standard_normal((100, 4)))
 
 
 def test_exactness_at_zero_multi_node_both_modes():
@@ -134,10 +137,10 @@ def test_exactness_at_zero_multi_node_both_modes():
             net.layers[1].bias[[0, 3]] = [0.1, 0.9]
         norms = group_norms(net, mode)
         keep = [n > 0.0 for n in norms]
-        outcome = apply_mask(net, PruneMask(keep=keep, mode=mode, theta=None))
-        assert outcome.pruned_network.layer_sizes == [3, 6, 4, 2]
+        pruned = apply_mask(net, PruneMask(keep=keep, mode=mode, theta=None))
+        assert pruned.layer_sizes == [3, 6, 4, 2]
         rng = np.random.default_rng(3)
-        assert logits_close(net, outcome.pruned_network, rng.standard_normal((100, 3)))
+        assert logits_close(net, pruned, rng.standard_normal((100, 3)))
 
 
 def test_out_mode_perturbation_bound():
@@ -177,15 +180,15 @@ def test_in_mode_constant_output_lipschitz_bound():
 
 def test_structural_accounting():
     net = bimodal_net(seed=10)
-    outcome = apply_mask(net, make_mask(net, Mode.GLASSO_OUT, 1e-2))
+    mask = make_mask(net, Mode.GLASSO_OUT, 1e-2)
     hidden = net.hidden_sizes
     for kept, removed, width in zip(
-        outcome.retained_per_layer, outcome.removed_per_layer, hidden
+        mask.retained_per_layer(), mask.removed_per_layer(), hidden
     ):
         assert kept + removed == width
-    assert outcome.total_removed == sum(outcome.removed_per_layer)
+    assert mask.total_removed() == sum(mask.removed_per_layer())
     # pruned network construction re-validates chaining
-    assert outcome.pruned_network.hidden_sizes == outcome.retained_per_layer
+    assert apply_mask(net, mask).hidden_sizes == mask.retained_per_layer()
 
 
 def test_forced_removal_curve_starts_at_baseline():
@@ -224,11 +227,8 @@ def test_forced_removal_follows_ascending_norms():
     keep = [np.ones(w, dtype=bool) for w in net.hidden_sizes]
     for l, j in expected_removed:
         keep[l][j] = False
-    outcome = apply_mask(
-        net, PruneMask(keep=keep, mode=Mode.GLASSO_OUT, theta=None)
-    )
-    assert outcome.accuracy is None
-    assert evaluate(outcome.pruned_network, data) == pytest.approx(
+    pruned = apply_mask(net, PruneMask(keep=keep, mode=Mode.GLASSO_OUT, theta=None))
+    assert evaluate(pruned, data) == pytest.approx(
         curve[1][1], abs=1e-15
     )
 
@@ -242,16 +242,17 @@ def test_forced_removal_rejects_empty_eval_set():
 
 def test_match_count_zero_is_identity():
     net = init_network([3, 5, 2], seed=14)
-    outcome = match_count_prune(net, Mode.GLASSO_OUT, 0)
-    assert outcome.total_removed == 0
-    assert outcome.pruned_network.layer_sizes == net.layer_sizes
+    mask = match_count_mask(net, Mode.GLASSO_OUT, 0)
+    assert mask.total_removed() == 0
+    assert mask.theta is None
+    assert apply_mask(net, mask).layer_sizes == net.layer_sizes
 
 
 def test_match_count_removes_smallest_norms():
     net = bimodal_net(seed=15)
     n_remove = 4
-    outcome = match_count_prune(net, Mode.GLASSO_OUT, n_remove)
-    assert outcome.total_removed == n_remove
+    mask = match_count_mask(net, Mode.GLASSO_OUT, n_remove)
+    assert mask.total_removed() == n_remove
     ranked = sorted(
         (float(n), l, j)
         for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT))
@@ -260,7 +261,7 @@ def test_match_count_removes_smallest_norms():
     expected = {(l, j) for _, l, j in ranked[:n_remove]}
     actual = {
         (l, j)
-        for l, keep in enumerate(outcome.mask.keep)
+        for l, keep in enumerate(mask.keep)
         for j in range(len(keep))
         if not keep[j]
     }
@@ -270,26 +271,6 @@ def test_match_count_removes_smallest_norms():
 def test_match_count_too_large_errors():
     net = init_network([3, 4, 3, 2], seed=16)
     with pytest.raises(ValueError):
-        match_count_prune(net, Mode.GLASSO_OUT, 7)  # would empty both layers
+        match_count_mask(net, Mode.GLASSO_OUT, 7)  # would empty both layers
     with pytest.raises(ValueError):
-        match_count_prune(net, Mode.GLASSO_OUT, 100)
-
-
-def test_match_count_records_accuracy():
-    net = bimodal_net(seed=17)
-    data = synth_gaussians(3, 4, 30, 3.0, seed=17)
-    outcome = match_count_prune(net, Mode.GLASSO_OUT, 2, eval_set=data)
-    assert outcome.accuracy == pytest.approx(
-        evaluate(outcome.pruned_network, data), abs=1e-15
-    )
-
-
-def test_outcome_json_dict():
-    net = bimodal_net(seed=18)
-    outcome = apply_mask(net, make_mask(net, Mode.GLASSO_OUT, 1e-2))
-    doc = outcome.to_json_dict()
-    assert doc["mode"] == "glasso_out"
-    assert doc["theta"] == 1e-2
-    assert doc["total_removed"] == sum(doc["removed_per_layer"])
-    counted = match_count_prune(net, Mode.GLASSO_OUT, 1)
-    assert counted.to_json_dict()["theta"] is None
+        match_count_mask(net, Mode.GLASSO_OUT, 100)

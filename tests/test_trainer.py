@@ -13,7 +13,7 @@ from glasso_prune.network import (
     forward_batch,
     init_network,
 )
-from glasso_prune.pruning import match_count_prune
+from glasso_prune.pruning import apply_mask, match_count_mask
 from glasso_prune.regularization import Mode, RegularizerSpec, group_norms
 from glasso_prune.trainer import (
     EpochReport,
@@ -405,7 +405,7 @@ def test_evaluation_unaffected_by_other_networks():
     data = synth_gaussians(3, 6, 333, 4.0, seed=5)
     net_a = init_network([6, 40, 30, 3], seed=5)
     wider = init_network([6, 90, 70, 3], seed=6)
-    narrower = match_count_prune(net_a, Mode.GLASSO_OUT, 40).pruned_network
+    narrower = apply_mask(net_a, match_count_mask(net_a, Mode.GLASSO_OUT, 40))
     for batch_size in (512, 100):  # neither divides n = 999
         def results(net):
             return evaluate(net, data, batch_size), mean_loss(net, data, batch_size)
