@@ -16,7 +16,7 @@ from .analysis import (
     GAP_BAND_HI, GAP_BAND_LO, AnalysisBundle, bimodality_gap, fmt_float, norm_histogram,
     write_bundle,
 )
-from .config import ExperimentConfig, parse_config
+from .config import COUPLED_BETA_RATIO, ExperimentConfig, parse_config
 from .datasets import Dataset
 from .errors import (
     ConfigError,
@@ -249,20 +249,21 @@ def cmd_sweep(args) -> int:
     for a in alphas:
         if not 0 <= a < float("inf"):
             raise ConfigError(f"--alphas values must be finite and non-negative, got {a}")
+    if len(set(alphas)) != len(alphas):
+        raise ConfigError(f"--alphas repeats a value, got {args.alphas}")
 
     base_mode = Mode.from_string(cfg.mode)
     out_root = Path(cfg.output_dir)
     rows = ["alpha,best_val_acc,disposable_total,post_prune_acc"]
     for a in alphas:
         sub = out_root / f"alpha_{fmt_float(a)}"
-        if base_mode is Mode.L2_ALL:
-            run_cfg = dataclasses.replace(
-                cfg, alpha=0.0, beta=0.1 * a, beta_coupling=False, output_dir=str(sub)
-            )
-        else:
-            run_cfg = dataclasses.replace(
-                cfg, alpha=a, beta=0.1 * a, beta_coupling=False, output_dir=str(sub)
-            )
+        run_cfg = dataclasses.replace(
+            cfg,
+            alpha=0.0 if base_mode is Mode.L2_ALL else a,
+            beta=COUPLED_BETA_RATIO * a,
+            beta_coupling=False,
+            output_dir=str(sub),
+        )
         result, splits, _ = run_training(run_cfg, sub)
         _, _, test_set = splits
 

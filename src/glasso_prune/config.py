@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .datasets import Dataset, load_csv, load_idx, split, standardize, synth_gaussians
 from .errors import ConfigError
@@ -66,44 +67,15 @@ def _list_of(convert):
     return to_list
 
 
-_CONVERTERS = {
-    "dataset": _to_str,
-    "synth_classes": _to_int,
-    "synth_dim": _to_int,
-    "synth_per_class": _to_int,
-    "synth_separation": _to_float,
-    "idx_images": _to_str,
-    "idx_labels": _to_str,
-    "standardize": _to_bool,
-    "csv_path": _to_str,
-    "csv_label_column": _to_str,
-    "data_seed": _to_int,
-    "split_fractions": _list_of(_to_float),
-    "layer_sizes": _list_of(_to_int),
-    "mode": _to_str,
-    "alpha": _to_float,
-    "beta": _to_float,
-    "beta_coupling": _to_bool,
-    "epsilon_norm": _to_float,
-    "epochs": _to_int,
-    "batch_size": _to_int,
-    "learning_rate": _to_float,
-    "momentum": _to_float,
-    "lr_decay": _to_float,
-    "seed": _to_int,
-    "theta": _to_float,
-    "output_dir": _to_str,
-    "emit_history": _to_bool,
-    "emit_model": _to_bool,
-    "emit_bundle": _to_bool,
-}
+# beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
+COUPLED_BETA_RATIO = 0.1
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
+    # Fields without a default are the required keys. The field order is
+    # the key order of to_dict(), and so of manifest.json.
     dataset: str
-    layer_sizes: list[int]
-    mode: str
     synth_classes: int = 10
     synth_dim: int = 64
     synth_per_class: int = 300
@@ -115,6 +87,8 @@ class ExperimentConfig:
     csv_label_column: str = ""
     data_seed: int = 42
     split_fractions: list[float] = field(default_factory=lambda: [0.8, 0.1, 0.1])
+    layer_sizes: list[int]
+    mode: str
     alpha: float = 0.0
     beta: float = 0.0
     beta_coupling: bool = False
@@ -181,10 +155,12 @@ class ExperimentConfig:
             ) from None
 
     def regularizer_spec(self) -> RegularizerSpec:
+        """The run's penalty, with beta already coupled to alpha if asked."""
+        beta = COUPLED_BETA_RATIO * self.alpha if self.beta_coupling else self.beta
         return RegularizerSpec(
             mode=Mode.from_string(self.mode),
             alpha=self.alpha,
-            beta=self.beta,
+            beta=beta,
             epsilon_norm=self.epsilon_norm,
         )
 
@@ -197,7 +173,6 @@ class ExperimentConfig:
             momentum=self.momentum,
             lr_decay=self.lr_decay,
             seed=self.seed,
-            beta_coupling=self.beta_coupling,
             theta=self.theta,
         )
 
@@ -215,16 +190,35 @@ class ExperimentConfig:
         else:
             full = load_csv(self.csv_path, self.csv_label_column)
         splits = split(full, tuple(self.split_fractions), self.data_seed)
+        if min(part.n for part in splits) == 0:
+            raise ConfigError(
+                f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
+                f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
+            )
         if self.dataset == "idx" and self.standardize:
             return standardize(*splits)
         return splits
 
     def to_dict(self) -> dict:
         """Complete resolved key set; echoing this reproduces the run."""
-        return {
-            key: getattr(self, key)
-            for key in _CONVERTERS
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+_TYPE_CONVERTERS = {
+    str: _to_str,
+    bool: _to_bool,
+    int: _to_int,
+    float: _to_float,
+    list[int]: _list_of(_to_int),
+    list[float]: _list_of(_to_float),
+}
+_CONVERTERS = {
+    key: _TYPE_CONVERTERS[hint] for key, hint in get_type_hints(ExperimentConfig).items()
+}
+_REQUIRED = [
+    f.name for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+]
 
 
 def _parse_kv_lines(text: str, name: str) -> dict:
@@ -262,7 +256,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
             values[key] = _CONVERTERS[key](value)
         except (ValueError, TypeError, OverflowError) as e:
             raise ConfigError(f"{name}: key {key!r}: {e}") from None
-    for required in ("dataset", "layer_sizes", "mode"):
+    for required in _REQUIRED:
         if required not in values:
             raise ConfigError(f"{name}: missing required key {required!r}")
     try:

@@ -49,11 +49,9 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def column_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every column, by np.linalg.norm's own formula."""
-    return np.sqrt(np.add.reduce(m * m, axis=0))
+def norms(m: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norm along axis (0: of every column, 1: of every row).
 
-
-def row_norms(m: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, by np.linalg.norm's own formula."""
-    return np.sqrt(np.add.reduce(m * m, axis=1))
+    Uses np.linalg.norm's own formula, so the bits match it.
+    """
+    return np.sqrt(np.add.reduce(m * m, axis=axis))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import column_norms, row_norms
+from .linalg import norms
 from .network import GradientSet, MlpNetwork
 
 
@@ -65,16 +65,27 @@ class RegularizerSpec:
             raise ValueError("alpha must be 0 in L2_ALL mode (no grouped penalty)")
 
 
+# Per grouped mode, (offset, norm axis): hidden layer l's groups lie in
+# net.layers[l - 1 + offset], as columns of W^(l+1) or rows of W^l.
+_GROUP_OFFSET_AND_AXIS = {Mode.GLASSO_OUT: (1, 0), Mode.GLASSO_IN: (0, 1)}
+
+
+def group_layout(net: MlpNetwork, mode: Mode) -> list[tuple[int, int]]:
+    """(index into net.layers, norm axis), one entry per hidden layer.
+
+    Empty for L2_ALL. Every weight matrix not listed gets the L2 term.
+    """
+    if not mode.grouped:
+        return []
+    offset, axis = _GROUP_OFFSET_AND_AXIS[mode]
+    return [(l - 1 + offset, axis) for l in range(1, net.num_layers)]
+
+
 def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
     """Per-hidden-layer group norms, one entry per node of layers 1..L-1."""
     if not mode.grouped:
         raise ValueError("group norms are undefined for L2_ALL (no grouping)")
-    big_l = net.num_layers
-    if mode is Mode.GLASSO_OUT:
-        # hidden layer l's nodes own the columns of W^(l+1) = layers[l]
-        return [column_norms(net.layers[l].weights) for l in range(1, big_l)]
-    # hidden layer l's nodes own the rows of W^l = layers[l-1]
-    return [row_norms(net.layers[l - 1].weights) for l in range(1, big_l)]
+    return [norms(net.layers[l].weights, axis) for l, axis in group_layout(net, mode)]
 
 
 def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
@@ -85,23 +96,27 @@ def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
     """
     if not 0 < theta < np.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    return [norms < theta for norms in group_norms(net, mode)]
+    return [layer_norms < theta for layer_norms in group_norms(net, mode)]
 
 
 def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
     """Total penalty: alpha * sum of group norms + beta * L2 terms."""
-    l2 = 0.0
+    grouped = {l for l, _ in group_layout(net, spec.mode)}
     glasso = 0.0
-    if spec.mode is Mode.L2_ALL:
-        for p in net.layers:
-            l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
-    else:
-        for norms in group_norms(net, spec.mode):
-            glasso += float(np.sum(norms))
-        ungrouped = net.layers[0] if spec.mode is Mode.GLASSO_OUT else net.layers[-1]
-        l2 += 0.5 * float(np.sum(ungrouped.weights**2))
+    l2 = 0.0
+    if grouped:
+        for layer_norms in group_norms(net, spec.mode):
+            glasso += float(np.sum(layer_norms))
+        for l, p in enumerate(net.layers):
+            if l not in grouped:
+                l2 += 0.5 * float(np.sum(p.weights**2))
         for p in net.layers:
             l2 += 0.5 * float(np.sum(p.bias**2))
+    else:
+        # L2_ALL adds each layer's weight and bias terms as a pair: this
+        # summation order is part of the train_loss bits in history.jsonl
+        for p in net.layers:
+            l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
     return spec.alpha * glasso + spec.beta * l2
 
 
@@ -115,23 +130,14 @@ def regularizer_gradient(
     spares the trainer a zero GradientSet per minibatch step; pass
     GradientSet.zeros_like(net) to get the penalty gradient alone.
     """
-    big_l = net.num_layers
-    if spec.mode is Mode.L2_ALL:
-        for l, p in enumerate(net.layers):
-            grad.d_weights[l] += spec.beta * p.weights
-    else:
-        if spec.mode is Mode.GLASSO_OUT:
-            for l in range(1, big_l):
-                w = net.layers[l].weights
-                scale = spec.alpha / np.maximum(column_norms(w), spec.epsilon_norm)
-                grad.d_weights[l] += w * scale[np.newaxis, :]
-            grad.d_weights[0] += spec.beta * net.layers[0].weights
-        else:
-            for l in range(1, big_l):
-                w = net.layers[l - 1].weights
-                scale = spec.alpha / np.maximum(row_norms(w), spec.epsilon_norm)
-                grad.d_weights[l - 1] += w * scale[:, np.newaxis]
-            grad.d_weights[-1] += spec.beta * net.layers[-1].weights
+    layout = group_layout(net, spec.mode)
+    for l, axis in layout:
+        w = net.layers[l].weights
+        scale = spec.alpha / np.maximum(norms(w, axis), spec.epsilon_norm)
+        grad.d_weights[l] += w * np.expand_dims(scale, axis)
+    grouped = {l for l, _ in layout}
     for l, p in enumerate(net.layers):
+        if l not in grouped:
+            grad.d_weights[l] += spec.beta * p.weights
         grad.d_biases[l] += spec.beta * p.bias
     return grad

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ class TrainConfig:
     momentum: float = 0.9
     lr_decay: float = 1.0
     seed: int = 0
-    beta_coupling: bool = False
     theta: float = 1e-2  # group norm below this counts a node as disposable
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
-        if self.beta_coupling:
-            self.spec = replace(self.spec, beta=0.1 * self.spec.alpha)
 
 
 @dataclass
@@ -76,14 +73,29 @@ class EpochReport:
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochReport":
+        """Parse one history line; a missing key or wrong type raises."""
         doc = json.loads(line)
+        epoch, disposable = doc["epoch"], doc["disposable"]
+        metrics = [doc[key] for key in ("train_loss", "train_acc", "val_acc")]
+        if not _is_int(epoch):
+            raise TypeError(f"'epoch' must be an integer, got {epoch!r}")
+        if not all(isinstance(m, (int, float)) and not isinstance(m, bool) for m in metrics):
+            raise TypeError(f"train_loss, train_acc and val_acc must be numbers, got {metrics!r}")
+        if not (isinstance(disposable, list) and all(_is_int(c) and c >= 0 for c in disposable)):
+            raise TypeError(
+                f"'disposable' must be a list of non-negative integers, got {disposable!r}"
+            )
         return cls(
-            epoch=int(doc["epoch"]),
-            train_loss=float(doc["train_loss"]),
-            train_accuracy=float(doc["train_acc"]),
-            val_accuracy=float(doc["val_acc"]),
-            disposable_per_layer=[int(c) for c in doc["disposable"]],
+            epoch=epoch,
+            train_loss=float(metrics[0]),
+            train_accuracy=float(metrics[1]),
+            val_accuracy=float(metrics[2]),
+            disposable_per_layer=disposable,
         )
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass
@@ -94,13 +106,17 @@ class TrainResult:
 
 
 def load_history(path) -> list[EpochReport]:
-    """Parse a history.jsonl file; a malformed line raises DataFormatError."""
+    """Parse a history.jsonl file; a malformed line raises DataFormatError.
+
+    Each line is decoded as UTF-8 on its own, so a line that is not UTF-8
+    is reported by number like any other malformed line.
+    """
     reports = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for i, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
-            reports.append(EpochReport.from_json_line(line))
+            line = raw.decode("utf-8")
+            if line.strip():
+                reports.append(EpochReport.from_json_line(line))
         except (ValueError, KeyError, TypeError) as e:
             raise DataFormatError(
                 f"{path}, line {i}: not an epoch record ({type(e).__name__}: {e})"

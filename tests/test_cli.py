@@ -72,6 +72,20 @@ def test_train_missing_output_dir(tmp_path, capsys):
     assert "output_dir" in capsys.readouterr().err
 
 
+def test_train_empty_split_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(
+        BASE_CFG.replace("synth_classes = 3", "synth_classes = 2")
+        .replace("synth_per_class = 60", "synth_per_class = 2")
+        + f"output_dir = {out}\n"
+    )
+    assert main(["train", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "split_fractions" in err and "3/0/1" in err
+    assert not out.exists()
+
+
 def test_train_negative_alpha_exit_and_message(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE_CFG.replace("alpha = 0.02", "alpha = -1") + "output_dir = x\n")
@@ -406,18 +420,40 @@ def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad_line", ["{}", "not json"])
+def history_line(**changes):
+    doc = {"epoch": 2, "train_loss": 0.5, "train_acc": 1.0, "val_acc": 1.0,
+           "disposable": [1, 2]}
+    return json.dumps(dict(doc, **changes))
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "{}",
+        "not json",
+        pytest.param(history_line(disposable="12"), id="disposable-string"),
+        pytest.param(history_line(disposable=[True, 2.5]), id="disposable-bool-float"),
+        pytest.param(history_line(disposable=[3, -1]), id="disposable-negative"),
+        pytest.param(history_line(epoch=1.7), id="epoch-float"),
+        pytest.param(history_line(epoch=True), id="epoch-bool"),
+        pytest.param(history_line(train_loss="0.5"), id="loss-string"),
+        pytest.param(history_line(val_acc=None), id="val-acc-null"),
+        pytest.param("[2]", id="not-an-object"),
+        # written as latin-1 below, so these are the bytes ff fe: not UTF-8
+        pytest.param("\xff\xfe", id="not-utf8"),
+    ],
+)
 def test_analyze_malformed_history_exits_4(trained_run, tmp_path, capsys, bad_line):
     _, _, run = trained_run
     history = tmp_path / "history.jsonl"
     first = (run / "history.jsonl").read_text().splitlines()[0]
-    history.write_text(f"{first}\n{bad_line}\n")
+    history.write_text(f"{first}\n{bad_line}\n", encoding="latin-1")
     assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
     assert f"{history}, line 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("alphas", ["0.01,-1", "nan", "0.01,inf"])
+@pytest.mark.parametrize("alphas", ["0.01,-1", "nan", "0.01,inf", "0.013,0.0130"])
 def test_sweep_checks_every_alpha_before_training(tmp_path, capsys, alphas):
     out_root = tmp_path / "never"
     cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")

@@ -1,10 +1,14 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
 from glasso_prune.errors import ConfigError
-from glasso_prune.regularization import Mode
+from glasso_prune.regularization import Mode, RegularizerSpec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 MINIMAL = """
 dataset = synth
@@ -179,6 +183,18 @@ def test_beta_coupling_propagates_to_train_config():
     assert tc.spec.mode is Mode.GLASSO_OUT
 
 
+def test_beta_coupling_forces_tenth():
+    cfg = parse_config_text(MINIMAL + "alpha = 0.4\nbeta = 0.5\nbeta_coupling = true\n")
+    assert cfg.regularizer_spec().beta == 0.1 * 0.4
+    assert cfg.regularizer_spec().alpha == 0.4
+    reference = parse_config(CONFIGS / "reference_glasso_out.cfg")
+    assert reference.regularizer_spec().beta == 0.1 * reference.alpha
+    # the coupling lives in the config alone: a spec handed to TrainConfig
+    # is kept as given
+    spec = RegularizerSpec(mode=Mode.GLASSO_IN, alpha=0.3, beta=0.0)
+    assert replace(cfg.train_config(), spec=spec).spec == spec
+
+
 def test_regularizer_spec_roundtrip():
     cfg = parse_config_text(MINIMAL + "alpha = 0.3\nbeta = 0.01\nepsilon_norm = 1e-10\n")
     spec = cfg.regularizer_spec()
@@ -195,6 +211,17 @@ def test_load_splits_respects_fractions():
     tr, va, te = cfg.load_splits()
     assert (tr.n, va.n, te.n) == (80, 10, 10)
     assert tr.dim == 4
+
+
+def test_empty_split_rejected():
+    cfg = parse_config_text(
+        "dataset = synth\nsynth_classes = 2\nsynth_dim = 4\nsynth_per_class = 2\n"
+        "layer_sizes = 4,8,2\nmode = glasso_out\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        cfg.load_splits()
+    assert "split_fractions" in str(err.value)
+    assert "3/0/1" in str(err.value)
 
 
 def test_parse_config_file_and_write_roundtrip(tmp_path):
@@ -215,6 +242,27 @@ def test_to_dict_is_complete():
     cfg = parse_config_text(FULL)
     doc = cfg.to_dict()
     assert ExperimentConfig(**doc) == cfg
+
+
+def test_to_dict_keys_in_manifest_order():
+    # this order is the key order of manifest.json's "config" section
+    assert list(parse_config_text(MINIMAL).to_dict()) == [
+        "dataset", "synth_classes", "synth_dim", "synth_per_class",
+        "synth_separation", "idx_images", "idx_labels", "standardize", "csv_path",
+        "csv_label_column", "data_seed", "split_fractions", "layer_sizes", "mode",
+        "alpha", "beta", "beta_coupling", "epsilon_norm", "epochs", "batch_size",
+        "learning_rate", "momentum", "lr_decay", "seed", "theta", "output_dir",
+        "emit_history", "emit_model", "emit_bundle",
+    ]
+
+
+def test_missing_required_key_named():
+    with pytest.raises(ConfigError, match="missing required key 'dataset'"):
+        parse_config_text("layer_sizes = 8,16,3\n")
+    with pytest.raises(ConfigError, match="missing required key 'layer_sizes'"):
+        parse_config_text("dataset = synth\nmode = l2\n")
+    with pytest.raises(ConfigError, match="missing required key 'mode'"):
+        parse_config_text("dataset = synth\nlayer_sizes = 8,16,3\n")
 
 
 @pytest.mark.parametrize(

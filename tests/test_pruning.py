@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from glasso_prune.datasets import Dataset, synth_gaussians
-from glasso_prune.linalg import as_vector, column_norms, row_norms, sigmoid
+from glasso_prune.linalg import as_vector, norms, sigmoid
 from glasso_prune.network import forward_batch, init_network
 from glasso_prune.pruning import (
     PruneMask,
@@ -149,11 +149,11 @@ def test_out_mode_perturbation_bound():
     rng = np.random.default_rng(8)
     for trial in range(20):
         net = init_network([4, 8, 3], seed=trial)
-        norms = column_norms(net.layers[1].weights)
+        col_norms = norms(net.layers[1].weights, axis=0)
         drop = rng.permutation(8)[:3]
         keep = np.ones(8, dtype=bool)
         keep[drop] = False
-        bound = norms[drop].sum()
+        bound = col_norms[drop].sum()
 
         x = rng.standard_normal(4)
         z1 = forward_batch(net, x[np.newaxis, :])[1][0]
@@ -174,7 +174,7 @@ def test_in_mode_constant_output_lipschitz_bound():
         z_prev = x
         z = forward_batch(net, x[np.newaxis, :])[1][0, 2]
         const = sigmoid(as_vector([net.layers[0].bias[2]]))[0]
-        bound = 0.25 * row_norms(net.layers[0].weights)[2] * np.linalg.norm(z_prev)
+        bound = 0.25 * norms(net.layers[0].weights, axis=1)[2] * np.linalg.norm(z_prev)
         assert abs(z - const) <= bound + 1e-15
 
 

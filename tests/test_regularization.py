@@ -7,6 +7,7 @@ from glasso_prune.network import GradientSet, LayerParams, MlpNetwork, init_netw
 from glasso_prune.regularization import (
     Mode,
     RegularizerSpec,
+    group_layout,
     group_norms,
     regularizer_gradient,
     regularizer_value,
@@ -317,3 +318,109 @@ def test_gradient_adds_into_given_set():
             alone.d_weights + alone.d_biases,
         ):
             npt.assert_array_equal(g, b + a)
+
+
+# The penalty as it was written before the group layout table: one branch
+# per mode. Kept as the bit-for-bit oracle of regularizer_value and
+# regularizer_gradient, whose outputs feed history.jsonl and the weights.
+
+
+def _column_norms(m):
+    return np.sqrt(np.add.reduce(m * m, axis=0))
+
+
+def _row_norms(m):
+    return np.sqrt(np.add.reduce(m * m, axis=1))
+
+
+def value_by_mode_branches(net, spec):
+    l2 = 0.0
+    glasso = 0.0
+    big_l = net.num_layers
+    if spec.mode is Mode.L2_ALL:
+        for p in net.layers:
+            l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
+    else:
+        if spec.mode is Mode.GLASSO_OUT:
+            norms = [_column_norms(net.layers[l].weights) for l in range(1, big_l)]
+        else:
+            norms = [_row_norms(net.layers[l - 1].weights) for l in range(1, big_l)]
+        for n in norms:
+            glasso += float(np.sum(n))
+        ungrouped = net.layers[0] if spec.mode is Mode.GLASSO_OUT else net.layers[-1]
+        l2 += 0.5 * float(np.sum(ungrouped.weights**2))
+        for p in net.layers:
+            l2 += 0.5 * float(np.sum(p.bias**2))
+    return spec.alpha * glasso + spec.beta * l2
+
+
+def gradient_by_mode_branches(net, spec, grad):
+    big_l = net.num_layers
+    if spec.mode is Mode.L2_ALL:
+        for l, p in enumerate(net.layers):
+            grad.d_weights[l] += spec.beta * p.weights
+    elif spec.mode is Mode.GLASSO_OUT:
+        for l in range(1, big_l):
+            w = net.layers[l].weights
+            scale = spec.alpha / np.maximum(_column_norms(w), spec.epsilon_norm)
+            grad.d_weights[l] += w * scale[np.newaxis, :]
+        grad.d_weights[0] += spec.beta * net.layers[0].weights
+    else:
+        for l in range(1, big_l):
+            w = net.layers[l - 1].weights
+            scale = spec.alpha / np.maximum(_row_norms(w), spec.epsilon_norm)
+            grad.d_weights[l - 1] += w * scale[:, np.newaxis]
+        grad.d_weights[-1] += spec.beta * net.layers[-1].weights
+    for l, p in enumerate(net.layers):
+        grad.d_biases[l] += spec.beta * p.bias
+    return grad
+
+
+def assert_bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    assert a.shape == b.shape
+    npt.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("sizes", [[7, 5, 3], [7, 6, 5, 4, 3]], ids=["depth2", "depth4"])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_penalty_bit_identical_to_mode_branches(sizes, mode):
+    rng = np.random.default_rng(len(sizes))
+    net = init_network(sizes, seed=13)
+    for p in net.layers:
+        p.bias[:] = rng.standard_normal(len(p.bias))
+    # an exactly-zero group in either direction: outgoing column of hidden
+    # node 1 and incoming row of hidden node 2, both in hidden layer 1
+    net.layers[1].weights[:, 1] = 0.0
+    net.layers[0].weights[2, :] = 0.0
+    spec = RegularizerSpec(
+        mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 0.013, beta=0.0013
+    )
+    assert_bits_equal(regularizer_value(net, spec), value_by_mode_branches(net, spec))
+
+    def random_grads():
+        g = np.random.default_rng(99)
+        return GradientSet(
+            [g.standard_normal(p.weights.shape) for p in net.layers],
+            [g.standard_normal(p.bias.shape) for p in net.layers],
+        )
+
+    got = regularizer_gradient(net, spec, random_grads())
+    want = gradient_by_mode_branches(net, spec, random_grads())
+    for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+        assert_bits_equal(g, w)
+    if mode.grouped:
+        zero_node = 1 if mode is Mode.GLASSO_OUT else 2
+        assert group_norms(net, mode)[0][zero_node] == 0.0
+
+
+@pytest.mark.parametrize(
+    "mode, layout",
+    [
+        (Mode.GLASSO_OUT, [(1, 0), (2, 0), (3, 0)]),
+        (Mode.GLASSO_IN, [(0, 1), (1, 1), (2, 1)]),
+        (Mode.L2_ALL, []),
+    ],
+)
+def test_group_layout_one_entry_per_hidden_layer(mode, layout):
+    assert group_layout(init_network([4, 5, 6, 7, 2], seed=0), mode) == layout

@@ -63,12 +63,6 @@ def test_config_validation():
         TrainConfig(spec=plain_spec(), theta=float("nan"))
 
 
-def test_beta_coupling_forces_tenth():
-    cfg = TrainConfig(spec=plain_spec(alpha=0.4, beta=0.0), beta_coupling=True)
-    assert cfg.spec.beta == pytest.approx(0.04, abs=1e-15)
-    assert cfg.spec.alpha == 0.4
-
-
 def test_zero_everything_leaves_network_unchanged():
     data = small_task()
     net = init_network([6, 5, 3], seed=1)
