@@ -271,4 +271,6 @@ def parse_config(path) -> ExperimentConfig:
         text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     return parse_config_text(text, str(path))

@@ -8,6 +8,7 @@ loudly on malformed input; nothing is silently truncated.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -110,44 +111,52 @@ def load_csv(path, label_column: str) -> Dataset:
     """Numeric CSV with a header row; one column holds integer labels.
 
     Every cell must be a finite number: nan and inf are rejected, not
-    carried into training.
+    carried into training. A file that is not UTF-8 text is rejected with
+    the row (counting the header as row 1) where decoding fails.
     """
     path = str(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if label_column not in header:
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        row_no = raw.count(b"\n", 0, e.start) + 1
+        raise DataFormatError(
+            f"{path}: row {row_no} is not UTF-8 text ({e.reason})"
+        ) from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{path}: empty file") from None
+    if label_column not in header:
+        raise DataFormatError(
+            f"{path}: label column {label_column!r} not in header {header}"
+        )
+    label_idx = header.index(label_column)
+    features, labels = [], []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
             raise DataFormatError(
-                f"{path}: label column {label_column!r} not in header {header}"
+                f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
             )
-        label_idx = header.index(label_column)
-        features, labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+        try:
+            values = [float(c) for c in row]
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: row {row_no} contains a non-numeric cell"
+            ) from None
+        for name, value in zip(header, values):
+            if not math.isfinite(value):
                 raise DataFormatError(
-                    f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"
+                    f"{path}: row {row_no} column {name!r} is not finite ({value})"
                 )
-            try:
-                values = [float(c) for c in row]
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: row {row_no} contains a non-numeric cell"
-                ) from None
-            for name, value in zip(header, values):
-                if not math.isfinite(value):
-                    raise DataFormatError(
-                        f"{path}: row {row_no} column {name!r} is not finite ({value})"
-                    )
-            label = values.pop(label_idx)
-            if label != int(label):
-                raise DataFormatError(
-                    f"{path}: row {row_no} label {label} is not an integer"
-                )
-            features.append(values)
-            labels.append(int(label))
+        label = values.pop(label_idx)
+        if label != int(label):
+            raise DataFormatError(
+                f"{path}: row {row_no} label {label} is not an integer"
+            )
+        features.append(values)
+        labels.append(int(label))
     if not features:
         raise DataFormatError(f"{path}: no data rows")
     labels_arr = np.array(labels, dtype=np.int64)

@@ -154,13 +154,16 @@ def cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> 
 
 def batch_gradients(
     net: MlpNetwork, xs: np.ndarray, labels: np.ndarray
-) -> tuple[float, GradientSet]:
-    """Mean cross-entropy and its gradient over one (n, dim) minibatch.
+) -> tuple[float, int, GradientSet]:
+    """Mean cross-entropy, hit count and gradient over one (n, dim) minibatch.
 
-    One softmax serves both the loss and the output delta; the delta is
-    then backpropagated through the sigmoid layers via z * (1 - z).
+    The hit count is the number of rows whose argmax logit equals the
+    label, read from the raw logits before the softmax. One softmax serves
+    both the loss and the output delta; the delta is then backpropagated
+    through the sigmoid layers via z * (1 - z).
     """
     zs = forward_batch(net, xs)
+    hits = int(np.sum(np.argmax(zs[-1], axis=1) == labels))
     shifted, probs, sums = softmax_terms(zs[-1])
     loss = float(cross_entropy(shifted, sums, labels).mean())
     n = len(labels)
@@ -178,4 +181,4 @@ def batch_gradients(
             delta = delta @ net.layers[l].weights
             delta *= z
             delta *= 1.0 - z
-    return loss, GradientSet(d_weights, d_biases)
+    return loss, hits, GradientSet(d_weights, d_biases)

@@ -4,6 +4,9 @@ Per update: v <- momentum * v - lr * (mean CE gradient + regularizer
 gradient), params <- params + v. The CE gradient (network.batch_gradients)
 is averaged over the minibatch while the regularizer gradient enters once
 at full strength.
+An epoch's train loss and accuracy are running means over its minibatches,
+each taken at the weights before that minibatch's step, so they cost no
+extra forward pass; the loss adds the penalty at the epoch-end weights.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
 run is fully reproducible from its config.
 """
@@ -161,7 +164,8 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
     The logits live in this thread's _EvalBuffers and are overwritten by
     the next batch, so a consumer must finish with each batch before
     asking for the next one and must not keep the array; evaluate and
-    mean_loss reduce each batch to numbers first.
+    mean_loss reduce each batch to numbers first. Training never calls
+    this on the train set: its epoch report comes from the SGD steps.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -185,8 +189,9 @@ def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
 def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> tuple[float, float]:
     """Mean cross-entropy (no regularizer term) and accuracy, in one pass.
 
-    The accuracy equals evaluate(net, dataset, batch_size) exactly; the
-    trainer's epoch-end report gets both from one forward pass.
+    The accuracy equals evaluate(net, dataset, batch_size) exactly. This is
+    the loss of a fixed network; the trainer's epoch report does not use
+    it (see the module docstring).
     """
     total = 0.0
     hits = 0
@@ -241,15 +246,19 @@ def train(
     try:
         for epoch in range(1, cfg.epochs + 1):
             perm = _epoch_rng(cfg.seed, epoch).permutation(train_set.n)
+            ce_sum = 0.0
+            hit_sum = 0
             for batch_no, start in enumerate(range(0, train_set.n, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
-                loss, grads = batch_gradients(
+                loss, hits, grads = batch_gradients(
                     net, train_set.features[idx], train_set.labels[idx]
                 )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
                     )
+                ce_sum += loss * len(idx)
+                hit_sum += hits
                 regularizer_gradient(net, cfg.spec, grads)
                 for l, p in enumerate(net.layers):
                     vw, vb = velocity.d_weights[l], velocity.d_biases[l]
@@ -262,11 +271,10 @@ def train(
                     vb -= gb
                     p.weights += vw
                     p.bias += vb
-            train_ce, train_acc = mean_loss(net, train_set)
             report = EpochReport(
                 epoch=epoch,
-                train_loss=train_ce + regularizer_value(net, cfg.spec),
-                train_accuracy=train_acc,
+                train_loss=ce_sum / train_set.n + regularizer_value(net, cfg.spec),
+                train_accuracy=hit_sum / train_set.n,
                 val_accuracy=evaluate(net, val_set),
                 disposable_per_layer=(
                     disposable_counts(net, cfg.spec.mode, cfg.theta)

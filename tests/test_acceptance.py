@@ -126,7 +126,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
             ys = rng.integers(0, sizes[-1], size=6).astype(np.int64)
             batch = Dataset(xs, ys, num_classes=sizes[-1])
 
-            _, grad = batch_gradients(net, batch.features, batch.labels)
+            _, _, grad = batch_gradients(net, batch.features, batch.labels)
             regularizer_gradient(net, spec, grad)
 
             norms = group_norms(net, mode)

@@ -310,6 +310,25 @@ def test_train_non_finite_csv_label_exits_4(tmp_path, capsys, label):
     assert "not finite" in capsys.readouterr().err
 
 
+def test_train_non_utf8_csv_exits_4(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_bytes(b"a,b,y\n1,2,0\n3,4,1\n5,\xff,1\n")
+    cfg = tmp_path / "csv.cfg"
+    cfg.write_text(
+        f"dataset = csv\ncsv_path = {data}\ncsv_label_column = y\n"
+        f"layer_sizes = 2,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n"
+    )
+    assert main(["train", str(cfg)]) == 4
+    assert f"{data}: row 4 is not UTF-8" in capsys.readouterr().err
+
+
+def test_train_non_utf8_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(BASE_CFG.encode("utf-16"))  # starts ff fe
+    assert main(["train", str(cfg)]) == 2
+    assert f"{cfg}: not UTF-8" in capsys.readouterr().err
+
+
 def test_sweep_disposable_total_uses_config_theta(tmp_path):
     # theta 0.5 sits inside the trained norm range, far above 1e-2
     out_root = tmp_path / "theta"

@@ -238,6 +238,15 @@ def test_missing_config_file(tmp_path):
         parse_config(tmp_path / "absent.cfg")
 
 
+def test_non_utf8_config_names_file(tmp_path):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes("dataset = synth\n".encode("utf-16"))  # starts ff fe
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(path) in str(err.value)
+    assert "UTF-8" in str(err.value)
+
+
 def test_to_dict_is_complete():
     cfg = parse_config_text(FULL)
     doc = cfg.to_dict()

@@ -156,6 +156,14 @@ def test_csv_ragged_row_names_row(tmp_path):
     assert "3" in str(err.value)  # 1-based row number of the bad line
 
 
+def test_csv_non_utf8_names_file_and_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b,y\n1,2,0\n3,\xff,1\n5,6,0\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    assert str(err.value).startswith(f"{path}: row 3 is not UTF-8")
+
+
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,fish,0\n")

@@ -111,7 +111,7 @@ def cross_entropy_of(logits, target):
     """(loss, gradient with respect to the logits) for one row."""
     net = logits_net(logits)
     one = Dataset(np.zeros((1, 1)), np.array([target]), num_classes=len(logits))
-    _, grads = batch_gradients(net, one.features, one.labels)
+    _, _, grads = batch_gradients(net, one.features, one.labels)
     return mean_loss(net, one)[0], grads.d_biases[-1]
 
 

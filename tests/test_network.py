@@ -25,13 +25,13 @@ def zero_network(sizes):
 
 
 def network_loss(net, x, target):
-    # the epoch-end loss path on a one-row dataset
+    # the fixed-network loss path on a one-row dataset
     one = Dataset(x[np.newaxis, :], np.array([target]), num_classes=net.layers[-1].n_out)
     return mean_loss(net, one)[0]
 
 
 def row_gradients(net, x, target):
-    return batch_gradients(net, x[np.newaxis, :], np.array([target]))[1]
+    return batch_gradients(net, x[np.newaxis, :], np.array([target]))[2]
 
 
 def predicted(net, xs):

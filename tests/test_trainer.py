@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,7 +16,13 @@ from glasso_prune.network import (
     init_network,
 )
 from glasso_prune.pruning import apply_mask, match_count_mask
-from glasso_prune.regularization import Mode, RegularizerSpec, group_norms
+from glasso_prune.regularization import (
+    Mode,
+    RegularizerSpec,
+    group_norms,
+    regularizer_gradient,
+    regularizer_value,
+)
 from glasso_prune.trainer import (
     EpochReport,
     TrainConfig,
@@ -33,6 +41,55 @@ def plain_spec(alpha=0.0, beta=0.0, mode=Mode.GLASSO_OUT):
 
 def small_task(seed=0):
     return synth_gaussians(3, 6, 40, 4.0, seed=seed)
+
+
+def replay_sgd(net, train_set, val_set, cfg):
+    """Test-side copy of the training schedule, spelled out step by step.
+
+    Returns one (mean minibatch CE, hit fraction, epoch-end network) per
+    epoch, and the best-validation network (latest on ties).
+    """
+    net = net.copy()
+    vw = [np.zeros_like(p.weights) for p in net.layers]
+    vb = [np.zeros_like(p.bias) for p in net.layers]
+    lr = cfg.learning_rate
+    epochs, best_net, best_val = [], None, -1.0
+    for epoch in range(1, cfg.epochs + 1):
+        seq = np.random.SeedSequence([cfg.seed, epoch])
+        perm = np.random.Generator(np.random.Philox(seq)).permutation(train_set.n)
+        ce_sum, hit_sum = 0.0, 0
+        for start in range(0, train_set.n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            loss, hits, grads = batch_gradients(
+                net, train_set.features[idx], train_set.labels[idx]
+            )
+            ce_sum += loss * len(idx)
+            hit_sum += hits
+            regularizer_gradient(net, cfg.spec, grads)
+            for l, p in enumerate(net.layers):
+                vw[l] = cfg.momentum * vw[l] - lr * grads.d_weights[l]
+                vb[l] = cfg.momentum * vb[l] - lr * grads.d_biases[l]
+                p.weights = p.weights + vw[l]
+                p.bias = p.bias + vb[l]
+        epochs.append((ce_sum / train_set.n, hit_sum / train_set.n, net.copy()))
+        val = evaluate(net, val_set)
+        if val >= best_val:
+            best_val, best_net = val, net.copy()
+        lr *= cfg.lr_decay
+    return epochs, best_net
+
+
+def replay_configs():
+    # momentum, decay, a short last batch (120 rows in batches of 16 or
+    # 50) and each penalty layout
+    return [
+        TrainConfig(spec=plain_spec(alpha=0.02, beta=0.002), epochs=4,
+                    batch_size=16, lr_decay=0.9, seed=11),
+        TrainConfig(spec=plain_spec(alpha=0.05, mode=Mode.GLASSO_IN), epochs=3,
+                    batch_size=50, momentum=0.5, seed=12),
+        TrainConfig(spec=RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.01),
+                    epochs=3, batch_size=16, seed=13),
+    ]
 
 
 def networks_equal(a, b):
@@ -330,21 +387,19 @@ def test_l2_mode_records_no_disposable():
 
 
 def test_train_loss_includes_regularizer():
+    # the reported loss is the epoch's running CE mean plus the penalty at
+    # the epoch-end weights: alpha 0 adds exactly 0.0, alpha 10 a large term
     data = small_task(seed=3)
     net = init_network([6, 5, 3], seed=3)
-    plain = TrainConfig(spec=plain_spec(), epochs=1, batch_size=16, seed=3)
-    heavy = TrainConfig(
-        spec=plain_spec(alpha=10.0), epochs=1, batch_size=16, seed=3
-    )
-    # same data, same seed: the reported loss with a strong penalty must
-    # exceed pure CE at epoch 1 (weights cannot have collapsed in one epoch)
-    r_plain = train(net, data, data, plain)
-    r_heavy = train(net, data, data, heavy)
-    ce_only, _ = mean_loss(r_heavy.best_network, data)
-    assert r_heavy.history[0].train_loss > ce_only
-    assert r_plain.history[0].train_loss == pytest.approx(
-        mean_loss(r_plain.best_network, data)[0], abs=1e-12
-    )
+    penalties = []
+    for alpha in (0.0, 10.0):
+        cfg = TrainConfig(spec=plain_spec(alpha=alpha), epochs=1, batch_size=16, seed=3)
+        reported = train(net, data, data, cfg).history[0].train_loss
+        [(ce_mean, _, end_net)], _ = replay_sgd(net, data, data, cfg)
+        penalties.append(regularizer_value(end_net, cfg.spec))
+        assert reported == ce_mean + penalties[-1]
+    assert penalties[0] == 0.0
+    assert penalties[1] > 1.0
 
 
 def test_history_disposable_counts_use_config_theta():
@@ -450,7 +505,52 @@ def test_batch_gradients_match_two_softmax_oracle():
         want.d_biases[l] = delta.sum(axis=0)
         if l > 0:
             delta = (delta @ net.layers[l].weights) * zs[l] * (1.0 - zs[l])
-    loss, got = batch_gradients(net, xs, labels)
+    loss, _, got = batch_gradients(net, xs, labels)
     assert loss == want_loss
     for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
         npt.assert_array_equal(g, w)
+
+
+def test_history_metrics_equal_minibatch_replay(tmp_path):
+    # each history line carries the running means of the epoch's own
+    # minibatch steps, at pre-step weights, plus the epoch-end penalty
+    data = small_task(seed=11)
+    val = small_task(seed=12)
+    net = init_network([6, 10, 7, 3], seed=11)
+    for cfg in replay_configs():
+        log = tmp_path / "history.jsonl"
+        train(net, data, val, cfg, log_path=log)
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        replayed, _ = replay_sgd(net, data, val, cfg)
+        assert len(lines) == len(replayed) == cfg.epochs
+        for line, (ce_mean, acc, end_net) in zip(lines, replayed):
+            assert line["train_loss"] == ce_mean + regularizer_value(end_net, cfg.spec)
+            assert line["train_acc"] == acc
+
+
+def test_best_network_equals_minibatch_replay():
+    data = small_task(seed=11)
+    val = small_task(seed=12)
+    net = init_network([6, 10, 7, 3], seed=11)
+    for cfg in replay_configs():
+        result = train(net, data, val, cfg)
+        _, want = replay_sgd(net, data, val, cfg)
+        for got_p, want_p in zip(result.best_network.layers, want.layers):
+            npt.assert_array_equal(got_p.weights.view(np.int64), want_p.weights.view(np.int64))
+            npt.assert_array_equal(got_p.bias.view(np.int64), want_p.bias.view(np.int64))
+
+
+def test_batch_gradients_hits_equal_forward_argmax():
+    rng = np.random.default_rng(5)
+    for seed in range(4):
+        net = init_network([6, 9, 7, 3], seed=seed)
+        for n in (1, 5, 64):
+            xs = rng.standard_normal((n, 6)) * 3
+            labels = rng.integers(0, 3, n)
+            want = int(np.sum(np.argmax(forward_batch(net, xs)[-1], axis=1) == labels))
+            assert batch_gradients(net, xs, labels)[1] == want
+    # labels that are the argmax, then never the argmax
+    xs = rng.standard_normal((20, 6))
+    predicted = np.argmax(forward_batch(net, xs)[-1], axis=1)
+    assert batch_gradients(net, xs, predicted)[1] == 20
+    assert batch_gradients(net, xs, (predicted + 1) % 3)[1] == 0
