@@ -32,20 +32,15 @@ from .regularization import Mode
 from .trainer import TrainResult, disposable_counts, evaluate, load_history, train
 
 
-def _inspection_mode(cfg: ExperimentConfig) -> Mode:
-    """Group direction used for norm diagnostics of a trained network.
+def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
+    """Group direction of norm diagnostics: --mode (out or in) if given,
+    else in for a glasso_in config, else out.
 
     L2 training has no grouping of its own, so its networks are inspected
     with outgoing groups, the direction used when comparing against it.
     """
-    mode = Mode.from_string(cfg.mode)
-    return Mode.GLASSO_OUT if mode is Mode.L2_ALL else mode
-
-
-def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
-    """--mode if given, else the inspection mode of the --data config, else out."""
     if name is None:
-        return _inspection_mode(cfg) if cfg is not None else Mode.GLASSO_OUT
+        name = "in" if cfg is not None and cfg.mode == Mode.GLASSO_IN.value else "out"
     return Mode.GLASSO_OUT if name == "out" else Mode.GLASSO_IN
 
 
@@ -55,14 +50,16 @@ def run_training(
     """Train per cfg, write the requested files, return result and splits."""
     splits = cfg.load_splits()
     train_set, val_set, test_set = splits
+    if train_set.dim != cfg.layer_sizes[0] or train_set.num_classes > cfg.layer_sizes[-1]:
+        raise ConfigError(
+            f"key 'layer_sizes' {cfg.layer_sizes} does not fit the data: "
+            f"dimension {train_set.dim}, {train_set.num_classes} classes"
+        )
     net = init_network(cfg.layer_sizes, cfg.seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "history.jsonl" if cfg.emit_history else None
-    result = train(net, train_set, val_set, cfg.train_config(), log_path=log_path)
-
-    if cfg.emit_model:
-        save_model(result.best_network, out_dir / "model.glnn")
+    result = train(net, train_set, val_set, cfg.train_config(), log_path=out_dir / "history.jsonl")
+    save_model(result.best_network, out_dir / "model.glnn")
 
     test_acc = evaluate(result.best_network, test_set)
     last = result.history[-1]
@@ -83,7 +80,7 @@ def run_training(
         f.write(json.dumps(manifest, indent=2) + "\n")
 
     if cfg.emit_bundle:
-        mode = _inspection_mode(cfg)
+        mode = _group_mode(None, cfg)
         bundle = AnalysisBundle(
             histogram=norm_histogram(result.best_network, mode),
             history=result.history,
@@ -170,17 +167,12 @@ def cmd_prune(args) -> int:
 
 
 def _is_model_file(path: Path) -> bool:
-    try:
-        with open(path, "rb") as f:
-            return f.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+    with open(path, "rb") as f:
+        return f.read(len(MAGIC)) == MAGIC
 
 
 def cmd_analyze(args) -> int:
     target = Path(args.target)
-    if not target.exists():
-        raise ConfigError(f"no such file: {target}")
     is_model = _is_model_file(target)
 
     wants = {
@@ -268,7 +260,7 @@ def cmd_sweep(args) -> int:
         _, _, test_set = splits
 
         net = result.best_network
-        mode = _inspection_mode(run_cfg)
+        mode = _group_mode(None, run_cfg)
         best_val = max(r.val_accuracy for r in result.history)
         disposable = sum(disposable_counts(net, mode, cfg.theta))
         post_acc = evaluate(apply_mask(net, make_mask(net, mode, cfg.theta)), test_set)

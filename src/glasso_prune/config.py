@@ -92,7 +92,6 @@ class ExperimentConfig:
     alpha: float = 0.0
     beta: float = 0.0
     beta_coupling: bool = False
-    epsilon_norm: float = 1e-12
     epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 0.1
@@ -101,8 +100,6 @@ class ExperimentConfig:
     seed: int = 0
     theta: float = 1e-2
     output_dir: str = ""
-    emit_history: bool = True
-    emit_model: bool = True
     emit_bundle: bool = False
 
     def __post_init__(self):
@@ -120,16 +117,6 @@ class ExperimentConfig:
             )
         if min(self.layer_sizes) < 1:
             raise ConfigError(f"key 'layer_sizes' must all be >= 1, got {self.layer_sizes}")
-        if self.theta <= 0:
-            raise ConfigError(f"key 'theta' must be positive, got {self.theta}")
-        if self.alpha < 0:
-            raise ConfigError(f"key 'alpha' must be nonnegative, got {self.alpha}")
-        if self.beta < 0:
-            raise ConfigError(f"key 'beta' must be nonnegative, got {self.beta}")
-        try:
-            Mode.from_string(self.mode)
-        except ValueError as e:
-            raise ConfigError(f"key 'mode': {e}") from None
         for key in ("seed", "data_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
@@ -145,14 +132,12 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'split_fractions' must sum to 1, got sum {sum(self.split_fractions)!r}"
             )
-        # surface RegularizerSpec/TrainConfig invariant violations now,
-        # pointing at the offending keys
+        # Mode, RegularizerSpec and TrainConfig check mode, alpha, beta,
+        # theta and the training keys, each message naming its key
         try:
             self.train_config()
         except ValueError as e:
-            raise ConfigError(
-                f"keys 'alpha'/'beta'/'mode'/training parameters: {e}"
-            ) from None
+            raise ConfigError(str(e)) from None
 
     def regularizer_spec(self) -> RegularizerSpec:
         """The run's penalty, with beta already coupled to alpha if asked."""
@@ -161,7 +146,6 @@ class ExperimentConfig:
             mode=Mode.from_string(self.mode),
             alpha=self.alpha,
             beta=beta,
-            epsilon_norm=self.epsilon_norm,
         )
 
     def train_config(self) -> TrainConfig:
@@ -195,7 +179,7 @@ class ExperimentConfig:
                 f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
                 f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
             )
-        if self.dataset == "idx" and self.standardize:
+        if self.standardize:
             return standardize(*splits)
         return splits
 

@@ -13,7 +13,7 @@ Three configurations:
 The group penalty per node is alpha * ||w||, so its gradient is the unit
 vector alpha * w / ||w||: a constant-magnitude pull that drives unneeded
 groups to near-zero norm during training. At exactly zero norm the pull is
-defined as zero (subgradient choice, guarded by epsilon_norm).
+defined as zero (subgradient choice, guarded by EPSILON_NORM).
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import numpy as np
 
 from .linalg import norms
 from .network import GradientSet, MlpNetwork
+
+EPSILON_NORM = 1e-12
 
 
 class Mode(enum.Enum):
@@ -52,15 +54,12 @@ class RegularizerSpec:
     mode: Mode
     alpha: float = 0.0
     beta: float = 0.0
-    epsilon_norm: float = 1e-12
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(
                 f"alpha and beta must be nonnegative, got {self.alpha}, {self.beta}"
             )
-        if self.epsilon_norm <= 0:
-            raise ValueError(f"epsilon_norm must be positive, got {self.epsilon_norm}")
         if self.mode is Mode.L2_ALL and self.alpha != 0:
             raise ValueError("alpha must be 0 in L2_ALL mode (no grouped penalty)")
 
@@ -125,7 +124,7 @@ def regularizer_gradient(
 ) -> GradientSet:
     """Add the gradient of regularizer_value into grad; returns grad.
 
-    Each grouped vector contributes alpha * w / max(||w||, epsilon_norm),
+    Each grouped vector contributes alpha * w / max(||w||, EPSILON_NORM),
     which is exactly zero for an exactly-zero group. Adding in place
     spares the trainer a zero GradientSet per minibatch step; pass
     GradientSet.zeros_like(net) to get the penalty gradient alone.
@@ -133,7 +132,7 @@ def regularizer_gradient(
     layout = group_layout(net, spec.mode)
     for l, axis in layout:
         w = net.layers[l].weights
-        scale = spec.alpha / np.maximum(norms(w, axis), spec.epsilon_norm)
+        scale = spec.alpha / np.maximum(norms(w, axis), EPSILON_NORM)
         grad.d_weights[l] += w * np.expand_dims(scale, axis)
     grouped = {l for l, _ in layout}
     for l, p in enumerate(net.layers):

@@ -231,7 +231,10 @@ def test_analyze_default_model_products(trained_run, tmp_path):
 
 
 def test_analyze_missing_target(tmp_path, capsys):
-    assert main(["analyze", str(tmp_path / "ghost.glnn")]) == 2
+    # a file that cannot be read is an I/O error, as for prune's model
+    assert main(["analyze", str(tmp_path / "ghost.glnn")]) == 4
+    assert "ghost.glnn" in capsys.readouterr().err
+    assert main(["analyze", str(tmp_path / "ghost.glnn"), "--histogram"]) == 4
 
 
 def test_sweep_summary(tmp_path):
@@ -283,6 +286,25 @@ def test_sweep_l2_mode_uses_beta(tmp_path):
     manifest = json.loads((out_root / "alpha_0.02" / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.0
     assert manifest["config"]["beta"] == pytest.approx(0.002)
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize(
+    "edit, dim, classes",
+    [(("synth_dim = 8", "synth_dim = 9"), 9, 3), (("synth_classes = 3", "synth_classes = 4"), 8, 4)],
+    ids=["dim", "classes"],
+)
+def test_config_contradicting_its_data_exits_2_before_writing(
+    tmp_path, capsys, command, edit, dim, classes
+):
+    out = tmp_path / "run"
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(BASE_CFG.replace(*edit) + f"output_dir = {out}\n")
+    argv = [command, str(cfg)] + (["--alphas", "0.01"] if command == "sweep" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "layer_sizes" in err and f"dimension {dim}" in err and f"{classes} classes" in err
+    assert not out.exists()
 
 
 def test_data_shape_mismatch_exits_4(trained_run, tmp_path):
@@ -550,4 +572,4 @@ def test_console_entry_exits_with_main_code(tmp_path, monkeypatch):
     monkeypatch.setattr("sys.argv", ["glasso-prune", "analyze", str(tmp_path / "ghost.glnn")])
     with pytest.raises(SystemExit) as exc:
         entry()
-    assert exc.value.code == 2
+    assert exc.value.code == 4

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from glasso_prune.cli import main
 from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
 from glasso_prune.errors import ConfigError
 from glasso_prune.regularization import Mode, RegularizerSpec
@@ -52,8 +53,7 @@ def test_minimal_parses_with_defaults():
     assert cfg.batch_size == 128
     assert cfg.learning_rate == 0.1
     assert cfg.momentum == 0.9
-    assert cfg.emit_history is True
-    assert cfg.emit_model is True
+    assert cfg.standardize is False
     assert cfg.emit_bundle is False
 
 
@@ -196,11 +196,22 @@ def test_beta_coupling_forces_tenth():
 
 
 def test_regularizer_spec_roundtrip():
-    cfg = parse_config_text(MINIMAL + "alpha = 0.3\nbeta = 0.01\nepsilon_norm = 1e-10\n")
-    spec = cfg.regularizer_spec()
-    assert spec.alpha == 0.3
-    assert spec.beta == 0.01
-    assert spec.epsilon_norm == 1e-10
+    cfg = parse_config_text(MINIMAL + "alpha = 0.3\nbeta = 0.01\n")
+    assert cfg.regularizer_spec() == RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.3, beta=0.01)
+
+
+@pytest.mark.parametrize("key", ["emit_history", "emit_model", "epsilon_norm"])
+def test_removed_keys_are_unknown(tmp_path, capsys, key):
+    # train always writes history.jsonl and model.glnn, and the norm floor
+    # is regularization.EPSILON_NORM: none of these is a config key
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(
+        MINIMAL + "synth_classes = 3\nsynth_dim = 8\nsynth_per_class = 20\nepochs = 1\n"
+        f"output_dir = {tmp_path / 'run'}\n{key} = 1\n"
+    )
+    assert main(["train", str(cfg)]) == 2
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_load_splits_respects_fractions():
@@ -259,9 +270,8 @@ def test_to_dict_keys_in_manifest_order():
         "dataset", "synth_classes", "synth_dim", "synth_per_class",
         "synth_separation", "idx_images", "idx_labels", "standardize", "csv_path",
         "csv_label_column", "data_seed", "split_fractions", "layer_sizes", "mode",
-        "alpha", "beta", "beta_coupling", "epsilon_norm", "epochs", "batch_size",
-        "learning_rate", "momentum", "lr_decay", "seed", "theta", "output_dir",
-        "emit_history", "emit_model", "emit_bundle",
+        "alpha", "beta", "beta_coupling", "epochs", "batch_size", "learning_rate",
+        "momentum", "lr_decay", "seed", "theta", "output_dir", "emit_bundle",
     ]
 
 
@@ -288,7 +298,7 @@ def test_missing_required_key_named():
         ("epochs", True, None),
         ("learning_rate", float("nan"), "nan"),
         ("alpha", float("nan"), "nan"),
-        ("epsilon_norm", float("inf"), "inf"),
+        ("beta", -0.5, "-0.5"),
         pytest.param("theta", 10**400, None, id="theta-huge-int"),
         ("split_fractions", [0.8, float("nan"), 0.1], "0.8,nan,0.1"),
         ("seed", -1, "-1"),

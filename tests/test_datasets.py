@@ -131,6 +131,22 @@ def test_idx_standardize_uses_train_split_only(tmp_path):
     assert after[2].features.tobytes() != before[2].features.tobytes()
 
 
+def test_csv_standardize(tmp_path):
+    # standardize means the same thing for every dataset, not only idx
+    rng = np.random.default_rng(1)
+    path = tmp_path / "d.csv"
+    rows = [f"{100 + a},{b - 50},{k % 2}" for k, (a, b) in enumerate(rng.normal(size=(20, 2)))]
+    path.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    cfg = parse_config_text(
+        f"dataset = csv\ncsv_path = {path}\ncsv_label_column = y\nstandardize = true\n"
+        "layer_sizes = 2,3,2\nmode = glasso_out\nsplit_fractions = 0.5,0.25,0.25\n"
+    )
+    train, val, test = cfg.load_splits()
+    npt.assert_allclose(train.features.mean(axis=0), 0.0, atol=1e-12)
+    npt.assert_allclose(train.features.std(axis=0), 1.0, atol=1e-12)
+    assert np.abs(test.features).max() < 5  # raw values sit near 100 and -50
+
+
 def test_csv_two_rows(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,2,0\n3,4,1\n")

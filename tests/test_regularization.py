@@ -5,6 +5,7 @@ import pytest
 from glasso_prune.linalg import as_matrix
 from glasso_prune.network import GradientSet, LayerParams, MlpNetwork, init_network
 from glasso_prune.regularization import (
+    EPSILON_NORM,
     Mode,
     RegularizerSpec,
     group_layout,
@@ -78,11 +79,6 @@ def test_spec_l2_forbids_alpha():
     with pytest.raises(ValueError):
         RegularizerSpec(mode=Mode.L2_ALL, alpha=0.5)
     RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.5)  # fine
-
-
-def test_spec_epsilon_positive():
-    with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.GLASSO_OUT, epsilon_norm=0.0)
 
 
 def test_mode_from_string():
@@ -362,13 +358,13 @@ def gradient_by_mode_branches(net, spec, grad):
     elif spec.mode is Mode.GLASSO_OUT:
         for l in range(1, big_l):
             w = net.layers[l].weights
-            scale = spec.alpha / np.maximum(_column_norms(w), spec.epsilon_norm)
+            scale = spec.alpha / np.maximum(_column_norms(w), EPSILON_NORM)
             grad.d_weights[l] += w * scale[np.newaxis, :]
         grad.d_weights[0] += spec.beta * net.layers[0].weights
     else:
         for l in range(1, big_l):
             w = net.layers[l - 1].weights
-            scale = spec.alpha / np.maximum(_row_norms(w), spec.epsilon_norm)
+            scale = spec.alpha / np.maximum(_row_norms(w), EPSILON_NORM)
             grad.d_weights[l - 1] += w * scale[:, np.newaxis]
         grad.d_weights[-1] += spec.beta * net.layers[-1].weights
     for l, p in enumerate(net.layers):
