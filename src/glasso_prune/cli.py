@@ -7,7 +7,9 @@ training diverges, 4 for I/O and file-format errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +18,7 @@ from .analysis import (
     GAP_BAND_HI, GAP_BAND_LO, AnalysisBundle, bimodality_gap, fmt_float, norm_histogram,
     write_bundle,
 )
-from .config import COUPLED_BETA_RATIO, ExperimentConfig, parse_config
+from .config import ExperimentConfig, convert_value, parse_config
 from .datasets import Dataset
 from .errors import (
     ConfigError,
@@ -46,15 +48,9 @@ def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
 
 def run_training(
     cfg: ExperimentConfig, out_dir: Path
-) -> tuple[TrainResult, tuple[Dataset, Dataset, Dataset], float]:
-    """Train per cfg, write the requested files, return result and splits."""
-    splits = cfg.load_splits()
-    train_set, val_set, test_set = splits
-    if train_set.dim != cfg.layer_sizes[0] or train_set.num_classes > cfg.layer_sizes[-1]:
-        raise ConfigError(
-            f"key 'layer_sizes' {cfg.layer_sizes} does not fit the data: "
-            f"dimension {train_set.dim}, {train_set.num_classes} classes"
-        )
+) -> tuple[TrainResult, Dataset, float]:
+    """Train per cfg, write the requested files; return result, test split, test accuracy."""
+    train_set, val_set, test_set = cfg.load_splits()
     net = init_network(cfg.layer_sizes, cfg.seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -89,7 +85,7 @@ def run_training(
         )
         write_bundle(bundle, out_dir)
 
-    return result, splits, float(test_acc)
+    return result, test_set, float(test_acc)
 
 
 def _retained_profile(net: MlpNetwork, mode: Mode, theta: float) -> list[tuple[int, int, int]]:
@@ -127,8 +123,6 @@ def cmd_prune(args) -> int:
     cfg = parse_config(args.data)
     mode = _group_mode(args.mode, cfg)
     if args.match_count is not None:
-        if args.match_count < 0:
-            raise ConfigError(f"--match-count must be non-negative, got {args.match_count}")
         mask = match_count_mask(net, mode, args.match_count)
     else:
         mask = make_mask(net, mode, cfg.theta if args.theta is None else args.theta)
@@ -231,48 +225,44 @@ def cmd_sweep(args) -> int:
     cfg = parse_config(args.config)
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' is required for sweep")
-    alphas = [a.strip() for a in args.alphas.split(",") if a.strip()]
-    if not alphas:
-        raise ConfigError("--alphas needs at least one value")
-    try:
-        alphas = [float(a) for a in alphas]
-    except ValueError as e:
-        raise ConfigError(f"--alphas: {e}") from None
-    for a in alphas:
-        if not 0 <= a < float("inf"):
-            raise ConfigError(f"--alphas values must be finite and non-negative, got {a}")
-    if len(set(alphas)) != len(alphas):
-        raise ConfigError(f"--alphas repeats a value, got {args.alphas}")
+    grid = {}  # key -> {summary cell: value}; repeats of a key are its alternatives
+    for pair in args.set:
+        key, eq, text = (part.strip() for part in pair.partition("="))
+        if not eq or key == "output_dir":
+            raise ConfigError(f"--set takes key=value, any key but output_dir; got {pair!r}")
+        value = convert_value(key, text, f"--set {pair}")
+        alternatives = grid.setdefault(key, {})
+        if value in alternatives.values():
+            raise ConfigError(f"--set {pair}: key {key!r} repeats a value")
+        alternatives[fmt_float(value) if isinstance(value, float) else text] = value
 
-    base_mode = Mode.from_string(cfg.mode)
     out_root = Path(cfg.output_dir)
-    rows = ["alpha,best_val_acc,disposable_total,post_prune_acc"]
-    for a in alphas:
-        sub = out_root / f"alpha_{fmt_float(a)}"
-        run_cfg = dataclasses.replace(
-            cfg,
-            alpha=0.0 if base_mode is Mode.L2_ALL else a,
-            beta=COUPLED_BETA_RATIO * a,
-            beta_coupling=False,
-            output_dir=str(sub),
-        )
-        result, splits, _ = run_training(run_cfg, sub)
-        _, _, test_set = splits
+    points = []
+    for cells in itertools.product(*grid.values()):
+        sub = out_root / "_".join(f"{key}_{cell}" for key, cell in zip(grid, cells))
+        point = {key: grid[key][cell] for key, cell in zip(grid, cells)}
+        run_cfg = dataclasses.replace(cfg, **point, output_dir=str(sub))
+        run_cfg.load_splits()  # checks this point against its own data before any train
+        points.append((run_cfg, sub, cells))
+
+    rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]
+    for run_cfg, sub, cells in points:
+        result, test_set, _ = run_training(run_cfg, sub)
 
         net = result.best_network
         mode = _group_mode(None, run_cfg)
         best_val = max(r.val_accuracy for r in result.history)
-        disposable = sum(disposable_counts(net, mode, cfg.theta))
-        post_acc = evaluate(apply_mask(net, make_mask(net, mode, cfg.theta)), test_set)
-        rows.append(f"{fmt_float(a)},{fmt_float(best_val)},{disposable},{fmt_float(post_acc)}")
+        disposable = sum(disposable_counts(net, mode, run_cfg.theta))
+        post_acc = evaluate(apply_mask(net, make_mask(net, mode, run_cfg.theta)), test_set)
+        rows.append([*cells, fmt_float(best_val), disposable, fmt_float(post_acc)])
         print(
-            f"alpha {fmt_float(a)}: best val acc {fmt_float(best_val)}, "
+            f"{sub.name}: best val acc {fmt_float(best_val)}, "
             f"{disposable} disposable, post-prune acc {fmt_float(post_acc)}"
         )
 
     out_root.mkdir(parents=True, exist_ok=True)
     with open(out_root / "summary.csv", "w", encoding="utf-8", newline="") as f:
-        f.write("\n".join(rows) + "\n")
+        csv.writer(f, lineterminator="\n").writerows(rows)
     print(f"wrote {out_root / 'summary.csv'}")
     return 0
 
@@ -326,10 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (default: target dir)")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("sweep", help="train once per alpha and summarize")
+    p = sub.add_parser("sweep", help="train once per grid point and summarize")
     p.add_argument("config", help="base experiment config")
-    p.add_argument("--alphas", required=True,
-                   help="comma separated regularization strengths")
+    p.add_argument("--set", action="append", required=True, metavar="KEY=VALUE",
+                   help="a config value per run; repeat a key for alternatives, keys form a grid")
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -132,6 +132,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'split_fractions' must sum to 1, got sum {sum(self.split_fractions)!r}"
             )
+        if self.beta_coupling and self.beta != 0:
+            raise ConfigError("key 'beta' must be 0 when key 'beta_coupling' sets it from alpha")
         # Mode, RegularizerSpec and TrainConfig check mode, alpha, beta,
         # theta and the training keys, each message naming its key
         try:
@@ -179,6 +181,11 @@ class ExperimentConfig:
                 f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
                 f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
             )
+        if full.dim != self.layer_sizes[0] or full.num_classes > self.layer_sizes[-1]:
+            raise ConfigError(
+                f"key 'layer_sizes' {self.layer_sizes} does not fit the data: "
+                f"dimension {full.dim}, {full.num_classes} classes"
+            )
         if self.standardize:
             return standardize(*splits)
         return splits
@@ -203,6 +210,16 @@ _REQUIRED = [
     f.name for f in fields(ExperimentConfig)
     if f.default is MISSING and f.default_factory is MISSING
 ]
+
+
+def convert_value(key: str, value, name: str):
+    """value (text, or a JSON value) converted to key's type; name prefixes errors."""
+    if key not in _CONVERTERS:
+        raise ConfigError(f"{name}: unknown key {key!r}")
+    try:
+        return _CONVERTERS[key](value)
+    except (ValueError, TypeError, OverflowError) as e:
+        raise ConfigError(f"{name}: key {key!r}: {e}") from None
 
 
 def _parse_kv_lines(text: str, name: str) -> dict:
@@ -232,14 +249,7 @@ def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
     else:
         raw = _parse_kv_lines(text, name)
 
-    values = {}
-    for key, value in raw.items():
-        if key not in _CONVERTERS:
-            raise ConfigError(f"{name}: unknown key {key!r}")
-        try:
-            values[key] = _CONVERTERS[key](value)
-        except (ValueError, TypeError, OverflowError) as e:
-            raise ConfigError(f"{name}: key {key!r}: {e}") from None
+    values = {key: convert_value(key, value, name) for key, value in raw.items()}
     for required in _REQUIRED:
         if required not in values:
             raise ConfigError(f"{name}: missing required key {required!r}")

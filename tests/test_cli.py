@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -240,7 +241,7 @@ def test_analyze_missing_target(tmp_path, capsys):
 def test_sweep_summary(tmp_path):
     out_root = tmp_path / "sweeps"
     cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
-    code = main(["sweep", str(cfg), "--alphas", "0.0,0.02"])
+    code = main(["sweep", str(cfg), "--set", "alpha=0.0", "--set", "alpha=0.02"])
     assert code == 0
     lines = (out_root / "summary.csv").read_text().splitlines()
     assert lines[0] == "alpha,best_val_acc,disposable_total,post_prune_acc"
@@ -255,7 +256,7 @@ def test_sweep_summary(tmp_path):
 def test_single_alpha_sweep_matches_train_plus_prune(tmp_path):
     out_root = tmp_path / "one"
     cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n", "sweep.cfg")
-    assert main(["sweep", str(cfg), "--alphas", "0.02"]) == 0
+    assert main(["sweep", str(cfg), "--set", "alpha=0.02"]) == 0
     row = (out_root / "summary.csv").read_text().splitlines()[1].split(",")
 
     # the same settings through train: beta_coupling gives beta = 0.1*alpha
@@ -271,21 +272,30 @@ def test_single_alpha_sweep_matches_train_plus_prune(tmp_path):
 
 def test_sweep_empty_alphas_errors(tmp_path, capsys):
     cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'x'}\n")
-    assert main(["sweep", str(cfg), "--alphas", ""]) == 2
-    assert main(["sweep", str(cfg), "--alphas", "0.1,fish"]) == 2
+    with pytest.raises(SystemExit) as exc:  # argparse: --set is required
+        main(["sweep", str(cfg)])
+    assert exc.value.code == 2
+    assert main(["sweep", str(cfg), "--set", "alpha="]) == 2
+    assert main(["sweep", str(cfg), "--set", "alpha=0.1", "--set", "alpha=fish"]) == 2
+    assert not (tmp_path / "x").exists()
 
 
-def test_sweep_l2_mode_uses_beta(tmp_path):
+def test_sweep_l2_mode_uses_beta(tmp_path, capsys):
     out_root = tmp_path / "l2s"
     text = BASE_CFG.replace("mode = glasso_out", "mode = l2")
     text = text.replace("alpha = 0.02", "alpha = 0.0")
     text = text.replace("beta_coupling = true", "beta_coupling = false")
     cfg = tmp_path / "l2.cfg"
     cfg.write_text(text + f"output_dir = {out_root}\n")
-    assert main(["sweep", str(cfg), "--alphas", "0.02"]) == 0
-    manifest = json.loads((out_root / "alpha_0.02" / "manifest.json").read_text())
+    # an l2 run has no group penalty, so a nonzero alpha is a config error
+    assert main(["sweep", str(cfg), "--set", "alpha=0.02"]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not out_root.exists()
+    # beta is swept as given, not derived from anything
+    assert main(["sweep", str(cfg), "--set", "beta=0.002"]) == 0
+    manifest = json.loads((out_root / "beta_0.002" / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.0
-    assert manifest["config"]["beta"] == pytest.approx(0.002)
+    assert manifest["config"]["beta"] == 0.002
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -300,7 +310,7 @@ def test_config_contradicting_its_data_exits_2_before_writing(
     out = tmp_path / "run"
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(BASE_CFG.replace(*edit) + f"output_dir = {out}\n")
-    argv = [command, str(cfg)] + (["--alphas", "0.01"] if command == "sweep" else [])
+    argv = [command, str(cfg)] + (["--set", "alpha=0.01"] if command == "sweep" else [])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "layer_sizes" in err and f"dimension {dim}" in err and f"{classes} classes" in err
@@ -355,7 +365,7 @@ def test_sweep_disposable_total_uses_config_theta(tmp_path):
     # theta 0.5 sits inside the trained norm range, far above 1e-2
     out_root = tmp_path / "theta"
     cfg = write_cfg(tmp_path, f"theta = 0.5\noutput_dir = {out_root}\n")
-    assert main(["sweep", str(cfg), "--alphas", "0.02"]) == 0
+    assert main(["sweep", str(cfg), "--set", "alpha=0.02"]) == 0
     row = (out_root / "summary.csv").read_text().splitlines()[1].split(",")
     net = load_model(out_root / "alpha_0.02" / "model.glnn")
     expected = sum(int(np.sum(n < 0.5)) for n in group_norms(net, Mode.GLASSO_OUT))
@@ -494,13 +504,92 @@ def test_analyze_malformed_history_exits_4(trained_run, tmp_path, capsys, bad_li
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("alphas", ["0.01,-1", "nan", "0.01,inf", "0.013,0.0130"])
+@pytest.mark.parametrize(
+    "alphas",
+    [
+        pytest.param(alphas, id=",".join(alphas))
+        for alphas in (["0.01", "-1"], ["nan"], ["0.01", "inf"], ["0.013", "0.0130"])
+    ],
+)
 def test_sweep_checks_every_alpha_before_training(tmp_path, capsys, alphas):
     out_root = tmp_path / "never"
     cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
-    assert main(["sweep", str(cfg), "--alphas", alphas]) == 2
-    assert "--alphas" in capsys.readouterr().err
+    argv = ["sweep", str(cfg)]
+    for a in alphas:
+        argv += ["--set", f"alpha={a}"]
+    assert main(argv) == 2
+    assert "alpha" in capsys.readouterr().err
     assert not out_root.exists()
+
+
+@pytest.mark.parametrize(
+    "sets",
+    [
+        pytest.param(["alpha=0.01", "epochs=2", "alpha=-1"], id="last-point-alpha"),
+        pytest.param(["layer_sizes=8,16,3", "layer_sizes=8,16,2"], id="last-point-layer-sizes"),
+        pytest.param(["widgets=3"], id="unknown-key"),
+        pytest.param(["output_dir=elsewhere"], id="output-dir"),
+        pytest.param(["alpha"], id="missing-equals"),
+        pytest.param(["beta=0.002"], id="beta-with-coupling"),
+    ],
+)
+def test_sweep_bad_set_exits_2_before_writing(tmp_path, capsys, sets):
+    out_root = tmp_path / "never"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    argv = ["sweep", str(cfg)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 2
+    assert sets[-1].partition("=")[0] in capsys.readouterr().err
+    assert not out_root.exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_sweep_grid_over_two_keys(tmp_path):
+    out_root = tmp_path / "grid"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    argv = ["sweep", str(cfg), "--set", "alpha=0.0", "--set", "layer_sizes=8,4,3",
+            "--set", "alpha=0.02", "--set", "layer_sizes=8,16,3"]
+    assert main(argv) == 0
+    with open(out_root / "summary.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["alpha", "layer_sizes", "best_val_acc", "disposable_total",
+                       "post_prune_acc"]
+    assert [row[:2] for row in rows[1:]] == [
+        ["0.0", "8,4,3"], ["0.0", "8,16,3"], ["0.02", "8,4,3"], ["0.02", "8,16,3"]
+    ]
+    for alpha, sizes in [row[:2] for row in rows[1:]]:
+        run = out_root / f"alpha_{alpha}_layer_sizes_{sizes}"
+        assert load_model(run / "model.glnn").layer_sizes == [int(n) for n in sizes.split(",")]
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["config"]["alpha"] == float(alpha)
+        assert manifest["config"]["output_dir"] == str(run)
+
+
+def test_sweep_theta_sets_disposable_total(tmp_path):
+    # each point's own theta counts its disposable nodes
+    out_root = tmp_path / "theta"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    argv = ["sweep", str(cfg), "--set", "theta=0.01", "--set", "theta=0.5"]
+    assert main(argv) == 0
+    rows = [r.split(",") for r in (out_root / "summary.csv").read_text().splitlines()]
+    assert rows[0][0] == "theta"
+    for row in rows[1:]:
+        net = load_model(out_root / f"theta_{row[0]}" / "model.glnn")
+        expected = sum(
+            int(np.sum(n < float(row[0]))) for n in group_norms(net, Mode.GLASSO_OUT)
+        )
+        assert int(row[2]) == expected
+    assert int(rows[2][2]) > int(rows[1][2])
+
+
+def test_prune_negative_match_count_exits_2_before_writing(trained_run, tmp_path):
+    _, cfg, run = trained_run
+    out = tmp_path / "pruned"
+    argv = ["prune", str(run / "model.glnn"), "--match-count", "-1", "--data", str(cfg),
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert not out.exists()
 
 
 def mode_cfg(tmp_path, mode):

@@ -184,7 +184,11 @@ def test_beta_coupling_propagates_to_train_config():
 
 
 def test_beta_coupling_forces_tenth():
-    cfg = parse_config_text(MINIMAL + "alpha = 0.4\nbeta = 0.5\nbeta_coupling = true\n")
+    # beta_coupling derives beta, so an explicit nonzero beta beside it is rejected
+    for beta in ("0.5", "-1"):
+        with pytest.raises(ConfigError, match="'beta'.*'beta_coupling'"):
+            parse_config_text(MINIMAL + f"alpha = 0.4\nbeta = {beta}\nbeta_coupling = true\n")
+    cfg = parse_config_text(MINIMAL + "alpha = 0.4\nbeta = 0.0\nbeta_coupling = true\n")
     assert cfg.regularizer_spec().beta == 0.1 * 0.4
     assert cfg.regularizer_spec().alpha == 0.4
     reference = parse_config(CONFIGS / "reference_glasso_out.cfg")
