@@ -31,7 +31,9 @@ from .model_io import MAGIC, load_model, save_model
 from .network import MlpNetwork, init_network
 from .pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
 from .regularization import Mode
-from .trainer import TrainResult, disposable_counts, evaluate, load_history, train
+from .trainer import (
+    TrainConfig, TrainResult, disposable_counts, evaluate, load_history, train,
+)
 
 
 def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
@@ -47,14 +49,14 @@ def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
 
 
 def run_training(
-    cfg: ExperimentConfig, out_dir: Path
-) -> tuple[TrainResult, Dataset, float]:
-    """Train per cfg, write the requested files; return result, test split, test accuracy."""
-    train_set, val_set, test_set = cfg.load_splits()
+    cfg: ExperimentConfig, splits: tuple[Dataset, Dataset, Dataset], out_dir: Path
+) -> tuple[TrainResult, float]:
+    """Train per cfg on its splits, write the requested files; return result, test accuracy."""
+    train_set, val_set, test_set = splits
     net = init_network(cfg.layer_sizes, cfg.seed)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(net, train_set, val_set, cfg.train_config(), log_path=out_dir / "history.jsonl")
+    result = train(net, train_set, val_set, cfg, log_path=out_dir / "history.jsonl")
     save_model(result.best_network, out_dir / "model.glnn")
 
     test_acc = evaluate(result.best_network, test_set)
@@ -85,7 +87,7 @@ def run_training(
         )
         write_bundle(bundle, out_dir)
 
-    return result, test_set, float(test_acc)
+    return result, float(test_acc)
 
 
 def _retained_profile(net: MlpNetwork, mode: Mode, theta: float) -> list[tuple[int, int, int]]:
@@ -108,7 +110,7 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' is required for train")
-    result, _, test_acc = run_training(cfg, Path(cfg.output_dir))
+    result, test_acc = run_training(cfg, cfg.load_splits(), Path(cfg.output_dir))
     best_val = max(r.val_accuracy for r in result.history)
     print(
         f"trained {cfg.epochs} epochs; best val acc {fmt_float(best_val)} "
@@ -198,7 +200,7 @@ def cmd_analyze(args) -> int:
         if wants["retained"]:
             theta = args.theta
             if theta is None:
-                theta = cfg.theta if cfg is not None else 1e-2
+                theta = cfg.theta if cfg is not None else TrainConfig.theta
             bundle.retained_profile = _retained_profile(net, mode, theta)
         if wants["curve"]:
             if cfg is None:
@@ -237,23 +239,28 @@ def cmd_sweep(args) -> int:
         alternatives[fmt_float(value) if isinstance(value, float) else text] = value
 
     out_root = Path(cfg.output_dir)
+    train_keys = {f.name for f in dataclasses.fields(TrainConfig)}
+    splits_by_data = {}  # cells of the non-training keys -> that point's splits
     points = []
     for cells in itertools.product(*grid.values()):
         sub = out_root / "_".join(f"{key}_{cell}" for key, cell in zip(grid, cells))
         point = {key: grid[key][cell] for key, cell in zip(grid, cells)}
         run_cfg = dataclasses.replace(cfg, **point, output_dir=str(sub))
-        run_cfg.load_splits()  # checks this point against its own data before any train
-        points.append((run_cfg, sub, cells))
+        data = tuple(cell for key, cell in zip(grid, cells) if key not in train_keys)
+        if data not in splits_by_data:
+            # checks this point against its own data before any train
+            splits_by_data[data] = run_cfg.load_splits()
+        points.append((run_cfg, splits_by_data[data], sub, cells))
 
     rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]
-    for run_cfg, sub, cells in points:
-        result, test_set, _ = run_training(run_cfg, sub)
+    for run_cfg, splits, sub, cells in points:
+        result, _ = run_training(run_cfg, splits, sub)
 
         net = result.best_network
         mode = _group_mode(None, run_cfg)
         best_val = max(r.val_accuracy for r in result.history)
         disposable = sum(disposable_counts(net, mode, run_cfg.theta))
-        post_acc = evaluate(apply_mask(net, make_mask(net, mode, run_cfg.theta)), test_set)
+        post_acc = evaluate(apply_mask(net, make_mask(net, mode, run_cfg.theta)), splits[2])
         rows.append([*cells, fmt_float(best_val), disposable, fmt_float(post_acc)])
         print(
             f"{sub.name}: best val acc {fmt_float(best_val)}, "

@@ -18,7 +18,6 @@ from typing import get_type_hints
 
 from .datasets import Dataset, load_csv, load_idx, split, standardize, synth_gaussians
 from .errors import ConfigError
-from .regularization import Mode, RegularizerSpec
 from .trainer import TrainConfig
 
 
@@ -67,14 +66,12 @@ def _list_of(convert):
     return to_list
 
 
-# beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
-COUPLED_BETA_RATIO = 0.1
-
-
 @dataclass(kw_only=True)
-class ExperimentConfig:
-    # Fields without a default are the required keys. The field order is
-    # the key order of to_dict(), and so of manifest.json.
+class ExperimentConfig(TrainConfig):
+    # The training keys, and their checks, are inherited from TrainConfig.
+    # Fields without a default are the required keys. The field order, the
+    # inherited training keys first, is the key order of to_dict(), and so
+    # of manifest.json.
     dataset: str
     synth_classes: int = 10
     synth_dim: int = 64
@@ -88,17 +85,6 @@ class ExperimentConfig:
     data_seed: int = 42
     split_fractions: list[float] = field(default_factory=lambda: [0.8, 0.1, 0.1])
     layer_sizes: list[int]
-    mode: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    beta_coupling: bool = False
-    epochs: int = 20
-    batch_size: int = 128
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    lr_decay: float = 1.0
-    seed: int = 0
-    theta: float = 1e-2
     output_dir: str = ""
     emit_bundle: bool = False
 
@@ -117,9 +103,8 @@ class ExperimentConfig:
             )
         if min(self.layer_sizes) < 1:
             raise ConfigError(f"key 'layer_sizes' must all be >= 1, got {self.layer_sizes}")
-        for key in ("seed", "data_seed"):
-            if getattr(self, key) < 0:
-                raise ConfigError(f"key {key!r} must be nonnegative, got {getattr(self, key)}")
+        if self.data_seed < 0:
+            raise ConfigError(f"key 'data_seed' must be nonnegative, got {self.data_seed}")
         if len(self.split_fractions) != 3:
             raise ConfigError(
                 f"key 'split_fractions' needs exactly three values, got {self.split_fractions}"
@@ -132,35 +117,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'split_fractions' must sum to 1, got sum {sum(self.split_fractions)!r}"
             )
-        if self.beta_coupling and self.beta != 0:
-            raise ConfigError("key 'beta' must be 0 when key 'beta_coupling' sets it from alpha")
-        # Mode, RegularizerSpec and TrainConfig check mode, alpha, beta,
-        # theta and the training keys, each message naming its key
+        # TrainConfig checks the training keys, each message naming its key
         try:
-            self.train_config()
+            super().__post_init__()
         except ValueError as e:
             raise ConfigError(str(e)) from None
-
-    def regularizer_spec(self) -> RegularizerSpec:
-        """The run's penalty, with beta already coupled to alpha if asked."""
-        beta = COUPLED_BETA_RATIO * self.alpha if self.beta_coupling else self.beta
-        return RegularizerSpec(
-            mode=Mode.from_string(self.mode),
-            alpha=self.alpha,
-            beta=beta,
-        )
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            spec=self.regularizer_spec(),
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            lr_decay=self.lr_decay,
-            seed=self.seed,
-            theta=self.theta,
-        )
 
     def load_splits(self) -> tuple[Dataset, Dataset, Dataset]:
         if self.dataset == "synth":

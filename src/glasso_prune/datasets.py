@@ -27,7 +27,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split_tag: str = "full"
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -212,11 +211,7 @@ def split(
     n_train = int(round(ds.n * fractions[0]))
     n_val = int(round(ds.n * fractions[1]))
     cuts = [perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]]
-    tags = ["train", "val", "test"]
-    parts = [
-        Dataset(ds.features[c], ds.labels[c], ds.num_classes, tag)
-        for c, tag in zip(cuts, tags)
-    ]
+    parts = [Dataset(ds.features[c], ds.labels[c], ds.num_classes) for c in cuts]
     train_classes = set(parts[0].labels.tolist())
     missing = [k for k in range(ds.num_classes) if k not in train_classes]
     if missing:
@@ -235,6 +230,6 @@ def standardize(train: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
     std = train.features.std(axis=0)
     std[np.ptp(train.features, axis=0) == 0] = 1.0
     return tuple(
-        Dataset((d.features - mean) / std, d.labels, d.num_classes, d.split_tag)
+        Dataset((d.features - mean) / std, d.labels, d.num_classes)
         for d in (train, *others)
     )

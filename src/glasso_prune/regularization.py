@@ -52,8 +52,8 @@ class Mode(enum.Enum):
 @dataclass(frozen=True)
 class RegularizerSpec:
     mode: Mode
-    alpha: float = 0.0
-    beta: float = 0.0
+    alpha: float
+    beta: float
 
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:

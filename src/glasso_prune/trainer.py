@@ -28,9 +28,18 @@ from .network import (
 from .regularization import Mode, RegularizerSpec, below_theta, regularizer_gradient, regularizer_value
 
 
-@dataclass
+# beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
+COUPLED_BETA_RATIO = 0.1
+
+
+@dataclass(kw_only=True)
 class TrainConfig:
-    spec: RegularizerSpec
+    # Every key training reads, with its default; ExperimentConfig inherits
+    # them, so these are also the config-file keys of the same names.
+    mode: str
+    alpha: float = 0.0
+    beta: float = 0.0
+    beta_coupling: bool = False
     epochs: int = 20
     batch_size: int = 128
     learning_rate: float = 0.1
@@ -40,6 +49,10 @@ class TrainConfig:
     theta: float = 1e-2  # group norm below this counts a node as disposable
 
     def __post_init__(self):
+        if self.beta_coupling and self.beta != 0:
+            raise ValueError("key 'beta' must be 0 when key 'beta_coupling' sets it from alpha")
+        # Mode and RegularizerSpec check mode, alpha and beta
+        self.regularizer_spec()
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError(
                 f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}"
@@ -51,8 +64,15 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if self.seed < 0:
+            raise ValueError(f"key 'seed' must be nonnegative, got {self.seed}")
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
+
+    def regularizer_spec(self) -> RegularizerSpec:
+        """The run's penalty, with beta already coupled to alpha if asked."""
+        beta = COUPLED_BETA_RATIO * self.alpha if self.beta_coupling else self.beta
+        return RegularizerSpec(mode=Mode.from_string(self.mode), alpha=self.alpha, beta=beta)
 
 
 @dataclass
@@ -235,6 +255,7 @@ def train(
     """
     _check_shapes(net, train_set)
     _check_shapes(net, val_set)
+    spec = cfg.regularizer_spec()
     net = net.copy()
     velocity = GradientSet.zeros_like(net)
     history: list[EpochReport] = []
@@ -259,7 +280,7 @@ def train(
                     )
                 ce_sum += loss * len(idx)
                 hit_sum += hits
-                regularizer_gradient(net, cfg.spec, grads)
+                regularizer_gradient(net, spec, grads)
                 for l, p in enumerate(net.layers):
                     vw, vb = velocity.d_weights[l], velocity.d_biases[l]
                     gw, gb = grads.d_weights[l], grads.d_biases[l]
@@ -273,13 +294,11 @@ def train(
                     p.bias += vb
             report = EpochReport(
                 epoch=epoch,
-                train_loss=ce_sum / train_set.n + regularizer_value(net, cfg.spec),
+                train_loss=ce_sum / train_set.n + regularizer_value(net, spec),
                 train_accuracy=hit_sum / train_set.n,
                 val_accuracy=evaluate(net, val_set),
                 disposable_per_layer=(
-                    disposable_counts(net, cfg.spec.mode, cfg.theta)
-                    if cfg.spec.mode.grouped
-                    else []
+                    disposable_counts(net, spec.mode, cfg.theta) if spec.mode.grouped else []
                 ),
             )
             history.append(report)

@@ -81,8 +81,8 @@ def reference_runs():
     for key, cfg in cfgs.items():
         mode = Mode.from_string(cfg.mode)
         for seed in SEEDS:
-            tc = dataclasses.replace(cfg.train_config(), seed=seed)
-            result = train(init_network(cfg.layer_sizes, seed), train_set, val_set, tc)
+            run_cfg = dataclasses.replace(cfg, seed=seed)
+            result = train(init_network(cfg.layer_sizes, seed), train_set, val_set, run_cfg)
             net = result.best_network
             rec = SimpleNamespace(
                 net=net,

@@ -9,7 +9,7 @@ from glasso_prune.analysis import (
     write_bundle,
 )
 from glasso_prune.cli import entry, main
-from glasso_prune.config import parse_config
+from glasso_prune.config import ExperimentConfig, parse_config
 from glasso_prune.model_io import load_model, model_bytes
 from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import evaluate, load_history
@@ -564,6 +564,33 @@ def test_sweep_grid_over_two_keys(tmp_path):
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["config"]["alpha"] == float(alpha)
         assert manifest["config"]["output_dir"] == str(run)
+
+
+@pytest.mark.parametrize(
+    "sets,loads",
+    [
+        pytest.param(["alpha=0.005", "alpha=0.013"], 1, id="training-key"),
+        pytest.param(["layer_sizes=8,4,3", "layer_sizes=8,16,3"], 2, id="layer-sizes"),
+    ],
+)
+def test_sweep_loads_data_once_per_data_point(tmp_path, monkeypatch, sets, loads):
+    # points that differ only in TrainConfig keys share one load of the data
+    calls = []
+    load_splits = ExperimentConfig.load_splits
+
+    def counted(cfg):
+        calls.append(cfg.layer_sizes)
+        return load_splits(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "load_splits", counted)
+    out_root = tmp_path / "loads"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    argv = ["sweep", str(cfg)]
+    for pair in sets:
+        argv += ["--set", pair]
+    assert main(argv) == 0
+    assert len(calls) == loads
+    assert len((out_root / "summary.csv").read_text().splitlines()) == 3
 
 
 def test_sweep_theta_sets_disposable_total(tmp_path):

@@ -1,5 +1,5 @@
 import json
-from dataclasses import replace
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -8,6 +8,7 @@ from glasso_prune.cli import main
 from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
 from glasso_prune.errors import ConfigError
 from glasso_prune.regularization import Mode, RegularizerSpec
+from glasso_prune.trainer import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -177,10 +178,12 @@ def test_json_unknown_key():
 
 
 def test_beta_coupling_propagates_to_train_config():
+    # the config is the TrainConfig that train reads its penalty from
     cfg = parse_config_text(MINIMAL + "alpha = 0.2\nbeta_coupling = true\n")
-    tc = cfg.train_config()
-    assert tc.spec.beta == pytest.approx(0.02, abs=1e-15)
-    assert tc.spec.mode is Mode.GLASSO_OUT
+    assert isinstance(cfg, TrainConfig)
+    spec = cfg.regularizer_spec()
+    assert spec.beta == pytest.approx(0.02, abs=1e-15)
+    assert spec.mode is Mode.GLASSO_OUT
 
 
 def test_beta_coupling_forces_tenth():
@@ -193,10 +196,11 @@ def test_beta_coupling_forces_tenth():
     assert cfg.regularizer_spec().alpha == 0.4
     reference = parse_config(CONFIGS / "reference_glasso_out.cfg")
     assert reference.regularizer_spec().beta == 0.1 * reference.alpha
-    # the coupling lives in the config alone: a spec handed to TrainConfig
-    # is kept as given
-    spec = RegularizerSpec(mode=Mode.GLASSO_IN, alpha=0.3, beta=0.0)
-    assert replace(cfg.train_config(), spec=spec).spec == spec
+    # the coupling and its check live in TrainConfig, without any data keys
+    bare = TrainConfig(mode="glasso_in", alpha=0.4, beta_coupling=True)
+    assert bare.regularizer_spec().beta == 0.1 * 0.4
+    with pytest.raises(ValueError, match="'beta'.*'beta_coupling'"):
+        TrainConfig(mode="glasso_in", alpha=0.4, beta=0.5, beta_coupling=True)
 
 
 def test_regularizer_spec_roundtrip():
@@ -270,18 +274,31 @@ def test_to_dict_is_complete():
 
 def test_to_dict_keys_in_manifest_order():
     # this order is the key order of manifest.json's "config" section
+    # the training keys, inherited from TrainConfig, come first
     assert list(parse_config_text(MINIMAL).to_dict()) == [
+        "mode", "alpha", "beta", "beta_coupling", "epochs", "batch_size",
+        "learning_rate", "momentum", "lr_decay", "seed", "theta",
         "dataset", "synth_classes", "synth_dim", "synth_per_class",
         "synth_separation", "idx_images", "idx_labels", "standardize", "csv_path",
-        "csv_label_column", "data_seed", "split_fractions", "layer_sizes", "mode",
-        "alpha", "beta", "beta_coupling", "epochs", "batch_size", "learning_rate",
-        "momentum", "lr_decay", "seed", "theta", "output_dir", "emit_bundle",
+        "csv_label_column", "data_seed", "split_fractions", "layer_sizes",
+        "output_dir", "emit_bundle",
     ]
+
+
+def test_training_keys_declared_once():
+    # ExperimentConfig declares only data, network and output keys
+    train_keys = {f.name for f in fields(TrainConfig)}
+    assert not train_keys & set(ExperimentConfig.__annotations__)
+    assert [f.name for f in fields(ExperimentConfig)][: len(train_keys)] == [
+        f.name for f in fields(TrainConfig)
+    ]
+    cfg = TrainConfig(mode="glasso_out")
+    assert not hasattr(cfg, "dataset") and not hasattr(cfg, "layer_sizes")
 
 
 def test_missing_required_key_named():
     with pytest.raises(ConfigError, match="missing required key 'dataset'"):
-        parse_config_text("layer_sizes = 8,16,3\n")
+        parse_config_text("layer_sizes = 8,16,3\nmode = l2\n")
     with pytest.raises(ConfigError, match="missing required key 'layer_sizes'"):
         parse_config_text("dataset = synth\nmode = l2\n")
     with pytest.raises(ConfigError, match="missing required key 'mode'"):

@@ -237,7 +237,6 @@ def test_split_sizes():
     ds = synth_gaussians(2, 4, 50, 5.0, seed=15)
     tr, va, te = split(ds, (0.8, 0.1, 0.1), seed=15)
     assert (tr.n, va.n, te.n) == (80, 10, 10)
-    assert (tr.split_tag, va.split_tag, te.split_tag) == ("train", "val", "test")
 
 
 def test_split_deterministic():

@@ -70,14 +70,14 @@ def value_by_loops(net, spec):
 
 def test_spec_rejects_negative_strengths():
     with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=-0.1)
+        RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=-0.1, beta=0.0)
     with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.GLASSO_OUT, beta=-0.1)
+        RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.0, beta=-0.1)
 
 
 def test_spec_l2_forbids_alpha():
     with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.L2_ALL, alpha=0.5)
+        RegularizerSpec(mode=Mode.L2_ALL, alpha=0.5, beta=0.0)
     RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.5)  # fine
 
 

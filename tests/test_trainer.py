@@ -18,7 +18,6 @@ from glasso_prune.network import (
 from glasso_prune.pruning import apply_mask, match_count_mask
 from glasso_prune.regularization import (
     Mode,
-    RegularizerSpec,
     group_norms,
     regularizer_gradient,
     regularizer_value,
@@ -35,10 +34,6 @@ from glasso_prune.trainer import (
 )
 
 
-def plain_spec(alpha=0.0, beta=0.0, mode=Mode.GLASSO_OUT):
-    return RegularizerSpec(mode=mode, alpha=alpha, beta=beta)
-
-
 def small_task(seed=0):
     return synth_gaussians(3, 6, 40, 4.0, seed=seed)
 
@@ -49,6 +44,7 @@ def replay_sgd(net, train_set, val_set, cfg):
     Returns one (mean minibatch CE, hit fraction, epoch-end network) per
     epoch, and the best-validation network (latest on ties).
     """
+    spec = cfg.regularizer_spec()
     net = net.copy()
     vw = [np.zeros_like(p.weights) for p in net.layers]
     vb = [np.zeros_like(p.bias) for p in net.layers]
@@ -65,7 +61,7 @@ def replay_sgd(net, train_set, val_set, cfg):
             )
             ce_sum += loss * len(idx)
             hit_sum += hits
-            regularizer_gradient(net, cfg.spec, grads)
+            regularizer_gradient(net, spec, grads)
             for l, p in enumerate(net.layers):
                 vw[l] = cfg.momentum * vw[l] - lr * grads.d_weights[l]
                 vb[l] = cfg.momentum * vb[l] - lr * grads.d_biases[l]
@@ -83,12 +79,11 @@ def replay_configs():
     # momentum, decay, a short last batch (120 rows in batches of 16 or
     # 50) and each penalty layout
     return [
-        TrainConfig(spec=plain_spec(alpha=0.02, beta=0.002), epochs=4,
+        TrainConfig(mode="glasso_out", alpha=0.02, beta=0.002, epochs=4,
                     batch_size=16, lr_decay=0.9, seed=11),
-        TrainConfig(spec=plain_spec(alpha=0.05, mode=Mode.GLASSO_IN), epochs=3,
+        TrainConfig(mode="glasso_in", alpha=0.05, epochs=3,
                     batch_size=50, momentum=0.5, seed=12),
-        TrainConfig(spec=RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.01),
-                    epochs=3, batch_size=16, seed=13),
+        TrainConfig(mode="l2", beta=0.01, epochs=3, batch_size=16, seed=13),
     ]
 
 
@@ -101,29 +96,35 @@ def networks_equal(a, b):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), epochs=0)
+        TrainConfig(mode="glasso_out", epochs=0)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), batch_size=0)
+        TrainConfig(mode="glasso_out", batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), momentum=1.0)
+        TrainConfig(mode="glasso_out", momentum=1.0)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), momentum=-0.1)
+        TrainConfig(mode="glasso_out", momentum=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), lr_decay=0.0)
+        TrainConfig(mode="glasso_out", lr_decay=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), lr_decay=1.5)
+        TrainConfig(mode="glasso_out", lr_decay=1.5)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), learning_rate=-0.1)
+        TrainConfig(mode="glasso_out", learning_rate=-0.1)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), theta=0.0)
+        TrainConfig(mode="glasso_out", theta=0.0)
     with pytest.raises(ValueError):
-        TrainConfig(spec=plain_spec(), theta=float("nan"))
+        TrainConfig(mode="glasso_out", theta=float("nan"))
+
+
+def test_negative_seed_rejected_by_train_config():
+    # the seed keys the epoch shuffles, which numpy takes only as non-negative
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(mode="glasso_out", seed=-1)
 
 
 def test_zero_everything_leaves_network_unchanged():
     data = small_task()
     net = init_network([6, 5, 3], seed=1)
-    cfg = TrainConfig(spec=plain_spec(), epochs=3, learning_rate=0.0, seed=3)
+    cfg = TrainConfig(mode="glasso_out", epochs=3, learning_rate=0.0, seed=3)
     result = train(net, data, data, cfg)
     assert networks_equal(result.best_network, net)
 
@@ -132,7 +133,7 @@ def test_train_does_not_mutate_input_network():
     data = small_task()
     net = init_network([6, 5, 3], seed=1)
     frozen = net.copy()
-    cfg = TrainConfig(spec=plain_spec(), epochs=2, seed=3)
+    cfg = TrainConfig(mode="glasso_out", epochs=2, seed=3)
     train(net, data, data, cfg)
     assert networks_equal(net, frozen)
 
@@ -149,7 +150,8 @@ def test_scalar_glasso_dynamics():
     )
     data = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), num_classes=1)
     cfg = TrainConfig(
-        spec=plain_spec(alpha=alpha),
+        mode="glasso_out",
+        alpha=alpha,
         epochs=steps,
         batch_size=1,
         learning_rate=lr,
@@ -188,7 +190,8 @@ def test_scalar_glasso_magnitude_never_exceeds_bound():
     bound = abs(w0) + lr * alpha + 1e-15
     for epochs in range(1, 12):
         cfg = TrainConfig(
-            spec=plain_spec(alpha=alpha),
+            mode="glasso_out",
+        alpha=alpha,
             epochs=epochs,
             batch_size=1,
             learning_rate=lr,
@@ -206,7 +209,7 @@ def test_scalar_glasso_magnitude_never_exceeds_bound():
 def test_separable_two_gaussians_reach_high_accuracy():
     data = synth_gaussians(2, 8, 100, 6.0, seed=5)
     net = init_network([8, 16, 2], seed=5)
-    cfg = TrainConfig(spec=plain_spec(), epochs=20, batch_size=32, seed=5)
+    cfg = TrainConfig(mode="glasso_out", epochs=20, batch_size=32, seed=5)
     result = train(net, data, data, cfg)
     assert result.history[-1].train_accuracy > 0.95
 
@@ -249,7 +252,7 @@ def test_train_determinism():
     data = small_task(seed=11)
     net = init_network([6, 10, 3], seed=11)
     cfg = TrainConfig(
-        spec=plain_spec(alpha=0.02, beta=0.002), epochs=4, batch_size=16, seed=11
+        mode="glasso_out", alpha=0.02, beta=0.002, epochs=4, batch_size=16, seed=11
     )
     r1 = train(net, data, data, cfg)
     r2 = train(net, data, data, cfg)
@@ -269,7 +272,7 @@ def test_descent_on_fixed_minibatch():
     data = synth_gaussians(3, 6, 8, 3.0, seed=4)  # 24 samples, one batch
     net = init_network([6, 8, 3], seed=4)
     cfg = TrainConfig(
-        spec=plain_spec(),
+        mode="glasso_out",
         epochs=50,
         batch_size=24,
         learning_rate=1e-3,
@@ -285,7 +288,7 @@ def test_descent_on_fixed_minibatch():
 def test_best_epoch_attains_max_val_accuracy():
     data = small_task(seed=6)
     net = init_network([6, 8, 3], seed=6)
-    cfg = TrainConfig(spec=plain_spec(), epochs=6, batch_size=16, seed=6)
+    cfg = TrainConfig(mode="glasso_out", epochs=6, batch_size=16, seed=6)
     result = train(net, data, data, cfg)
     best = max(r.val_accuracy for r in result.history)
     assert result.history[result.best_epoch - 1].val_accuracy == best
@@ -297,7 +300,7 @@ def test_best_epoch_attains_max_val_accuracy():
 def test_shape_mismatch_rejected():
     data = small_task()
     net = init_network([7, 5, 3], seed=0)  # input dim 7 vs data dim 6
-    cfg = TrainConfig(spec=plain_spec(), epochs=1)
+    cfg = TrainConfig(mode="glasso_out", epochs=1)
     with pytest.raises(ShapeMismatchError):
         train(net, data, data, cfg)
 
@@ -305,7 +308,7 @@ def test_shape_mismatch_rejected():
 def test_label_out_of_range_rejected():
     data = small_task()
     net = init_network([6, 5, 2], seed=0)  # 2 outputs vs 3 classes
-    cfg = TrainConfig(spec=plain_spec(), epochs=1)
+    cfg = TrainConfig(mode="glasso_out", epochs=1)
     with pytest.raises(ShapeMismatchError):
         train(net, data, data, cfg)
 
@@ -315,7 +318,8 @@ def test_divergence_aborts_with_location():
     data = synth_gaussians(2, 1, 2, 1.0, seed=1)
     net = init_network([1, 2, 2], seed=1)
     cfg = TrainConfig(
-        spec=plain_spec(alpha=1e300),
+        mode="glasso_out",
+        alpha=1e300,
         epochs=3,
         batch_size=1,
         learning_rate=1e10,
@@ -336,14 +340,14 @@ def test_disposable_counts_by_threshold():
     counts = disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-2)
     assert counts == [1]
     assert disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-5) == [0]
-    assert TrainConfig(spec=plain_spec()).theta == 1e-2
+    assert TrainConfig(mode="glasso_out").theta == 1e-2
 
 
 def test_history_log_roundtrip(tmp_path):
     data = small_task(seed=8)
     net = init_network([6, 5, 3], seed=8)
     cfg = TrainConfig(
-        spec=plain_spec(alpha=0.01), epochs=3, batch_size=16, seed=8
+        mode="glasso_out", alpha=0.01, epochs=3, batch_size=16, seed=8
     )
     log = tmp_path / "history.jsonl"
     result = train(net, data, data, cfg, log_path=log)
@@ -377,7 +381,8 @@ def test_l2_mode_records_no_disposable():
     data = small_task(seed=2)
     net = init_network([6, 5, 3], seed=2)
     cfg = TrainConfig(
-        spec=RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.01),
+        mode="l2",
+        beta=0.01,
         epochs=2,
         batch_size=16,
         seed=2,
@@ -393,10 +398,10 @@ def test_train_loss_includes_regularizer():
     net = init_network([6, 5, 3], seed=3)
     penalties = []
     for alpha in (0.0, 10.0):
-        cfg = TrainConfig(spec=plain_spec(alpha=alpha), epochs=1, batch_size=16, seed=3)
+        cfg = TrainConfig(mode="glasso_out", alpha=alpha, epochs=1, batch_size=16, seed=3)
         reported = train(net, data, data, cfg).history[0].train_loss
         [(ce_mean, _, end_net)], _ = replay_sgd(net, data, data, cfg)
-        penalties.append(regularizer_value(end_net, cfg.spec))
+        penalties.append(regularizer_value(end_net, cfg.regularizer_spec()))
         assert reported == ce_mean + penalties[-1]
     assert penalties[0] == 0.0
     assert penalties[1] > 1.0
@@ -411,7 +416,7 @@ def test_history_disposable_counts_use_config_theta():
         w[:, j] *= norm / np.linalg.norm(w[:, j])
     data = small_task()
     cfg = TrainConfig(
-        spec=plain_spec(alpha=0.01), epochs=3, learning_rate=0.0, seed=1, theta=0.05
+        mode="glasso_out", alpha=0.01, epochs=3, learning_rate=0.0, seed=1, theta=0.05
     )
     result = train(net, data, data, cfg)
     expected = [int(np.sum(n < 0.05)) for n in group_norms(net, Mode.GLASSO_OUT)]
@@ -524,7 +529,8 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         replayed, _ = replay_sgd(net, data, val, cfg)
         assert len(lines) == len(replayed) == cfg.epochs
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
-            assert line["train_loss"] == ce_mean + regularizer_value(end_net, cfg.spec)
+            penalty = regularizer_value(end_net, cfg.regularizer_spec())
+            assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
 
 
