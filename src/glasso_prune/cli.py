@@ -61,7 +61,7 @@ def run_training(
 
     test_acc = evaluate(result.best_network, test_set)
     last = result.history[-1]
-    best_val = max(r.val_accuracy for r in result.history)
+    best_val = max(r.val_accuracy for r in result.history)  # on the float32 network
     manifest = {
         "config": cfg.to_dict(),
         "best_epoch": result.best_epoch,
@@ -239,17 +239,19 @@ def cmd_sweep(args) -> int:
         alternatives[fmt_float(value) if isinstance(value, float) else text] = value
 
     out_root = Path(cfg.output_dir)
-    train_keys = {f.name for f in dataclasses.fields(TrainConfig)}
-    splits_by_data = {}  # cells of the non-training keys -> that point's splits
+    # keys that leave the data as it is: points differing only in these share one load
+    run_keys = {f.name for f in dataclasses.fields(TrainConfig)} | {"layer_sizes", "emit_bundle"}
+    splits_by_data = {}  # cells of the data-source keys -> their splits
     points = []
     for cells in itertools.product(*grid.values()):
         sub = out_root / "_".join(f"{key}_{cell}" for key, cell in zip(grid, cells))
         point = {key: grid[key][cell] for key, cell in zip(grid, cells)}
         run_cfg = dataclasses.replace(cfg, **point, output_dir=str(sub))
-        data = tuple(cell for key, cell in zip(grid, cells) if key not in train_keys)
+        data = tuple(cell for key, cell in zip(grid, cells) if key not in run_keys)
         if data not in splits_by_data:
-            # checks this point against its own data before any train
             splits_by_data[data] = run_cfg.load_splits()
+        # checks every point against its data before any train
+        run_cfg.check_fit(splits_by_data[data][0])
         points.append((run_cfg, splits_by_data[data], sub, cells))
 
     rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]

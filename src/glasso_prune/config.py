@@ -142,14 +142,18 @@ class ExperimentConfig(TrainConfig):
                 f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
                 f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
             )
-        if full.dim != self.layer_sizes[0] or full.num_classes > self.layer_sizes[-1]:
-            raise ConfigError(
-                f"key 'layer_sizes' {self.layer_sizes} does not fit the data: "
-                f"dimension {full.dim}, {full.num_classes} classes"
-            )
+        self.check_fit(full)
         if self.standardize:
             return standardize(*splits)
         return splits
+
+    def check_fit(self, data: Dataset) -> None:
+        """Raise ConfigError unless layer_sizes fits data's dimension and classes."""
+        if data.dim != self.layer_sizes[0] or data.num_classes > self.layer_sizes[-1]:
+            raise ConfigError(
+                f"key 'layer_sizes' {self.layer_sizes} does not fit the data: "
+                f"dimension {data.dim}, {data.num_classes} classes"
+            )
 
     def to_dict(self) -> dict:
         """Complete resolved key set; echoing this reproduces the run."""

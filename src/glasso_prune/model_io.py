@@ -6,9 +6,11 @@ f64):
     magic "GLNN" | version=1 | L | L records of
         rows | cols | rows*cols weights (row-major) | rows biases
 
-Writing the same network twice produces byte-identical files. Loading
-rejects truncation, trailing bytes, zero-width layers, shapes that do not
-chain, and non-finite weights or biases.
+A float32 network is written widened to f64, which is exact, and every
+model loads as float64. Writing the same network twice produces
+byte-identical files. Loading rejects truncation, trailing bytes,
+zero-width layers, shapes that do not chain, and non-finite weights or
+biases.
 """
 
 from __future__ import annotations

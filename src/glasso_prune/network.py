@@ -5,7 +5,9 @@ Layer l of the network maps z^(l-1) to a^l = W^l z^(l-1) + b^l. Hidden
 layers apply the logistic sigmoid, the last layer emits raw logits and the
 cross-entropy loss applies softmax. Layer indices follow the convention
 that layers[0] holds W^1/b^1 (input -> first hidden). Samples are rows:
-the forward and gradient functions take an (n, dim) batch.
+the forward and gradient functions take an (n, dim) batch. A network
+computes in the one dtype, float32 or float64, that all its parameters
+share.
 """
 
 from __future__ import annotations
@@ -40,9 +42,6 @@ class LayerParams:
     def n_in(self) -> int:
         return self.weights.shape[1]
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.weights.copy(), self.bias.copy())
-
 
 @dataclass
 class MlpNetwork:
@@ -60,6 +59,9 @@ class MlpNetwork:
                     f"layer {l + 1} expects input of size {hi.n_in} but "
                     f"layer {l} produces {lo.n_out}"
                 )
+        dtypes = {a.dtype for p in self.layers for a in (p.weights, p.bias)}
+        if len(dtypes) > 1:
+            raise ValueError(f"network parameters mix dtypes {sorted(map(str, dtypes))}")
 
     @property
     def num_layers(self) -> int:
@@ -75,8 +77,16 @@ class MlpNetwork:
     def hidden_sizes(self) -> list[int]:
         return [p.n_out for p in self.layers[:-1]]
 
-    def copy(self) -> "MlpNetwork":
-        return MlpNetwork([p.copy() for p in self.layers])
+    @property
+    def dtype(self) -> np.dtype:
+        return self.layers[0].weights.dtype
+
+    def copy(self, dtype=None) -> "MlpNetwork":
+        """A copy of every parameter, cast to dtype (float32 or float64) if given."""
+        dtype = self.dtype if dtype is None else dtype
+        return MlpNetwork(
+            [LayerParams(p.weights.astype(dtype), p.bias.astype(dtype)) for p in self.layers]
+        )
 
 
 @dataclass
@@ -121,12 +131,13 @@ def forward_batch(
     """Forward pass over a (n, dim) batch.
 
     Returns [Z^0 .. Z^L] where row i of Z^l corresponds to sample i; the
-    last entry holds raw logits. When out is given, out[l] is a C-ordered
-    (n, n_out) float64 array that receives Z^(l+1), so a caller can reuse
-    its buffers across batches; the GEMMs and their shapes are the same
-    either way, and so are the bits.
+    last entry holds raw logits. The batch is cast to the dtype of the
+    weights, and every Z^l is in that dtype. When out is given, out[l] is a
+    C-ordered (n, n_out) array of that dtype that receives Z^(l+1), so a
+    caller can reuse its buffers across batches; the GEMMs and their shapes
+    are the same either way, and so are the bits.
     """
-    xs = np.asarray(xs, dtype=np.float64)
+    xs = np.asarray(xs, dtype=net.dtype)
     if xs.ndim != 2 or xs.shape[1] != net.layers[0].n_in:
         raise ShapeMismatchError(
             f"batch shape {xs.shape} does not match input dim {net.layers[0].n_in}"

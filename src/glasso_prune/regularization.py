@@ -81,10 +81,17 @@ def group_layout(net: MlpNetwork, mode: Mode) -> list[tuple[int, int]]:
 
 
 def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
-    """Per-hidden-layer group norms, one entry per node of layers 1..L-1."""
+    """Per-hidden-layer group norms, one entry per node of layers 1..L-1.
+
+    A float32 network's weights are widened to float64 first, which is
+    exact, so its norms are bit for bit those of the model file it saves to.
+    """
     if not mode.grouped:
         raise ValueError("group norms are undefined for L2_ALL (no grouping)")
-    return [norms(net.layers[l].weights, axis) for l, axis in group_layout(net, mode)]
+    return [
+        norms(net.layers[l].weights.astype(np.float64, copy=False), axis)
+        for l, axis in group_layout(net, mode)
+    ]
 
 
 def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
@@ -125,7 +132,8 @@ def regularizer_gradient(
     """Add the gradient of regularizer_value into grad; returns grad.
 
     Each grouped vector contributes alpha * w / max(||w||, EPSILON_NORM),
-    which is exactly zero for an exactly-zero group. Adding in place
+    which is exactly zero for an exactly-zero group. These norms stay in
+    the network's own dtype; only group_norms widens. Adding in place
     spares the trainer a zero GradientSet per minibatch step; pass
     GradientSet.zeros_like(net) to get the penalty gradient alone.
     """

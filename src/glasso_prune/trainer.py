@@ -9,6 +9,9 @@ each taken at the weights before that minibatch's step, so they cost no
 extra forward pass; the loss adds the penalty at the epoch-end weights.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
 run is fully reproducible from its config.
+The SGD loop computes in float32; the best snapshot it returns is widened
+to float64, which is exact, so every output after the loop sees the bits
+that model.glnn stores.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .regularization import Mode, RegularizerSpec, below_theta, regularizer_grad
 
 # beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
 COUPLED_BETA_RATIO = 0.1
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(kw_only=True)
@@ -155,23 +159,27 @@ def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int
 class _EvalBuffers(threading.local):
     """Per-thread activation buffers for evaluation forward passes.
 
-    One flat float64 buffer per layer slot, replaced by a larger one only
-    when a request outgrows it, so a pass over a dataset, and the passes
-    over ever narrower pruned networks, reuse the same memory instead of
-    allocating (and page-faulting in) fresh arrays for every batch.
+    One flat byte buffer per layer slot, replaced by a larger one only when
+    a request outgrows it, so a pass over a dataset, and the passes over
+    ever narrower pruned networks, reuse the same memory instead of
+    allocating (and page-faulting in) fresh arrays for every batch. Views
+    take the dtype of the request, so a train's float32 validation passes
+    and the float64 passes after it share the same bytes.
     """
 
     def __init__(self):
         self.flat: list[np.ndarray] = []
 
-    def views(self, rows: int, widths: list[int]) -> list[np.ndarray]:
-        """C-ordered (rows, width) views, one per slot, valid until the next call."""
-        self.flat += [np.empty(0)] * (len(widths) - len(self.flat))
+    def views(self, rows: int, widths: list[int], dtype: np.dtype) -> list[np.ndarray]:
+        """C-ordered (rows, width) views of dtype, one per slot, valid until the next call."""
+        itemsize = np.dtype(dtype).itemsize
+        self.flat += [np.empty(0, np.uint8)] * (len(widths) - len(self.flat))
         views = []
         for slot, width in enumerate(widths):
-            if self.flat[slot].size < rows * width:
-                self.flat[slot] = np.empty(rows * width)
-            views.append(self.flat[slot][: rows * width].reshape(rows, width))
+            nbytes = rows * width * itemsize
+            if self.flat[slot].size < nbytes:
+                self.flat[slot] = np.empty(nbytes, np.uint8)
+            views.append(self.flat[slot][:nbytes].view(dtype).reshape(rows, width))
         return views
 
 
@@ -193,7 +201,7 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
     widths = [p.n_out for p in net.layers]
     for start in range(0, dataset.n, batch_size):
         stop = min(start + batch_size, dataset.n)
-        out = _eval_buffers.views(stop - start, widths)
+        out = _eval_buffers.views(stop - start, widths, net.dtype)
         logits = forward_batch(net, dataset.features[start:stop], out=out)[-1]
         yield logits, dataset.labels[start:stop]
 
@@ -250,16 +258,18 @@ def train(
 ) -> TrainResult:
     """Run the full training schedule and return the best-validation snapshot.
 
-    The input network is left untouched; training operates on a copy. When
-    log_path is given, one EpochReport JSON line is appended per epoch.
+    The input network is left untouched; training operates on a float32
+    copy, and the snapshot is returned in float64. When log_path is given,
+    one EpochReport JSON line is appended per epoch.
     """
     _check_shapes(net, train_set)
     _check_shapes(net, val_set)
     spec = cfg.regularizer_spec()
-    net = net.copy()
+    net = net.copy(TRAIN_DTYPE)
+    features = train_set.features.astype(TRAIN_DTYPE)
     velocity = GradientSet.zeros_like(net)
     history: list[EpochReport] = []
-    best_net = net.copy()
+    best_net = net.copy(np.float64)
     best_epoch = 0
     best_val = -1.0
     lr = cfg.learning_rate
@@ -271,9 +281,7 @@ def train(
             hit_sum = 0
             for batch_no, start in enumerate(range(0, train_set.n, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
-                loss, hits, grads = batch_gradients(
-                    net, train_set.features[idx], train_set.labels[idx]
-                )
+                loss, hits, grads = batch_gradients(net, features[idx], train_set.labels[idx])
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -311,7 +319,7 @@ def train(
             if report.val_accuracy >= best_val:
                 best_val = report.val_accuracy
                 best_epoch = epoch
-                best_net = net.copy()
+                best_net = net.copy(np.float64)
             lr *= cfg.lr_decay
     finally:
         if log_file:

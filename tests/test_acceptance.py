@@ -4,7 +4,7 @@ Each test prints one `[acceptance] criterion N ...` line ending in PASS
 or FAIL, so running this module with -s gives a scannable scorecard.
 The slow criteria share a module-scoped fixture that trains the pinned
 reference configs (configs/) at five seeds per regularizer mode; the
-whole module takes about 35 s on one core.
+whole module takes about 19 s on one core.
 """
 
 import dataclasses
@@ -122,6 +122,8 @@ def test_criterion_1_total_gradient_matches_finite_differences():
             rng = np.random.default_rng(1000 + seed)
             net = init_network(sizes, seed)
             _randomize(net, rng, w_scale=0.6, b_scale=0.3)
+            # a float64 oracle: float32 rounding would swamp the differences
+            assert net.dtype == np.float64
             xs = rng.normal(0.0, 1.0, size=(6, sizes[0]))
             ys = rng.integers(0, sizes[-1], size=6).astype(np.int64)
             batch = Dataset(xs, ys, num_classes=sizes[-1])
@@ -195,6 +197,8 @@ def test_criterion_2_zero_group_pruning_is_logit_identical():
                 else:
                     net.layers[layer - 1].weights[i, :] = 0.0
         pruned = apply_mask(net, PruneMask(keep, mode, None))
+        # a float64 oracle: its 1e-12 bound is below float32 rounding
+        assert net.dtype == pruned.dtype == np.float64
         for _ in range(100):
             x = rng.normal(0.0, 1.2, size=(1, sizes[0]))
             diff = np.max(np.abs(forward_batch(net, x)[-1] - forward_batch(pruned, x)[-1]))

@@ -67,6 +67,26 @@ def test_train_writes_history_and_manifest(trained_run):
     assert set(manifest["final"]) == {"train_loss", "train_acc", "val_acc", "disposable"}
 
 
+def test_train_outputs_agree_with_its_saved_model(tmp_path):
+    # training runs in float32; manifest.json, retained.csv and
+    # history.jsonl are made from the float64 widening that model.glnn
+    # stores, as prune and analyze see it
+    run = tmp_path / "run"
+    cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {run}\n")
+    assert main(["train", str(cfg)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    net = load_model(run / "model.glnn")
+    assert all(np.array_equal(p.weights, p.weights.astype(np.float32)) for p in net.layers)
+    assert main(["prune", str(run / "model.glnn"), "--data", str(cfg), "--out", str(run)]) == 0
+    doc = json.loads((run / "prune.json").read_text())
+    assert manifest["test_acc"] == doc["before_accuracy"]
+    with open(run / "retained.csv", newline="") as f:
+        kept = [int(row["kept"]) for row in csv.DictReader(f)]
+    assert kept == doc["retained_per_layer"]
+    best = load_history(run / "history.jsonl")[manifest["best_epoch"] - 1]
+    assert best.disposable_per_layer == doc["removed_per_layer"]
+
+
 def test_train_missing_output_dir(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["train", str(cfg)]) == 2
@@ -570,11 +590,12 @@ def test_sweep_grid_over_two_keys(tmp_path):
     "sets,loads",
     [
         pytest.param(["alpha=0.005", "alpha=0.013"], 1, id="training-key"),
-        pytest.param(["layer_sizes=8,4,3", "layer_sizes=8,16,3"], 2, id="layer-sizes"),
+        pytest.param(["layer_sizes=8,4,3", "layer_sizes=8,16,3"], 1, id="layer-sizes"),
+        pytest.param(["data_seed=5", "data_seed=6"], 2, id="data-seed"),
     ],
 )
 def test_sweep_loads_data_once_per_data_point(tmp_path, monkeypatch, sets, loads):
-    # points that differ only in TrainConfig keys share one load of the data
+    # points that agree on every data-source key share one load of the data
     calls = []
     load_splits = ExperimentConfig.load_splits
 

@@ -72,6 +72,21 @@ def test_sigmoid_bit_identical_to_branchy_oracle_random():
             assert_bits_equal(v, frozen)
 
 
+def test_float32_and_float64_kept_other_dtypes_widened():
+    for dtype, want in ((np.float32, np.float32), (np.float64, np.float64),
+                        (np.float16, np.float64), (np.int64, np.float64)):
+        assert as_matrix(np.ones((2, 3), dtype)).dtype == want
+        assert as_vector(np.ones(3, dtype)).dtype == want
+        assert sigmoid(np.zeros(3, dtype)).dtype == want
+    assert as_vector([1, 2]).dtype == np.float64
+
+
+def test_sigmoid_float32_matches_float64_within_float32_eps():
+    v = np.random.default_rng(8).standard_normal(1000).astype(np.float32) * 12
+    npt.assert_allclose(sigmoid(v), sigmoid(v.astype(np.float64)),
+                        rtol=4 * np.finfo(np.float32).eps, atol=0)
+
+
 def test_sigmoid_nan_stays_nan():
     out = sigmoid(as_vector([np.nan, 0.0]))
     assert np.isnan(out[0]) and out[1] == 0.5

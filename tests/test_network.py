@@ -56,6 +56,39 @@ def test_network_chaining_invariant():
         )
 
 
+def test_network_rejects_mixed_dtypes():
+    def net(w2_dtype, b2_dtype):
+        return MlpNetwork([
+            LayerParams(np.zeros((3, 2), np.float32), np.zeros(3, np.float32)),
+            LayerParams(np.zeros((2, 3), w2_dtype), np.zeros(2, b2_dtype)),
+        ])
+
+    assert net(np.float32, np.float32).dtype == np.float32
+    for dtypes in ((np.float64, np.float64), (np.float32, np.float64)):
+        with pytest.raises(ValueError, match="mix dtypes"):
+            net(*dtypes)
+
+
+def test_copy_casts_every_parameter():
+    net = init_network([4, 5, 3], seed=1)
+    for dtype in (np.float32, np.float64):
+        cast = net.copy(dtype)
+        assert cast.dtype == dtype
+        for p, q in zip(net.layers, cast.layers):
+            assert q.weights.dtype == q.bias.dtype == dtype
+            assert not np.shares_memory(p.weights, q.weights)
+            npt.assert_array_equal(q.weights, p.weights.astype(dtype))
+
+
+def test_forward_batch_computes_in_the_weights_dtype():
+    net = init_network([4, 7, 3], seed=9).copy(np.float32)
+    xs = np.random.default_rng(9).standard_normal((5, 4))
+    zs = forward_batch(net, xs)
+    assert all(z.dtype == np.float32 for z in zs)
+    for a, b in zip(zs, forward_batch(net, xs.astype(np.float32))):
+        npt.assert_array_equal(a, b)
+
+
 def test_network_needs_hidden_layer():
     with pytest.raises(ValueError):
         MlpNetwork([LayerParams(np.zeros((2, 2)), np.zeros(2))])

@@ -127,6 +127,21 @@ def test_group_norms_lengths_match_hidden_sizes():
         assert all(np.all(v >= 0) for v in norms)
 
 
+def test_float32_group_norms_are_those_of_the_float64_widening():
+    # selection decides on the norms of the float64 model that is saved;
+    # the penalty gradient keeps the network's own dtype
+    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.02, beta=0.002)
+    for seed in range(3):
+        net32 = init_network([3, 5, 4, 2], seed).copy(np.float32)
+        net64 = net32.copy(np.float64)
+        for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
+            for a, b in zip(group_norms(net32, mode), group_norms(net64, mode)):
+                assert a.dtype == np.float64
+                npt.assert_array_equal(a, b)
+        grad = penalty_gradient(net32, spec)
+        assert all(g.dtype == np.float32 for g in grad.d_weights + grad.d_biases)
+
+
 def test_group_norms_transpose_duality():
     for seed in range(4):
         net = init_network([3, 5, 4, 2], seed)

@@ -41,11 +41,13 @@ def small_task(seed=0):
 def replay_sgd(net, train_set, val_set, cfg):
     """Test-side copy of the training schedule, spelled out step by step.
 
-    Returns one (mean minibatch CE, hit fraction, epoch-end network) per
-    epoch, and the best-validation network (latest on ties).
+    Like train, it steps a float32 copy of the network (forward_batch casts
+    each batch to it). Returns one (mean minibatch CE, hit fraction,
+    epoch-end network) per epoch, and the best-validation network (latest
+    on ties), all float32.
     """
     spec = cfg.regularizer_spec()
-    net = net.copy()
+    net = net.copy(np.float32)
     vw = [np.zeros_like(p.weights) for p in net.layers]
     vb = [np.zeros_like(p.bias) for p in net.layers]
     lr = cfg.learning_rate
@@ -126,7 +128,8 @@ def test_zero_everything_leaves_network_unchanged():
     net = init_network([6, 5, 3], seed=1)
     cfg = TrainConfig(mode="glasso_out", epochs=3, learning_rate=0.0, seed=3)
     result = train(net, data, data, cfg)
-    assert networks_equal(result.best_network, net)
+    # train steps a float32 copy; learning rate 0 returns that copy as it was
+    assert networks_equal(result.best_network, net.copy(np.float32))
 
 
 def test_train_does_not_mutate_input_network():
@@ -140,7 +143,8 @@ def test_train_does_not_mutate_input_network():
 
 def test_scalar_glasso_dynamics():
     # single output class: CE gradient vanishes identically, leaving the
-    # pure group pull w <- w - lr*alpha*sign(w) on the lone 1x1 group
+    # pure group pull w <- w - lr*alpha*sign(w) on the lone 1x1 group,
+    # here in float32 as train computes it
     w0, lr, alpha, steps = 0.05, 0.1, 1.0, 7
     net = MlpNetwork(
         [
@@ -160,11 +164,11 @@ def test_scalar_glasso_dynamics():
     )
     result = train(net, data, data, cfg)
 
-    w_oracle = w0
+    w_oracle = np.float32(w0)
     seen = []
     for _ in range(steps):
         if abs(w_oracle) > 1e-12:
-            w_oracle = w_oracle - lr * alpha * np.sign(w_oracle)
+            w_oracle = w_oracle - np.float32(lr * alpha) * np.sign(w_oracle)
         seen.append(w_oracle)
         assert abs(w_oracle) <= abs(w0) + lr * alpha + 1e-15
 
@@ -483,6 +487,22 @@ def test_evaluate_reuses_buffers():
     assert all(a is b for a, b in zip(after, before))
 
 
+def test_eval_buffers_serve_both_dtypes():
+    # float32 and float64 passes view the same byte buffers, in the
+    # network's dtype; results do not depend on which dtype ran before
+    data = small_task(seed=3)
+    net64 = init_network([6, 9, 3], seed=3)
+    nets = [net64, net64.copy(np.float32)]
+    want = [(evaluate(net, data, 7), mean_loss(net, data, 7)) for net in nets]
+    before = list(_eval_buffers.flat)
+    for i in (0, 1, 1, 0):
+        assert (evaluate(nets[i], data, 7), mean_loss(nets[i], data, 7)) == want[i]
+        views = _eval_buffers.views(7, [9, 3], nets[i].dtype)
+        assert [v.dtype for v in views] == [nets[i].dtype] * 2
+        assert all(np.shares_memory(v, b) for v, b in zip(views, before))
+    assert all(a is b for a, b in zip(_eval_buffers.flat, before))
+
+
 def test_mean_loss_empty_dataset_errors():
     net = init_network([4, 5, 3], seed=2)
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), num_classes=3)
@@ -529,18 +549,22 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         replayed, _ = replay_sgd(net, data, val, cfg)
         assert len(lines) == len(replayed) == cfg.epochs
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
+            assert end_net.dtype == np.float32
             penalty = regularizer_value(end_net, cfg.regularizer_spec())
             assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
 
 
 def test_best_network_equals_minibatch_replay():
+    # best_network is the float64 widening of the replay's best float32 network
     data = small_task(seed=11)
     val = small_task(seed=12)
     net = init_network([6, 10, 7, 3], seed=11)
     for cfg in replay_configs():
         result = train(net, data, val, cfg)
         _, want = replay_sgd(net, data, val, cfg)
+        assert want.dtype == np.float32 and result.best_network.dtype == np.float64
+        want = want.copy(np.float64)
         for got_p, want_p in zip(result.best_network.layers, want.layers):
             npt.assert_array_equal(got_p.weights.view(np.int64), want_p.weights.view(np.int64))
             npt.assert_array_equal(got_p.bias.view(np.int64), want_p.bias.view(np.int64))
