@@ -61,7 +61,7 @@ def run_training(
 
     test_acc = evaluate(result.best_network, test_set)
     last = result.history[-1]
-    best_val = max(r.val_accuracy for r in result.history)  # on the float32 network
+    best_val = max(r.val_accuracy for r in result.history)
     manifest = {
         "config": cfg.to_dict(),
         "best_epoch": result.best_epoch,

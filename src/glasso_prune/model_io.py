@@ -1,16 +1,18 @@
 """Model serialization: the GLNN binary format.
 
-GLNN layout (all integers little-endian u32, all floats little-endian
-f64):
+GLNN version 2 layout (all integers little-endian u32, all floats
+little-endian IEEE 754 of the element size, 4 or 8 bytes):
 
-    magic "GLNN" | version=1 | L | L records of
+    magic "GLNN" | version=2 | element size | L | L records of
         rows | cols | rows*cols weights (row-major) | rows biases
 
-A float32 network is written widened to f64, which is exact, and every
-model loads as float64. Writing the same network twice produces
-byte-identical files. Loading rejects truncation, trailing bytes,
-zero-width layers, shapes that do not chain, and non-finite weights or
-biases.
+A network is written in its own dtype, so a float32 network takes 4-byte
+elements and loads back as float32. Version 1 files, which have no
+element-size field and always store 8-byte floats, still load, as
+float64. Writing the same network twice produces byte-identical files.
+Loading rejects an unknown version or element size, truncation, trailing
+bytes, zero-width layers, shapes that do not chain, and non-finite
+weights or biases.
 """
 
 from __future__ import annotations
@@ -24,17 +26,19 @@ from .errors import ModelFormatError
 from .network import LayerParams, MlpNetwork
 
 MAGIC = b"GLNN"
-VERSION = 1
+VERSION = 2
+# element size in bytes -> the dtype a network of that size computes in
+_ELEMENT_DTYPES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 
 def model_bytes(net: MlpNetwork) -> bytes:
-    """Serialize a network to the GLNN wire format."""
-    parts = [MAGIC, struct.pack("<II", VERSION, net.num_layers)]
+    """Serialize a network to the GLNN wire format, in its own dtype."""
+    wire = net.dtype.newbyteorder("<")
+    parts = [MAGIC, struct.pack("<III", VERSION, wire.itemsize, net.num_layers)]
     for p in net.layers:
-        rows, cols = p.weights.shape
-        parts.append(struct.pack("<II", rows, cols))
-        parts.append(np.ascontiguousarray(p.weights, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(p.bias, dtype="<f8").tobytes())
+        parts.append(struct.pack("<II", *p.weights.shape))
+        parts.append(np.ascontiguousarray(p.weights, dtype=wire).tobytes())
+        parts.append(np.ascontiguousarray(p.bias, dtype=wire).tobytes())
     return b"".join(parts)
 
 
@@ -62,14 +66,28 @@ class _Reader:
         return struct.unpack("<I", self.take(4))[0]
 
 
+def _element_dtype(r: _Reader) -> np.dtype:
+    """The parameter dtype the header after the magic declares."""
+    version = r.u32()
+    if version == 1:
+        return _ELEMENT_DTYPES[8]
+    if version != VERSION:
+        raise ModelFormatError(f"{r.name}: unsupported version {version}")
+    size = r.u32()
+    if size not in _ELEMENT_DTYPES:
+        raise ModelFormatError(
+            f"{r.name}: element size {size}, expected one of {sorted(_ELEMENT_DTYPES)}"
+        )
+    return _ELEMENT_DTYPES[size]
+
+
 def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
     r = _Reader(data, name)
     magic = r.take(4)
     if magic != MAGIC:
         raise ModelFormatError(f"{name}: bad magic {magic!r}, expected {MAGIC!r}")
-    version = r.u32()
-    if version != VERSION:
-        raise ModelFormatError(f"{name}: unsupported version {version}")
+    dtype = _element_dtype(r)
+    wire = dtype.newbyteorder("<")
     num_layers = r.u32()
     layers = []
     for _ in range(num_layers):
@@ -79,13 +97,13 @@ def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
             raise ModelFormatError(
                 f"{name}: layer {len(layers) + 1} has zero width ({rows}x{cols})"
             )
-        w = np.frombuffer(r.take(8 * rows * cols), dtype="<f8").reshape(rows, cols)
-        b = np.frombuffer(r.take(8 * rows), dtype="<f8")
+        w = np.frombuffer(r.take(wire.itemsize * rows * cols), dtype=wire)
+        b = np.frombuffer(r.take(wire.itemsize * rows), dtype=wire)
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ModelFormatError(
                 f"{name}: layer {len(layers) + 1} has a non-finite weight or bias"
             )
-        layers.append(LayerParams(w.copy(), b.copy()))
+        layers.append(LayerParams(w.astype(dtype).reshape(rows, cols), b.astype(dtype)))
     if r.pos != len(data):
         raise ModelFormatError(f"{name}: {len(data) - r.pos} trailing bytes")
     try:

@@ -9,9 +9,10 @@ each taken at the weights before that minibatch's step, so they cost no
 extra forward pass; the loss adds the penalty at the epoch-end weights.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
 run is fully reproducible from its config.
-The SGD loop computes in float32; the best snapshot it returns is widened
-to float64, which is exact, so every output after the loop sees the bits
-that model.glnn stores.
+The SGD loop computes in float32, and the best snapshot it returns is that
+float32 network, so the model file stores it as trained and every
+evaluation after the loop, the validation accuracy that chose it
+included, computes on the same values in the same dtype.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ class TrainResult:
 
 
 def load_history(path) -> list[EpochReport]:
-    """Parse a history.jsonl file; a malformed line raises DataFormatError.
+    """Parse a history.jsonl file; a malformed line, or a file with no
+    epoch record at all, raises DataFormatError.
 
     Each line is decoded as UTF-8 on its own, so a line that is not UTF-8
     is reported by number like any other malformed line.
@@ -148,6 +150,8 @@ def load_history(path) -> list[EpochReport]:
             raise DataFormatError(
                 f"{path}, line {i}: not an epoch record ({type(e).__name__}: {e})"
             ) from None
+    if not reports:
+        raise DataFormatError(f"{path}: no epoch records")
     return reports
 
 
@@ -163,8 +167,9 @@ class _EvalBuffers(threading.local):
     a request outgrows it, so a pass over a dataset, and the passes over
     ever narrower pruned networks, reuse the same memory instead of
     allocating (and page-faulting in) fresh arrays for every batch. Views
-    take the dtype of the request, so a train's float32 validation passes
-    and the float64 passes after it share the same bytes.
+    take the dtype of the request, so the float32 passes over trained
+    models and the float64 passes over a version 1 model file share the
+    same bytes.
     """
 
     def __init__(self):
@@ -259,7 +264,7 @@ def train(
     """Run the full training schedule and return the best-validation snapshot.
 
     The input network is left untouched; training operates on a float32
-    copy, and the snapshot is returned in float64. When log_path is given,
+    copy, and the snapshot is returned in float32. When log_path is given,
     one EpochReport JSON line is appended per epoch.
     """
     _check_shapes(net, train_set)
@@ -269,7 +274,7 @@ def train(
     features = train_set.features.astype(TRAIN_DTYPE)
     velocity = GradientSet.zeros_like(net)
     history: list[EpochReport] = []
-    best_net = net.copy(np.float64)
+    best_net = net.copy()
     best_epoch = 0
     best_val = -1.0
     lr = cfg.learning_rate
@@ -319,7 +324,7 @@ def train(
             if report.val_accuracy >= best_val:
                 best_val = report.val_accuracy
                 best_epoch = epoch
-                best_net = net.copy(np.float64)
+                best_net = net.copy()
             lr *= cfg.lr_decay
     finally:
         if log_file:

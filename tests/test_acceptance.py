@@ -67,6 +67,11 @@ def _randomize(net, rng, w_scale=0.7, b_scale=0.4):
         p.bias[...] = rng.normal(0.0, b_scale, size=p.bias.shape)
 
 
+def _v1_bytes(net) -> bytes:
+    """A version 1 file of net: its float64 version 2 body after a 12-byte header."""
+    return b"GLNN" + struct.pack("<II", 1, net.num_layers) + model_bytes(net.copy(np.float64))[16:]
+
+
 @pytest.fixture(scope="module")
 def reference_runs():
     """Train the pinned reference task at 5 seeds for each of the 3 modes.
@@ -432,6 +437,16 @@ def test_criterion_9_file_format_roundtrips(tmp_path, reference_runs):
     file_ok = (
         model_path.read_bytes() == raw and model_bytes(load_model(model_path)) == raw
     )
+    # a version 1 file loads as the float64 widening, whose f8 body it shares
+    v1 = _v1_bytes(net)
+    wide = model_from_bytes(v1)
+    v1_ok = (
+        net.dtype == np.float32
+        and wide.dtype == np.float64
+        and model_bytes(wide) == model_bytes(net.copy(np.float64))
+        and _v1_bytes(wide) == v1
+        and model_bytes(wide.copy(np.float32)) == raw
+    )
 
     hist = norm_histogram(net, Mode.GLASSO_OUT)
     curve = forced_removal_curve(net, Mode.GLASSO_OUT, R.test_set, step=256)
@@ -469,10 +484,32 @@ def test_criterion_9_file_format_roundtrips(tmp_path, reference_runs):
         and rejected(good_blob[:-3])
     )
 
-    passed = bytes_ok and file_ok and hist_ok and curve_ok and idx_ok
+    passed = bytes_ok and file_ok and v1_ok and hist_ok and curve_ok and idx_ok
     assert _report(
         "criterion 9 format round-trips",
         passed,
-        f"glnn bytes {bytes_ok}, glnn file {file_ok}, histogram csv {hist_ok}, "
-        f"curve csv {curve_ok}, idx rejection {idx_ok}",
+        f"glnn v2 bytes {bytes_ok}, glnn v2 file {file_ok}, glnn v1 {v1_ok}, "
+        f"histogram csv {hist_ok}, curve csv {curve_ok}, idx rejection {idx_ok}",
     )
+
+
+@pytest.mark.parametrize("key", ["out", "in"])
+def test_float64_copy_gives_same_prune_and_curve(tmp_path, reference_runs, key):
+    """The seed-42 model and its version 1 float64 copy select and score alike."""
+    R = reference_runs
+    net = R.runs[(key, SEEDS[0])].net
+    cfg = str(CONFIG_DIR / CONFIGS[key])
+    outputs = {}
+    for name, blob in (("v2", model_bytes(net)), ("v1", _v1_bytes(net))):
+        model = tmp_path / name / "model.glnn"
+        model.parent.mkdir()
+        model.write_bytes(blob)
+        assert cli.main(["prune", str(model), "--data", cfg]) == 0
+        assert cli.main(["analyze", str(model), "--curve", "--step", "8", "--data", cfg]) == 0
+        doc = json.loads((model.parent / "prune.json").read_text())
+        del doc["model"]
+        outputs[name] = (doc, (model.parent / "curve.csv").read_bytes())
+    assert load_model(tmp_path / "v2" / "model.glnn").dtype == np.float32
+    assert load_model(tmp_path / "v1" / "model.glnn").dtype == np.float64
+    assert outputs["v1"] == outputs["v2"]
+    assert outputs["v2"][0]["total_removed"] == R.runs[(key, SEEDS[0])].removed

@@ -68,15 +68,16 @@ def test_train_writes_history_and_manifest(trained_run):
 
 
 def test_train_outputs_agree_with_its_saved_model(tmp_path):
-    # training runs in float32; manifest.json, retained.csv and
-    # history.jsonl are made from the float64 widening that model.glnn
-    # stores, as prune and analyze see it
+    # manifest.json, retained.csv and history.jsonl are made from the
+    # float32 network that model.glnn stores, as prune and analyze see it
     run = tmp_path / "run"
     cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {run}\n")
     assert main(["train", str(cfg)]) == 0
     manifest = json.loads((run / "manifest.json").read_text())
     net = load_model(run / "model.glnn")
-    assert all(np.array_equal(p.weights, p.weights.astype(np.float32)) for p in net.layers)
+    assert net.dtype == np.float32
+    _, val_set, _ = parse_config(cfg).load_splits()
+    assert manifest["best_val_acc"] == evaluate(net, val_set)
     assert main(["prune", str(run / "model.glnn"), "--data", str(cfg), "--out", str(run)]) == 0
     doc = json.loads((run / "prune.json").read_text())
     assert manifest["test_acc"] == doc["before_accuracy"]
@@ -85,6 +86,7 @@ def test_train_outputs_agree_with_its_saved_model(tmp_path):
     assert kept == doc["retained_per_layer"]
     best = load_history(run / "history.jsonl")[manifest["best_epoch"] - 1]
     assert best.disposable_per_layer == doc["removed_per_layer"]
+    assert best.val_accuracy == manifest["best_val_acc"]
 
 
 def test_train_missing_output_dir(tmp_path, capsys):
@@ -177,6 +179,22 @@ def test_prune_corrupt_model_exits_4(trained_run, tmp_path):
     corrupt.write_bytes((run / "model.glnn").read_bytes()[:-4])
     code = main(["prune", str(corrupt), "--mode", "out", "--data", str(cfg)])
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "start,field,message",
+    [(4, 3, "unsupported version 3"), (8, 2, "element size 2")],
+    ids=["version-3", "element-size-2"],
+)
+def test_unknown_model_header_exits_4(trained_run, tmp_path, capsys, start, field, message):
+    _, cfg, run = trained_run
+    blob = bytearray((run / "model.glnn").read_bytes())
+    blob[start : start + 4] = field.to_bytes(4, "little")
+    bad = tmp_path / "bad.glnn"
+    bad.write_bytes(bytes(blob))
+    assert main(["prune", str(bad), "--data", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_histogram_mass(trained_run, tmp_path):
@@ -521,6 +539,15 @@ def test_analyze_malformed_history_exits_4(trained_run, tmp_path, capsys, bad_li
     history.write_text(f"{first}\n{bad_line}\n", encoding="latin-1")
     assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
     assert f"{history}, line 2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_analyze_history_without_records_exits_4(tmp_path, capsys, text):
+    history = tmp_path / "history.jsonl"
+    history.write_text(text, encoding="utf-8")
+    assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
+    assert f"{history}: no epoch records" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

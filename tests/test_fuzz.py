@@ -89,55 +89,74 @@ def loads_or_format_error(blob):
         assert np.isfinite(p.weights).all() and np.isfinite(p.bias).all()
 
 
+# version 1, then version 2 with each element size
+HEADERS = [b"GLNN\x01\x00\x00\x00", b"GLNN\x02\x00\x00\x00\x04\x00\x00\x00",
+           b"GLNN\x02\x00\x00\x00\x08\x00\x00\x00"]
+
+
 @FUZZ
 @given(st.binary(max_size=200))
 def test_glnn_arbitrary_bytes(blob):
     loads_or_format_error(blob)
-    loads_or_format_error(b"GLNN\x01\x00\x00\x00" + blob)
+    for header in HEADERS:
+        loads_or_format_error(header + blob)
 
 
-VALID_BLOB = model_bytes(init_network([3, 2, 2], seed=0))
-# byte offsets of the f64 parameters: after the 12-byte file header, each
-# layer has an 8-byte shape header, then 2x3 + 2 and 2x2 + 2 floats
-FLOAT_OFFSETS = [12 + 8 + 8 * i for i in range(8)] + [84 + 8 + 8 * i for i in range(6)]
+NET = init_network([3, 2, 2], seed=0)
+# (blob, struct code, element size) for an f8 and an f4 file
+BLOBS = [(model_bytes(NET), "d", 8), (model_bytes(NET.copy(np.float32)), "f", 4)]
+
+
+def float_offsets(size):
+    """Byte offsets of the parameters: after the 16-byte file header, each
+    layer has an 8-byte shape header, then 2x3 + 2 and 2x2 + 2 elements."""
+    second = 16 + 8 + 8 * size
+    return [16 + 8 + size * i for i in range(8)] + [second + 8 + size * i for i in range(6)]
 
 
 @FUZZ
 @given(
-    st.lists(
-        st.tuples(st.integers(0, len(VALID_BLOB) - 1), st.integers(0, 255)), max_size=6
-    ),
-    st.integers(0, len(VALID_BLOB)),
+    st.sampled_from(BLOBS),
+    st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
+    st.integers(0, 10**6),
     st.binary(max_size=16),
 )
-def test_glnn_mutated_valid_blob(edits, cut, tail):
-    blob = bytearray(VALID_BLOB)
+def test_glnn_mutated_valid_blob(valid, edits, cut, tail):
+    blob = bytearray(valid[0])
     for pos, value in edits:
-        blob[pos] = value
+        blob[pos % len(blob)] = value
     loads_or_format_error(bytes(blob))
-    loads_or_format_error(bytes(blob[:cut]) + tail)
+    loads_or_format_error(bytes(blob[: cut % (len(blob) + 1)]) + tail)
 
 
 @FUZZ
-@given(st.lists(st.tuples(st.sampled_from(FLOAT_OFFSETS), st.floats()), min_size=1, max_size=3))
-def test_glnn_parameters_replaced(float_edits):
-    blob = bytearray(VALID_BLOB)
+@given(st.data(), st.sampled_from(BLOBS))
+def test_glnn_parameters_replaced(data, valid):
+    valid_blob, code, size = valid
+    values = st.floats(width=32) if size == 4 else st.floats()
+    float_edits = data.draw(
+        st.lists(st.tuples(st.sampled_from(float_offsets(size)), values), min_size=1, max_size=3)
+    )
+    blob = bytearray(valid_blob)
     for pos, value in float_edits:
-        blob[pos : pos + 8] = struct.pack("<d", value)
+        blob[pos : pos + size] = struct.pack(f"<{code}", value)
     loads_or_format_error(bytes(blob))
-
-
-finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
 def networks(draw):
+    """A float64 or float32 network of finite values of its own width."""
+    width = draw(st.sampled_from([64, 32]))
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=width)
+    dtype = np.float64 if width == 64 else np.float32
     sizes = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
     layers = []
     for n_in, n_out in zip(sizes[:-1], sizes[1:]):
         w = draw(st.lists(finite, min_size=n_in * n_out, max_size=n_in * n_out))
         b = draw(st.lists(finite, min_size=n_out, max_size=n_out))
-        layers.append(LayerParams(np.reshape(w, (n_out, n_in)), b))
+        layers.append(
+            LayerParams(np.reshape(np.array(w, dtype), (n_out, n_in)), np.array(b, dtype))
+        )
     return MlpNetwork(layers)
 
 
@@ -147,6 +166,7 @@ def test_glnn_roundtrip_is_exact(net):
     blob = model_bytes(net)
     back = model_from_bytes(blob)
     assert model_bytes(back) == blob
+    assert back.dtype == net.dtype
     for p, q in zip(net.layers, back.layers):
         assert p.weights.tobytes() == q.weights.tobytes()
         assert p.bias.tobytes() == q.bias.tobytes()

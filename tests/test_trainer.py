@@ -556,18 +556,17 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
 
 
 def test_best_network_equals_minibatch_replay():
-    # best_network is the float64 widening of the replay's best float32 network
+    # best_network is the replay's best float32 network, bit for bit
     data = small_task(seed=11)
     val = small_task(seed=12)
     net = init_network([6, 10, 7, 3], seed=11)
     for cfg in replay_configs():
         result = train(net, data, val, cfg)
         _, want = replay_sgd(net, data, val, cfg)
-        assert want.dtype == np.float32 and result.best_network.dtype == np.float64
-        want = want.copy(np.float64)
+        assert want.dtype == result.best_network.dtype == np.float32
         for got_p, want_p in zip(result.best_network.layers, want.layers):
-            npt.assert_array_equal(got_p.weights.view(np.int64), want_p.weights.view(np.int64))
-            npt.assert_array_equal(got_p.bias.view(np.int64), want_p.bias.view(np.int64))
+            npt.assert_array_equal(got_p.weights.view(np.int32), want_p.weights.view(np.int32))
+            npt.assert_array_equal(got_p.bias.view(np.int32), want_p.bias.view(np.int32))
 
 
 def test_batch_gradients_hits_equal_forward_argmax():
