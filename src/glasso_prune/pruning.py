@@ -7,6 +7,9 @@ sigmoid(bias), so that contribution is folded into the next layer's biases
 before its outgoing column is removed; in outgoing mode the column itself
 is near zero and no compensation is needed. All masks are fixed before any
 structural edit.
+The forced-removal curve reaches the same networks incrementally, slicing
+each point's layers from the previous point's and re-running only the
+layers a removal batch touches, on the GEMM operands apply_mask would give.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ShapeMismatchError
 from .linalg import sigmoid
-from .network import LayerParams, MlpNetwork
+from .network import LayerParams, MlpNetwork, forward_batch
 from .regularization import Mode, below_theta, group_norms
-from .trainer import evaluate
+from .trainer import EVAL_BATCH, check_shapes
 
 
 @dataclass
@@ -90,16 +93,22 @@ def apply_mask(net: MlpNetwork, mask: PruneMask) -> MlpNetwork:
     layers = []
     for l in range(1, big_l + 1):
         p = net.layers[l - 1]
-        bias = p.bias.copy()
+        bias = p.bias
         if mask.mode is Mode.GLASSO_IN and l >= 2:
-            dropped = ~keep[l - 1]
-            if dropped.any():
-                below_bias = net.layers[l - 2].bias[dropped]
-                bias += p.weights[:, dropped] @ sigmoid(below_bias)
+            bias = _folded_bias(net, l, ~keep[l - 1])
         layers.append(
             LayerParams(p.weights[np.ix_(keep[l], keep[l - 1])], bias[keep[l]])
         )
     return MlpNetwork(layers)
+
+
+def _folded_bias(net: MlpNetwork, l: int, dropped: np.ndarray) -> np.ndarray:
+    """b^l plus each dropped node j's constant output sigmoid(b^(l-1)_j), via column j of W^l."""
+    p = net.layers[l - 1]
+    bias = p.bias.copy()
+    if dropped.any():
+        bias += p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
+    return bias
 
 
 def _ranked_nodes(net: MlpNetwork, mode: Mode) -> list[tuple[float, int, int]]:
@@ -121,28 +130,54 @@ def forced_removal_curve(
 ) -> list[tuple[int, float]]:
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
-    Each point re-applies a cumulative mask to the original network; each
-    mask extends the previous one by the next step nodes. The curve starts
-    at (0, unpruned accuracy) and stops before any batch that would empty
-    a hidden layer.
+    Each batch of step nodes is cut from the previous point's layers (a
+    GLASSO_IN bias fold is redone from the original layer, as in
+    apply_mask), and each EVAL_BATCH-row eval batch re-runs only the layers
+    from the first hidden layer touched, on its cached activations. Every
+    GEMM thus has a per-point apply_mask + evaluate rebuild's operands and
+    shape, and every accuracy its bits. The curve starts at (0, unpruned
+    accuracy) and stops before any batch that would empty a hidden layer.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     if eval_set.n == 0:
         raise ValueError("eval_set is empty")
+    check_shapes(net, eval_set)
     ranked = _ranked_nodes(net, mode)
-    hidden = net.hidden_sizes
-    kept_per_layer = list(hidden)
-    keep = [np.ones(n, dtype=bool) for n in hidden]
-    curve = [(0, evaluate(net, eval_set))]
+    # keep[0] is the input layer, keep[-1] the output layer, as in apply_mask
+    keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
+    layers = list(net.layers)
+    batches = [
+        (forward_batch(net, eval_set.features[i : i + EVAL_BATCH]),
+         eval_set.labels[i : i + EVAL_BATCH])
+        for i in range(0, eval_set.n, EVAL_BATCH)
+    ]
+
+    def accuracy() -> float:
+        return sum(int(np.sum(np.argmax(zs[-1], axis=1) == y)) for zs, y in batches) / eval_set.n
+
+    curve = [(0, accuracy())]
     for count in range(step, len(ranked) + 1, step):
-        for _, l, j in ranked[count - step : count]:
-            keep[l][j] = False
-            kept_per_layer[l] -= 1
-        if min(kept_per_layer) == 0:
+        removed = ranked[count - step : count]
+        new = [k.copy() for k in keep]
+        for _, l, j in removed:
+            new[l + 1][j] = False
+        if not all(k.any() for k in new[1:-1]):
             break
-        pruned = apply_mask(net, PruneMask(keep, mode, theta=None))
-        curve.append((count, evaluate(pruned, eval_set)))
+        first = 1 + min(l for _, l, _ in removed)
+        for l in range(first, len(layers) + 1):
+            rows, cols = new[l][keep[l]], new[l - 1][keep[l - 1]]
+            if rows.all() and cols.all():
+                continue
+            p = layers[l - 1]
+            refold = mode is Mode.GLASSO_IN and not cols.all()
+            bias = _folded_bias(net, l, ~new[l - 1])[new[l]] if refold else p.bias[rows]
+            layers[l - 1] = LayerParams(p.weights[:, cols][rows], bias)
+        keep = new
+        suffix = MlpNetwork(layers[first - 1 :])
+        for zs, _ in batches:
+            zs[first:] = forward_batch(suffix, zs[first - 1])[1:]
+        curve.append((count, accuracy()))
     return curve
 
 

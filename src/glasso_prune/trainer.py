@@ -35,6 +35,9 @@ from .regularization import Mode, RegularizerSpec, below_theta, regularizer_grad
 # beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
 COUPLED_BETA_RATIO = 0.1
 TRAIN_DTYPE = np.float32
+# Rows per evaluation forward pass. Row counts can move a GEMM's last bit, so
+# evaluate, mean_loss and every forced-removal curve point batch by this size.
+EVAL_BATCH = 512
 
 
 @dataclass(kw_only=True)
@@ -202,7 +205,7 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    _check_shapes(net, dataset)
+    check_shapes(net, dataset)
     widths = [p.n_out for p in net.layers]
     for start in range(0, dataset.n, batch_size):
         stop = min(start + batch_size, dataset.n)
@@ -211,7 +214,7 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
         yield logits, dataset.labels[start:stop]
 
 
-def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
+def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = EVAL_BATCH) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     hits = 0
     for logits, labels in _logit_batches(net, dataset, batch_size):
@@ -219,7 +222,7 @@ def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> float:
     return hits / dataset.n
 
 
-def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> tuple[float, float]:
+def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
     """Mean cross-entropy (no regularizer term) and accuracy, in one pass.
 
     The accuracy equals evaluate(net, dataset, batch_size) exactly. This is
@@ -235,7 +238,8 @@ def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = 512) -> tuple
     return total / dataset.n, hits / dataset.n
 
 
-def _check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
+def check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
+    """Raise ShapeMismatchError unless the dataset's dimension and labels fit net."""
     if dataset.dim != net.layers[0].n_in:
         raise ShapeMismatchError(
             f"dataset dim {dataset.dim} does not match network input "
@@ -267,8 +271,8 @@ def train(
     copy, and the snapshot is returned in float32. When log_path is given,
     one EpochReport JSON line is appended per epoch.
     """
-    _check_shapes(net, train_set)
-    _check_shapes(net, val_set)
+    check_shapes(net, train_set)
+    check_shapes(net, val_set)
     spec = cfg.regularizer_spec()
     net = net.copy(TRAIN_DTYPE)
     features = train_set.features.astype(TRAIN_DTYPE)

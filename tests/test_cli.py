@@ -367,6 +367,34 @@ def test_data_shape_mismatch_exits_4(trained_run, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ((("synth_dim = 8", "synth_dim = 9"), ("layer_sizes = 8,16,3", "layer_sizes = 9,16,3")),
+         "dataset dim 9 does not match network input 8"),
+        ((("synth_classes = 3", "synth_classes = 4"), ("layer_sizes = 8,16,3", "layer_sizes = 8,16,4")),
+         "label 3 out of range for 3 output nodes"),
+    ],
+    ids=["dim", "classes"],
+)
+def test_analyze_curve_on_data_that_does_not_fit_exits_4(
+    trained_run, tmp_path, capsys, edits, message
+):
+    # the config fits its own data but not the model; the curve checks the
+    # eval set against the network before its first point
+    _, _, run = trained_run
+    text = BASE_CFG
+    for edit in edits:
+        text = text.replace(*edit)
+    other = tmp_path / "other.cfg"
+    other.write_text(text)
+    out = tmp_path / "curve"
+    argv = ["analyze", str(run / "model.glnn"), "--curve", "--data", str(other), "--out", str(out)]
+    assert main(argv) == 4
+    assert message in capsys.readouterr().err
+    assert not (out / "curve.csv").exists()
+
+
 @pytest.mark.parametrize("label", ["nan", "inf"])
 def test_train_non_finite_csv_label_exits_4(tmp_path, capsys, label):
     data = tmp_path / "d.csv"

@@ -2,7 +2,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from glasso_prune import pruning
 from glasso_prune.datasets import Dataset, synth_gaussians
+from glasso_prune.errors import ShapeMismatchError
 from glasso_prune.linalg import as_vector, norms, sigmoid
 from glasso_prune.network import forward_batch, init_network
 from glasso_prune.pruning import (
@@ -13,7 +15,7 @@ from glasso_prune.pruning import (
     match_count_mask,
 )
 from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import disposable_counts, evaluate
+from glasso_prune.trainer import EVAL_BATCH, disposable_counts, evaluate
 
 
 def bimodal_net(seed=0, low=1e-5, high=0.8):
@@ -231,6 +233,80 @@ def test_forced_removal_follows_ascending_norms():
     assert evaluate(pruned, data) == pytest.approx(
         curve[1][1], abs=1e-15
     )
+
+
+def rebuilt_curve(net, mode, data, step):
+    """The forced-removal curve and its networks, one apply_mask per point."""
+    ranked = sorted(
+        (float(n), l, j)
+        for l, norms in enumerate(group_norms(net, mode))
+        for j, n in enumerate(norms)
+    )
+    keep = [np.ones(w, dtype=bool) for w in net.hidden_sizes]
+    curve, nets = [(0, evaluate(net, data))], [net]
+    for count in range(step, len(ranked) + 1, step):
+        for _, l, j in ranked[count - step : count]:
+            keep[l][j] = False
+        if not all(k.any() for k in keep):
+            break
+        nets.append(apply_mask(net, PruneMask(keep=keep, mode=mode, theta=None)))
+        curve.append((count, evaluate(nets[-1], data)))
+    return curve, nets
+
+
+@pytest.mark.parametrize("mode", [Mode.GLASSO_OUT, Mode.GLASSO_IN])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [40, 2 * EVAL_BATCH + 76], ids=["one-batch", "three-batches"])
+@pytest.mark.parametrize("step", [1, 3, 25])  # 25 > the 21 hidden nodes: baseline only
+def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype, rows, step):
+    net = init_network([6, 9, 7, 5, 4], seed=21).copy(dtype)
+    rng = np.random.default_rng(21)
+    for p in net.layers:
+        # nonzero biases, so a GLASSO_IN removal moves the next layer's fold
+        p.bias[:] = rng.normal(0.0, 1.0, p.n_out)
+        p.weights *= 3.0
+    features = rng.standard_normal((rows, 6))
+    # labels the unpruned net mostly gets right, so removals move the accuracy
+    labels = np.argmax(forward_batch(net, features)[-1], axis=1)
+    labels[::5] = rng.integers(0, 4, len(labels[::5]))
+    data = Dataset(features, labels, num_classes=4)
+
+    logits = []  # every eval batch's logits at every point, in curve order
+
+    def recording_forward(*args, **kwargs):
+        zs = forward_batch(*args, **kwargs)
+        logits.append(zs[-1].copy())
+        return zs
+
+    monkeypatch.setattr(pruning, "forward_batch", recording_forward)
+    curve = forced_removal_curve(net, mode, data, step=step)
+    monkeypatch.undo()
+    expected, nets = rebuilt_curve(net, mode, data, step)
+    assert curve == expected
+    if step < 25:
+        assert len(curve) > 4 and len({acc for _, acc in curve}) > 2
+    # the bits behind the accuracies, not only their argmax, are the rebuild's
+    rebuilt = [
+        forward_batch(pruned, features[i : i + EVAL_BATCH])[-1]
+        for pruned in nets
+        for i in range(0, rows, EVAL_BATCH)
+    ]
+    assert len(logits) == len(rebuilt)
+    assert all(np.array_equal(a, b) for a, b in zip(logits, rebuilt))
+
+
+def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass before the shape check")
+
+    monkeypatch.setattr(pruning, "forward_batch", no_forward)
+    net = init_network([3, 4, 2], seed=0)
+    wide = Dataset(np.zeros((5, 4)), np.zeros(5, dtype=np.int64), num_classes=2)
+    # labels the dataset allows but the 2-output network does not
+    many_classes = Dataset(np.zeros((5, 3)), np.arange(5) % 3, num_classes=3)
+    for data, message in ((wide, "dataset dim 4"), (many_classes, "label 2 out of range")):
+        with pytest.raises(ShapeMismatchError, match=message):
+            forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1)
 
 
 def test_forced_removal_rejects_empty_eval_set():
