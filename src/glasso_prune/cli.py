@@ -61,11 +61,10 @@ def run_training(
 
     test_acc = evaluate(result.best_network, test_set)
     last = result.history[-1]
-    best_val = max(r.val_accuracy for r in result.history)
     manifest = {
         "config": cfg.to_dict(),
         "best_epoch": result.best_epoch,
-        "best_val_acc": float(best_val),
+        "best_val_acc": float(result.best_val_accuracy),
         "final": {
             "train_loss": float(last.train_loss),
             "train_acc": float(last.train_accuracy),
@@ -111,9 +110,8 @@ def cmd_train(args) -> int:
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' is required for train")
     result, test_acc = run_training(cfg, cfg.load_splits(), Path(cfg.output_dir))
-    best_val = max(r.val_accuracy for r in result.history)
     print(
-        f"trained {cfg.epochs} epochs; best val acc {fmt_float(best_val)} "
+        f"trained {cfg.epochs} epochs; best val acc {fmt_float(result.best_val_accuracy)} "
         f"at epoch {result.best_epoch}; test acc {fmt_float(test_acc)}"
     )
     print(f"wrote {cfg.output_dir}")
@@ -260,12 +258,11 @@ def cmd_sweep(args) -> int:
 
         net = result.best_network
         mode = _group_mode(None, run_cfg)
-        best_val = max(r.val_accuracy for r in result.history)
         disposable = sum(disposable_counts(net, mode, run_cfg.theta))
         post_acc = evaluate(apply_mask(net, make_mask(net, mode, run_cfg.theta)), splits[2])
-        rows.append([*cells, fmt_float(best_val), disposable, fmt_float(post_acc)])
+        rows.append([*cells, fmt_float(result.best_val_accuracy), disposable, fmt_float(post_acc)])
         print(
-            f"{sub.name}: best val acc {fmt_float(best_val)}, "
+            f"{sub.name}: best val acc {fmt_float(result.best_val_accuracy)}, "
             f"{disposable} disposable, post-prune acc {fmt_float(post_acc)}"
         )
 

@@ -7,9 +7,9 @@ sigmoid(bias), so that contribution is folded into the next layer's biases
 before its outgoing column is removed; in outgoing mode the column itself
 is near zero and no compensation is needed. All masks are fixed before any
 structural edit.
-The forced-removal curve reaches the same networks incrementally, slicing
-each point's layers from the previous point's and re-running only the
-layers a removal batch touches, on the GEMM operands apply_mask would give.
+One cut (_cut) serves prune and the forced-removal curve, which re-cuts
+each point's layers from the previous point's and re-runs only the layers
+a removal batch touches, on the GEMM operands apply_mask would give.
 """
 
 from __future__ import annotations
@@ -74,41 +74,46 @@ def apply_mask(net: MlpNetwork, mask: PruneMask) -> MlpNetwork:
     Working from the original parameters: dropped node j of hidden layer l
     loses row j of W^l, entry j of b^l, and column j of W^(l+1). In
     GLASSO_IN mode the dropped node's constant output sigmoid(b^l_j) is
-    absorbed into b^(l+1) via its outgoing column before removal.
+    absorbed into b^(l+1) via its outgoing column before removal. A layer
+    no removal touches is shared with net, not copied.
     """
     hidden = net.hidden_sizes
-    if len(mask.keep) != len(hidden) or any(
-        len(k) != n for k, n in zip(mask.keep, hidden)
-    ):
+    if [len(k) for k in mask.keep] != hidden:
         raise ShapeMismatchError(
             f"mask lengths {[len(k) for k in mask.keep]} do not match "
             f"hidden layer sizes {hidden}"
         )
-    big_l = net.num_layers
-    # keep[0] is the input layer, keep[big_l] the output layer: never pruned
-    keep = [np.ones(net.layers[0].n_in, dtype=bool)]
-    keep += list(mask.keep)
-    keep.append(np.ones(net.layers[-1].n_out, dtype=bool))
+    keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
+    new = [keep[0], *mask.keep, keep[-1]]
+    return MlpNetwork(_cut(net, mask.mode, net.layers, keep, new, first=1))
 
-    layers = []
-    for l in range(1, big_l + 1):
-        p = net.layers[l - 1]
-        bias = p.bias
-        if mask.mode is Mode.GLASSO_IN and l >= 2:
-            bias = _folded_bias(net, l, ~keep[l - 1])
-        layers.append(
-            LayerParams(p.weights[np.ix_(keep[l], keep[l - 1])], bias[keep[l]])
-        )
-    return MlpNetwork(layers)
+
+def _cut(
+    net: MlpNetwork, mode: Mode, layers: list, keep: list, new: list, first: int
+) -> list[LayerParams]:
+    """Cut layers, net's layers under keep vectors keep, down to keep vectors new.
+
+    keep and new hold one bool vector per node layer, input (index 0) and
+    output (index L) included. Of layers first..L, those whose rows or
+    columns shrink are sliced, and in GLASSO_IN mode one that loses inputs
+    gets its bias refolded from net's layer; the rest are shared, not copied.
+    """
+    layers = list(layers)
+    for l in range(first, len(layers) + 1):
+        rows, cols = new[l][keep[l]], new[l - 1][keep[l - 1]]
+        if rows.all() and cols.all():
+            continue
+        p = layers[l - 1]
+        refold = mode is Mode.GLASSO_IN and not cols.all()
+        bias = _folded_bias(net, l, ~new[l - 1])[new[l]] if refold else p.bias[rows]
+        layers[l - 1] = LayerParams(p.weights[:, cols][rows], bias)
+    return layers
 
 
 def _folded_bias(net: MlpNetwork, l: int, dropped: np.ndarray) -> np.ndarray:
     """b^l plus each dropped node j's constant output sigmoid(b^(l-1)_j), via column j of W^l."""
     p = net.layers[l - 1]
-    bias = p.bias.copy()
-    if dropped.any():
-        bias += p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
-    return bias
+    return p.bias + p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
 
 
 def _ranked_nodes(net: MlpNetwork, mode: Mode) -> list[tuple[float, int, int]]:
@@ -130,23 +135,19 @@ def forced_removal_curve(
 ) -> list[tuple[int, float]]:
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
-    Each batch of step nodes is cut from the previous point's layers (a
-    GLASSO_IN bias fold is redone from the original layer, as in
-    apply_mask), and each EVAL_BATCH-row eval batch re-runs only the layers
-    from the first hidden layer touched, on its cached activations. Every
-    GEMM thus has a per-point apply_mask + evaluate rebuild's operands and
+    Each batch of step nodes is cut by _cut from the previous point's
+    layers, and each EVAL_BATCH-row eval batch re-runs only the layers from
+    the first hidden layer touched, on its cached activations. Every GEMM
+    thus has a per-point apply_mask + evaluate rebuild's operands and
     shape, and every accuracy its bits. The curve starts at (0, unpruned
     accuracy) and stops before any batch that would empty a hidden layer.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    if eval_set.n == 0:
-        raise ValueError("eval_set is empty")
     check_shapes(net, eval_set)
     ranked = _ranked_nodes(net, mode)
-    # keep[0] is the input layer, keep[-1] the output layer, as in apply_mask
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
-    layers = list(net.layers)
+    layers = net.layers
     batches = [
         (forward_batch(net, eval_set.features[i : i + EVAL_BATCH]),
          eval_set.labels[i : i + EVAL_BATCH])
@@ -165,14 +166,7 @@ def forced_removal_curve(
         if not all(k.any() for k in new[1:-1]):
             break
         first = 1 + min(l for _, l, _ in removed)
-        for l in range(first, len(layers) + 1):
-            rows, cols = new[l][keep[l]], new[l - 1][keep[l - 1]]
-            if rows.all() and cols.all():
-                continue
-            p = layers[l - 1]
-            refold = mode is Mode.GLASSO_IN and not cols.all()
-            bias = _folded_bias(net, l, ~new[l - 1])[new[l]] if refold else p.bias[rows]
-            layers[l - 1] = LayerParams(p.weights[:, cols][rows], bias)
+        layers = _cut(net, mode, layers, keep, new, first)
         keep = new
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:

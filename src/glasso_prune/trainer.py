@@ -3,7 +3,7 @@
 Per update: v <- momentum * v - lr * (mean CE gradient + regularizer
 gradient), params <- params + v. The CE gradient (network.batch_gradients)
 is averaged over the minibatch while the regularizer gradient enters once
-at full strength.
+at full strength. _sgd_step is the one place the parameters change.
 An epoch's train loss and accuracy are running means over its minibatches,
 each taken at the weights before that minibatch's step, so they cost no
 extra forward pass; the loss adds the penalty at the epoch-end weights.
@@ -133,6 +133,7 @@ def _is_int(x) -> bool:
 class TrainResult:
     best_network: MlpNetwork
     best_epoch: int
+    best_val_accuracy: float  # of best_network, the largest in history
     history: list[EpochReport]
 
 
@@ -195,7 +196,7 @@ _eval_buffers = _EvalBuffers()
 
 
 def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
-    """Yield (logits, labels) for consecutive batches of a non-empty dataset.
+    """Yield (logits, labels) for consecutive batches of a dataset.
 
     The logits live in this thread's _EvalBuffers and are overwritten by
     the next batch, so a consumer must finish with each batch before
@@ -203,8 +204,6 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
     mean_loss reduce each batch to numbers first. Training never calls
     this on the train set: its epoch report comes from the SGD steps.
     """
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
     check_shapes(net, dataset)
     widths = [p.n_out for p in net.layers]
     for start in range(0, dataset.n, batch_size):
@@ -239,13 +238,15 @@ def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = EVAL_BATCH) -
 
 
 def check_shapes(net: MlpNetwork, dataset: Dataset) -> None:
-    """Raise ShapeMismatchError unless the dataset's dimension and labels fit net."""
+    """Raise ValueError if the dataset is empty, ShapeMismatchError if it does not fit net."""
+    if dataset.n == 0:
+        raise ValueError("dataset is empty: no samples to train on or evaluate")
     if dataset.dim != net.layers[0].n_in:
         raise ShapeMismatchError(
             f"dataset dim {dataset.dim} does not match network input "
             f"{net.layers[0].n_in}"
         )
-    if dataset.n and int(dataset.labels.max()) >= net.layers[-1].n_out:
+    if int(dataset.labels.max()) >= net.layers[-1].n_out:
         raise ShapeMismatchError(
             f"label {int(dataset.labels.max())} out of range for "
             f"{net.layers[-1].n_out} output nodes"
@@ -256,6 +257,20 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     # Philox is counter-based; keying on (seed, epoch) decouples the
     # shuffle sequence from everything else in the run.
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, epoch])))
+
+
+def _sgd_step(
+    net: MlpNetwork, velocity: GradientSet, grads: GradientSet, lr: float, momentum: float
+) -> None:
+    """v <- momentum * v - lr * g, then p <- p + v, in place on every array (g included)."""
+    params = [p.weights for p in net.layers] + [p.bias for p in net.layers]
+    for p, v, g in zip(
+        params, velocity.d_weights + velocity.d_biases, grads.d_weights + grads.d_biases
+    ):
+        g *= lr
+        v *= momentum
+        v -= g
+        p += v
 
 
 def train(
@@ -275,7 +290,6 @@ def train(
     check_shapes(net, val_set)
     spec = cfg.regularizer_spec()
     net = net.copy(TRAIN_DTYPE)
-    features = train_set.features.astype(TRAIN_DTYPE)
     velocity = GradientSet.zeros_like(net)
     history: list[EpochReport] = []
     best_net = net.copy()
@@ -290,7 +304,9 @@ def train(
             hit_sum = 0
             for batch_no, start in enumerate(range(0, train_set.n, cfg.batch_size)):
                 idx = perm[start : start + cfg.batch_size]
-                loss, hits, grads = batch_gradients(net, features[idx], train_set.labels[idx])
+                loss, hits, grads = batch_gradients(
+                    net, train_set.features[idx], train_set.labels[idx]
+                )
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}"
@@ -298,17 +314,7 @@ def train(
                 ce_sum += loss * len(idx)
                 hit_sum += hits
                 regularizer_gradient(net, spec, grads)
-                for l, p in enumerate(net.layers):
-                    vw, vb = velocity.d_weights[l], velocity.d_biases[l]
-                    gw, gb = grads.d_weights[l], grads.d_biases[l]
-                    gw *= lr
-                    gb *= lr
-                    vw *= cfg.momentum
-                    vw -= gw
-                    vb *= cfg.momentum
-                    vb -= gb
-                    p.weights += vw
-                    p.bias += vb
+                _sgd_step(net, velocity, grads, lr, cfg.momentum)
             report = EpochReport(
                 epoch=epoch,
                 train_loss=ce_sum / train_set.n + regularizer_value(net, spec),
@@ -333,4 +339,4 @@ def train(
     finally:
         if log_file:
             log_file.close()
-    return TrainResult(best_network=best_net, best_epoch=best_epoch, history=history)
+    return TrainResult(best_net, best_epoch, best_val, history)

@@ -235,6 +235,59 @@ def test_forced_removal_follows_ascending_norms():
     )
 
 
+def reference_prune(net, mask):
+    """(W, b) per layer of the pruned net, from the definition alone.
+
+    Each layer is W[np.ix_(rows, cols)]; in GLASSO_IN mode its bias is first
+    b + W[:, dropped] @ sigmoid(b_prev[dropped]), dropped being the
+    previous hidden layer's removed nodes.
+    """
+    keep = [np.ones(net.layers[0].n_in, dtype=bool), *mask.keep,
+            np.ones(net.layers[-1].n_out, dtype=bool)]
+    layers = []
+    for l, p in enumerate(net.layers, start=1):
+        rows, cols = keep[l], keep[l - 1]
+        bias = p.bias
+        if mask.mode is Mode.GLASSO_IN and l >= 2:
+            dropped = ~cols
+            bias = p.bias + p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
+        layers.append((p.weights[np.ix_(rows, cols)], bias[rows]))
+    return layers
+
+
+@pytest.mark.parametrize("mode", [Mode.GLASSO_OUT, Mode.GLASSO_IN])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "removed",
+    [
+        {0: [1, 4], 1: [0, 3, 5], 2: [2]},  # nodes go in every hidden layer
+        {0: [2, 6], 2: [0, 3]},  # the middle hidden layer is left whole
+        {2: [1]},  # only the last hidden layer loses a node
+        {},  # nothing removed
+    ],
+    ids=["every-layer", "middle-untouched", "last-only", "none"],
+)
+def test_apply_mask_equals_reference_prune(mode, dtype, removed):
+    net = init_network([5, 7, 6, 4, 3], seed=31).copy(dtype)
+    rng = np.random.default_rng(31)
+    for p in net.layers:
+        p.bias[:] = rng.normal(0.0, 1.0, p.n_out)  # nonzero, so the fold moves biases
+    keep = [np.ones(n, dtype=bool) for n in net.hidden_sizes]
+    for l, nodes in removed.items():
+        keep[l][nodes] = False
+    mask = PruneMask(keep=keep, mode=mode, theta=None)
+    pruned = apply_mask(net, mask)
+    expected = reference_prune(net, mask)
+    assert len(pruned.layers) == len(expected)
+    for l, (p, (w, b)) in enumerate(zip(pruned.layers, expected), start=1):
+        assert p.weights.dtype == dtype and p.bias.dtype == dtype
+        assert np.array_equal(p.weights, w) and np.array_equal(p.bias, b)
+        # a layer no removal touches is the input's own, not a copy: layer l
+        # maps hidden layer l - 1 (index l - 2 in removed) to hidden layer l
+        untouched = l - 2 not in removed and l - 1 not in removed
+        assert (p is net.layers[l - 1]) == untouched
+
+
 def rebuilt_curve(net, mode, data, step):
     """The forced-removal curve and its networks, one apply_mask per point."""
     ranked = sorted(
@@ -312,7 +365,7 @@ def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
 def test_forced_removal_rejects_empty_eval_set():
     net = init_network([3, 4, 2], seed=0)
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dataset is empty"):
         forced_removal_curve(net, Mode.GLASSO_OUT, empty, step=1)
 
 

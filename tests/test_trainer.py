@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from glasso_prune import trainer
 from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError, TrainingDiverged
 from glasso_prune.linalg import as_matrix, as_vector
@@ -26,6 +27,7 @@ from glasso_prune.trainer import (
     EpochReport,
     TrainConfig,
     _eval_buffers,
+    _sgd_step,
     disposable_counts,
     evaluate,
     load_history,
@@ -248,7 +250,7 @@ def test_evaluate_matches_loop_oracle():
 def test_evaluate_empty_dataset_errors():
     net = init_network([4, 5, 3], seed=2)
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), num_classes=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dataset is empty"):
         evaluate(net, empty)
 
 
@@ -296,6 +298,7 @@ def test_best_epoch_attains_max_val_accuracy():
     result = train(net, data, data, cfg)
     best = max(r.val_accuracy for r in result.history)
     assert result.history[result.best_epoch - 1].val_accuracy == best
+    assert result.best_val_accuracy == best
     # latest on ties: equal accuracy, prefer the further-regularized net
     last_hit = max(r.epoch for r in result.history if r.val_accuracy == best)
     assert result.best_epoch == last_hit
@@ -307,6 +310,50 @@ def test_shape_mismatch_rejected():
     cfg = TrainConfig(mode="glasso_out", epochs=1)
     with pytest.raises(ShapeMismatchError):
         train(net, data, data, cfg)
+
+
+@pytest.mark.parametrize("empty_split", ["train", "val"])
+def test_empty_split_rejected_before_any_step(monkeypatch, empty_split):
+    def no_step(*args, **kwargs):
+        raise AssertionError("minibatch step before the empty-split check")
+
+    monkeypatch.setattr(trainer, "batch_gradients", no_step)
+    data = small_task()
+    empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=np.int64), num_classes=3)
+    splits = (empty, data) if empty_split == "train" else (data, empty)
+    net = init_network([6, 5, 3], seed=0)
+    cfg = TrainConfig(mode="glasso_out", epochs=2)
+    with pytest.raises(ValueError, match="dataset is empty") as info:
+        train(net, *splits, cfg)
+    assert info.type is ValueError  # not a ShapeMismatchError
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sgd_step_is_the_closed_form(dtype):
+    # v' = momentum * v - lr * g and p' = p + v', bit for bit, on every array
+    net = init_network([5, 4, 3], seed=3).copy(dtype)
+    rng = np.random.default_rng(3)
+
+    def random_set():
+        return GradientSet(
+            [rng.standard_normal(p.weights.shape).astype(dtype) for p in net.layers],
+            [rng.standard_normal(p.n_out).astype(dtype) for p in net.layers],
+        )
+
+    velocity, grads = random_set(), random_set()
+    before = net.copy()
+    v0 = [a.copy() for a in velocity.d_weights + velocity.d_biases]
+    g0 = [a.copy() for a in grads.d_weights + grads.d_biases]
+    lr, momentum = 0.07, 0.9
+    _sgd_step(net, velocity, grads, lr, momentum)
+    params = [p.weights for p in net.layers] + [p.bias for p in net.layers]
+    params0 = [p.weights for p in before.layers] + [p.bias for p in before.layers]
+    for p, p_prev, v, v_prev, g_prev in zip(
+        params, params0, velocity.d_weights + velocity.d_biases, v0, g0
+    ):
+        v_expected = momentum * v_prev - lr * g_prev
+        assert v.dtype == dtype and np.array_equal(v, v_expected)
+        assert p.dtype == dtype and np.array_equal(p, p_prev + v_expected)
 
 
 def test_label_out_of_range_rejected():
@@ -506,7 +553,7 @@ def test_eval_buffers_serve_both_dtypes():
 def test_mean_loss_empty_dataset_errors():
     net = init_network([4, 5, 3], seed=2)
     empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), num_classes=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dataset is empty"):
         mean_loss(net, empty)
 
 
