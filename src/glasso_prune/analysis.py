@@ -2,8 +2,9 @@
 disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
-so outputs are byte-deterministic and test-friendly. Histograms are binned
-in log10 of the group norm; exact zeros fall into the underflow bucket.
+so outputs are byte-deterministic and test-friendly. Each CSV table is a
+list of rows, and one writer writes them all. Histograms are binned in
+log10 of the group norm; exact zeros fall in the underflow row from 0.0.
 """
 
 from __future__ import annotations
@@ -36,66 +37,36 @@ GAP_BAND_LO = 1e-2
 GAP_BAND_HI = 1e-1
 
 
-@dataclass
-class LayerHistogram:
-    layer: int  # POOLED_LAYER for the pooled rows, else 1..L-1
-    underflow: int
-    counts: np.ndarray
-    overflow: int
+def norm_histogram(net: MlpNetwork, mode: Mode) -> list[tuple[float, float, int, int]]:
+    """The rows of histogram.csv: (bin_lo, bin_hi, layer, count).
 
-    @property
-    def total(self) -> int:
-        return self.underflow + int(np.sum(self.counts)) + self.overflow
-
-
-@dataclass
-class NormHistogram:
-    layers: list[LayerHistogram]  # pooled first, then per hidden layer
-
-
-def _bin_norms(norms: np.ndarray) -> tuple[int, np.ndarray, int]:
+    The pooled layer comes first, then each hidden layer. Each layer has an
+    underflow row from 0.0, HIST_BINS log10 bins and an overflow row to inf.
+    """
     width = (HIST_LOG10_MAX - HIST_LOG10_MIN) / HIST_BINS
-    counts = np.zeros(HIST_BINS, dtype=np.int64)
-    under = over = 0
-    for n in norms:
-        if n <= 0.0:
-            under += 1
-            continue
-        i = int(np.floor((np.log10(n) - HIST_LOG10_MIN) / width))
-        if i < 0:
-            under += 1
-        elif i >= HIST_BINS:
-            over += 1
-        else:
-            counts[i] += 1
-    return under, counts, over
-
-
-def norm_histogram(net: MlpNetwork, mode: Mode) -> NormHistogram:
-    """Group-norm histogram per hidden layer plus a pooled set of rows."""
+    logs = np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
+    edges = [0.0, *(10.0 ** logs).tolist(), np.inf]
     per_layer = group_norms(net, mode)
-    layers = [LayerHistogram(POOLED_LAYER, *_bin_norms(np.concatenate(per_layer)))]
-    for l, norms in enumerate(per_layer, start=1):
-        layers.append(LayerHistogram(l, *_bin_norms(norms)))
-    return NormHistogram(layers)
+    rows = []
+    for layer, norms in enumerate([np.concatenate(per_layer), *per_layer], start=POOLED_LAYER):
+        with np.errstate(divide="ignore"):  # an exact zero's log10 is -inf, an underflow
+            bins = np.floor((np.log10(norms) - HIST_LOG10_MIN) / width)
+        # slot 0 is the underflow row, slot HIST_BINS + 1 the overflow row
+        slots = np.clip(bins + 1, 0, HIST_BINS + 1).astype(np.int64)
+        counts = np.bincount(slots, minlength=HIST_BINS + 2).tolist()
+        rows += [(lo, hi, layer, c) for lo, hi, c in zip(edges, edges[1:], counts)]
+    return rows
 
 
-def bimodality_gap(
-    net: MlpNetwork,
-    mode: Mode,
-    band_lo: float = GAP_BAND_LO,
-    band_hi: float = GAP_BAND_HI,
-) -> float:
-    """Fraction of hidden-node group norms inside [band_lo, band_hi].
+def bimodality_gap(net: MlpNetwork, mode: Mode) -> float:
+    """Fraction of hidden-node group norms inside [GAP_BAND_LO, GAP_BAND_HI].
 
     A trained network whose norms split cleanly into a prunable cluster
     and a retained cluster leaves almost no mass in this band, which is
     what makes the pruning threshold easy to place.
     """
-    if not 0 < band_lo < band_hi:
-        raise ValueError(f"need 0 < band_lo < band_hi, got {band_lo}, {band_hi}")
     norms = np.concatenate(group_norms(net, mode))
-    inside = np.sum((norms >= band_lo) & (norms <= band_hi))
+    inside = np.sum((norms >= GAP_BAND_LO) & (norms <= GAP_BAND_HI))
     return float(inside / len(norms))
 
 
@@ -103,7 +74,7 @@ def bimodality_gap(
 class AnalysisBundle:
     """Collected diagnostics; None fields are skipped by write_bundle."""
 
-    histogram: NormHistogram | None = None
+    histogram: list[tuple[float, float, int, int]] | None = None  # norm_histogram rows
     pruning_curve: list[tuple[int, float]] | None = None
     history: list[EpochReport] | None = None
     retained_profile: list[tuple[int, int, int]] | None = None  # (layer, kept, total)
@@ -115,54 +86,33 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _write_text(path: Path, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        for line in lines:
-            f.write(line + "\n")
+def _cell(x) -> str:
+    return fmt_float(x) if isinstance(x, (float, np.floating)) else str(int(x))
 
 
 def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     """Write the bundle's data files into out_dir; returns written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    disposable = None if bundle.history is None else [
+        (report.epoch, l, count)
+        for report in bundle.history
+        for l, count in enumerate(report.disposable_per_layer, start=1)
+    ]
+    tables = [
+        ("histogram.csv", HISTOGRAM_HEADER, bundle.histogram),
+        ("curve.csv", CURVE_HEADER, bundle.pruning_curve),
+        ("disposable.csv", DISPOSABLE_HEADER, disposable),
+        ("retained.csv", RETAINED_HEADER, bundle.retained_profile),
+    ]
     written = []
-
-    if bundle.histogram is not None:
-        hist = bundle.histogram
-        edges = 10.0 ** np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
-        lines = [HISTOGRAM_HEADER]
-        for lh in hist.layers:
-            lines.append(f"0.0,{fmt_float(edges[0])},{lh.layer},{lh.underflow}")
-            for i, count in enumerate(lh.counts):
-                lines.append(f"{fmt_float(edges[i])},{fmt_float(edges[i + 1])},{lh.layer},{int(count)}")
-            lines.append(f"{fmt_float(edges[-1])},inf,{lh.layer},{lh.overflow}")
-        path = out_dir / "histogram.csv"
-        _write_text(path, lines)
-        written.append(path)
-
-    if bundle.pruning_curve is not None:
-        lines = [CURVE_HEADER]
-        for removed, acc in bundle.pruning_curve:
-            lines.append(f"{int(removed)},{fmt_float(acc)}")
-        path = out_dir / "curve.csv"
-        _write_text(path, lines)
-        written.append(path)
-
-    if bundle.history is not None:
-        lines = [DISPOSABLE_HEADER]
-        for report in bundle.history:
-            for l, count in enumerate(report.disposable_per_layer, start=1):
-                lines.append(f"{report.epoch},{l},{int(count)}")
-        path = out_dir / "disposable.csv"
-        _write_text(path, lines)
-        written.append(path)
-
-    if bundle.retained_profile is not None:
-        lines = [RETAINED_HEADER]
-        for layer, kept, total in bundle.retained_profile:
-            lines.append(f"{int(layer)},{int(kept)},{int(total)}")
-        path = out_dir / "retained.csv"
-        _write_text(path, lines)
+    for name, header, rows in tables:
+        if rows is None:
+            continue
+        path = out_dir / name
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(header + "\n")
+            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
         written.append(path)
 
     if bundle.gap_report is not None:
@@ -174,22 +124,21 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     return written
 
 
+def _read_rows(path, header: str, types: tuple) -> list[tuple]:
+    """Parse a table written by write_bundle back into rows of the given types."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"{path}: missing header {header!r}")
+    return [
+        tuple(t(cell) for t, cell in zip(types, line.split(","), strict=True))
+        for line in lines[1:]
+    ]
+
+
 def read_histogram_csv(path) -> list[tuple[float, float, int, int]]:
     """Parse histogram.csv rows back into (bin_lo, bin_hi, layer, count)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != HISTOGRAM_HEADER:
-        raise ValueError(f"{path}: missing header {HISTOGRAM_HEADER!r}")
-    rows = []
-    for line in lines[1:]:
-        lo, hi, layer, count = line.split(",")
-        rows.append((float(lo), float(hi), int(layer), int(count)))
-    return rows
+    return _read_rows(path, HISTOGRAM_HEADER, (float, float, int, int))
 
 
 def read_curve_csv(path) -> list[tuple[int, float]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CURVE_HEADER:
-        raise ValueError(f"{path}: missing header {CURVE_HEADER!r}")
-    return [
-        (int(line.split(",")[0]), float(line.split(",")[1])) for line in lines[1:]
-    ]
+    return _read_rows(path, CURVE_HEADER, (int, float))

@@ -165,42 +165,31 @@ def _is_model_file(path: Path) -> bool:
         return f.read(len(MAGIC)) == MAGIC
 
 
+# the analyze flags that select a model's outputs; a history yields disposable.csv
+MODEL_OUTPUTS = ("histogram", "curve", "gap", "retained")
+
+
 def cmd_analyze(args) -> int:
     target = Path(args.target)
-    is_model = _is_model_file(target)
-
-    wants = {
-        "histogram": args.histogram,
-        "curve": args.curve,
-        "gap": args.gap,
-        "disposable": args.disposable,
-        "retained": args.retained,
-    }
-    if not any(wants.values()):
-        # default: everything derivable from the given file alone
-        if is_model:
-            wants.update(histogram=True, gap=True, retained=True)
-            wants["curve"] = args.data is not None
-        else:
-            wants["disposable"] = True
+    chosen = [name for name in MODEL_OUTPUTS if getattr(args, name)]
 
     bundle = AnalysisBundle()
-    if is_model:
+    if _is_model_file(target):
         net = load_model(target)
         cfg = parse_config(args.data) if args.data is not None else None
         mode = _group_mode(args.mode, cfg)
-        if wants["disposable"]:
-            raise ConfigError("--disposable needs a history.jsonl file, not a model")
-        if wants["histogram"]:
+        if not chosen:  # default: everything derivable from the given files
+            chosen = list(MODEL_OUTPUTS) if cfg is not None else ["histogram", "gap", "retained"]
+        if "histogram" in chosen:
             bundle.histogram = norm_histogram(net, mode)
-        if wants["gap"]:
+        if "gap" in chosen:
             bundle.gap_report = _gap_report(net, mode)
-        if wants["retained"]:
+        if "retained" in chosen:
             theta = args.theta
             if theta is None:
                 theta = cfg.theta if cfg is not None else TrainConfig.theta
             bundle.retained_profile = _retained_profile(net, mode, theta)
-        if wants["curve"]:
+        if "curve" in chosen:
             if cfg is None:
                 raise ConfigError("--curve needs --data to evaluate accuracy")
             _, _, test_set = cfg.load_splits()
@@ -208,7 +197,7 @@ def cmd_analyze(args) -> int:
                 net, mode, test_set, step=args.step
             )
     else:
-        if any(wants[k] for k in ("histogram", "curve", "gap", "retained")):
+        if chosen:
             raise ConfigError(
                 "histogram/curve/gap/retained need a model file, not a history"
             )
@@ -300,13 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("analyze", help="norm and history diagnostics")
-    p.add_argument("target", help="a .glnn model or a history.jsonl")
+    p.add_argument("target", help="a .glnn model, or a history.jsonl, which yields "
+                   "the per-epoch disposable-node CSV")
     p.add_argument("--histogram", action="store_true", help="group-norm histogram CSV")
     p.add_argument("--curve", action="store_true",
                    help="forced-removal accuracy curve CSV (needs --data)")
     p.add_argument("--gap", action="store_true", help="norm bimodality gap JSON")
-    p.add_argument("--disposable", action="store_true",
-                   help="per-epoch disposable-node CSV from a history file")
     p.add_argument("--retained", action="store_true",
                    help="kept-vs-total nodes per layer at the theta threshold")
     p.add_argument("--mode", choices=("out", "in"), default=None,

@@ -105,6 +105,9 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError(f"key 'layer_sizes' must all be >= 1, got {self.layer_sizes}")
         if self.data_seed < 0:
             raise ConfigError(f"key 'data_seed' must be nonnegative, got {self.data_seed}")
+        for key, least in (("synth_classes", 2), ("synth_dim", 1), ("synth_per_class", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"key {key!r} must be >= {least}, got {getattr(self, key)}")
         if len(self.split_fractions) != 3:
             raise ConfigError(
                 f"key 'split_fractions' needs exactly three values, got {self.split_fractions}"
@@ -204,9 +207,17 @@ def _parse_kv_lines(text: str, name: str) -> dict:
 
 
 def parse_config_text(text: str, name: str = "<config>") -> ExperimentConfig:
+    def unique_keys(pairs):
+        raw = {}
+        for key, value in pairs:
+            if key in raw:
+                raise ConfigError(f"{name}: duplicate key {key!r}")
+            raw[key] = value
+        return raw
+
     if text.lstrip().startswith("{"):
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=unique_keys)
         except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"{name}: invalid JSON: {e}") from None
         if not isinstance(raw, dict):

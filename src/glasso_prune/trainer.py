@@ -195,8 +195,8 @@ class _EvalBuffers(threading.local):
 _eval_buffers = _EvalBuffers()
 
 
-def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
-    """Yield (logits, labels) for consecutive batches of a dataset.
+def _logit_batches(net: MlpNetwork, dataset: Dataset):
+    """Yield (logits, labels) for consecutive EVAL_BATCH-row batches of a dataset.
 
     The logits live in this thread's _EvalBuffers and are overwritten by
     the next batch, so a consumer must finish with each batch before
@@ -206,31 +206,31 @@ def _logit_batches(net: MlpNetwork, dataset: Dataset, batch_size: int):
     """
     check_shapes(net, dataset)
     widths = [p.n_out for p in net.layers]
-    for start in range(0, dataset.n, batch_size):
-        stop = min(start + batch_size, dataset.n)
+    for start in range(0, dataset.n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, dataset.n)
         out = _eval_buffers.views(stop - start, widths, net.dtype)
         logits = forward_batch(net, dataset.features[start:stop], out=out)[-1]
         yield logits, dataset.labels[start:stop]
 
 
-def evaluate(net: MlpNetwork, dataset: Dataset, batch_size: int = EVAL_BATCH) -> float:
+def evaluate(net: MlpNetwork, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
     hits = 0
-    for logits, labels in _logit_batches(net, dataset, batch_size):
+    for logits, labels in _logit_batches(net, dataset):
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))
     return hits / dataset.n
 
 
-def mean_loss(net: MlpNetwork, dataset: Dataset, batch_size: int = EVAL_BATCH) -> tuple[float, float]:
+def mean_loss(net: MlpNetwork, dataset: Dataset) -> tuple[float, float]:
     """Mean cross-entropy (no regularizer term) and accuracy, in one pass.
 
-    The accuracy equals evaluate(net, dataset, batch_size) exactly. This is
+    The accuracy equals evaluate(net, dataset) exactly. This is
     the loss of a fixed network; the trainer's epoch report does not use
     it (see the module docstring).
     """
     total = 0.0
     hits = 0
-    for logits, labels in _logit_batches(net, dataset, batch_size):
+    for logits, labels in _logit_batches(net, dataset):
         shifted, _, sums = softmax_terms(logits)
         total += float(np.sum(cross_entropy(shifted, sums, labels)))
         hits += int(np.sum(np.argmax(logits, axis=1) == labels))

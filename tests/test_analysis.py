@@ -6,6 +6,11 @@ import pytest
 from glasso_prune.analysis import (
     CURVE_HEADER,
     DISPOSABLE_HEADER,
+    GAP_BAND_HI,
+    GAP_BAND_LO,
+    HIST_BINS,
+    HIST_LOG10_MAX,
+    HIST_LOG10_MIN,
     HISTOGRAM_HEADER,
     POOLED_LAYER,
     RETAINED_HEADER,
@@ -33,38 +38,82 @@ def unit_norm_net():
     return net
 
 
+def counts_by_layer(rows):
+    by_layer = {}
+    for _, _, layer, count in rows:
+        by_layer.setdefault(layer, []).append(count)
+    return by_layer
+
+
 def test_all_unit_norms_land_in_one_bin():
-    hist = norm_histogram(unit_norm_net(), Mode.GLASSO_OUT)
-    pooled = hist.layers[0]
-    assert pooled.layer == POOLED_LAYER
-    assert pooled.underflow == 0
-    assert pooled.overflow == 0
-    assert (pooled.counts > 0).sum() == 1
-    assert pooled.counts.sum() == 8
+    rows = norm_histogram(unit_norm_net(), Mode.GLASSO_OUT)
+    pooled = [row for row in rows if row[2] == POOLED_LAYER]
+    assert rows[: len(pooled)] == pooled  # pooled rows come first
+    assert len(pooled) == HIST_BINS + 2
+    assert pooled[0][:2] == (0.0, 10.0**HIST_LOG10_MIN) and pooled[0][3] == 0
+    assert pooled[-1][1] == np.inf and pooled[-1][3] == 0
+    filled = [row for row in pooled if row[3] > 0]
+    assert len(filled) == 1
+    lo, hi, _, count = filled[0]
+    assert count == 8 and lo <= 1.0 < hi
 
 
 def test_histogram_mass_conservation():
     for seed in range(3):
         net = init_network([3, 6, 5, 2], seed=seed)
-        hist = norm_histogram(net, Mode.GLASSO_OUT)
-        total_groups = sum(net.hidden_sizes)
-        assert hist.layers[0].total == total_groups
-        per_layer_sum = sum(lh.total for lh in hist.layers[1:])
-        assert per_layer_sum == total_groups
+        by_layer = counts_by_layer(norm_histogram(net, Mode.GLASSO_OUT))
+        assert list(by_layer) == [POOLED_LAYER, 1, 2]
+        assert all(len(counts) == HIST_BINS + 2 for counts in by_layer.values())
+        assert sum(by_layer[POOLED_LAYER]) == sum(net.hidden_sizes)
+        for l, width in enumerate(net.hidden_sizes, start=1):
+            assert sum(by_layer[l]) == width
+        # the pooled row is the sum of the per-layer rows of the same bin
+        assert by_layer[POOLED_LAYER] == [a + b for a, b in zip(by_layer[1], by_layer[2])]
 
 
 def test_exact_zero_norm_goes_to_underflow():
     net = init_network([3, 4, 2], seed=1)
     net.layers[1].weights[:, 2] = 0.0
-    hist = norm_histogram(net, Mode.GLASSO_OUT)
-    assert hist.layers[0].underflow == 1
+    rows = norm_histogram(net, Mode.GLASSO_OUT)
+    assert rows[0] == (0.0, 10.0**HIST_LOG10_MIN, POOLED_LAYER, 1)
+    assert counts_by_layer(rows)[1][0] == 1
 
 
 def test_overflow_bucket():
     net = init_network([3, 4, 2], seed=2)
     net.layers[1].weights[:, 0] = 1e10
-    hist = norm_histogram(net, Mode.GLASSO_OUT)
-    assert hist.layers[0].overflow >= 1
+    rows = norm_histogram(net, Mode.GLASSO_OUT)
+    lo, hi, layer, count = rows[HIST_BINS + 1]  # the pooled overflow row
+    assert (lo, hi, layer) == (10.0**HIST_LOG10_MAX, np.inf, POOLED_LAYER)
+    assert count == 1
+
+
+def loop_bin_counts(norms):
+    """Reference binning, one norm at a time: underflow, HIST_BINS bins, overflow."""
+    width = (HIST_LOG10_MAX - HIST_LOG10_MIN) / HIST_BINS
+    counts = [0] * (HIST_BINS + 2)
+    for n in norms:
+        i = -1 if n <= 0.0 else int(np.floor((np.log10(n) - HIST_LOG10_MIN) / width))
+        counts[min(max(i, -1), HIST_BINS) + 1] += 1
+    return counts
+
+
+def test_histogram_matches_loop_binning():
+    # every bin edge, both float neighbours of each, exact zeros, norms far
+    # outside the binned range and log-uniform draws
+    edges = 10.0 ** np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
+    draws = 10.0 ** np.random.default_rng(0).uniform(-10, 4, 300)
+    values = np.concatenate(
+        [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), [0.0, 1e-12, 1e5], draws]
+    )
+    net = init_network([2, len(values), 150, 2], seed=0)
+    net.layers[1].weights[:] = 0.0
+    net.layers[1].weights[0] = values
+    per_layer = group_norms(net, Mode.GLASSO_OUT)
+    by_layer = counts_by_layer(norm_histogram(net, Mode.GLASSO_OUT))
+    assert by_layer[POOLED_LAYER] == loop_bin_counts(np.concatenate(per_layer))
+    for l, norms in enumerate(per_layer, start=1):
+        assert by_layer[l] == loop_bin_counts(norms)
 
 
 def test_gap_zero_when_all_norms_large():
@@ -72,26 +121,29 @@ def test_gap_zero_when_all_norms_large():
 
 
 def test_gap_full_band_is_one():
-    net = init_network([3, 5, 2], seed=3)
-    assert bimodality_gap(net, Mode.GLASSO_OUT, 1e-300, 1e300) == 1.0
+    # every group scaled into the fixed band, both edges included
+    net = unit_norm_net()
+    for l in (1, 2):
+        net.layers[l].weights[0] = np.linspace(GAP_BAND_LO, GAP_BAND_HI, 4)
+    assert bimodality_gap(net, Mode.GLASSO_OUT) == 1.0
 
 
 def test_gap_matches_loop_count():
-    net = init_network([3, 6, 4, 2], seed=4)
-    lo, hi = 0.3, 0.8
-    norms = np.concatenate(group_norms(net, Mode.GLASSO_OUT))
-    count = sum(1 for n in norms if lo <= n <= hi)
-    assert bimodality_gap(net, Mode.GLASSO_OUT, lo, hi) == pytest.approx(
-        count / len(norms), abs=1e-15
-    )
-
-
-def test_gap_band_validation():
-    net = init_network([3, 4, 2], seed=0)
-    with pytest.raises(ValueError):
-        bimodality_gap(net, Mode.GLASSO_OUT, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        bimodality_gap(net, Mode.GLASSO_OUT, 0.5, 0.1)
+    # norms on both band edges, their outer float neighbours, inside the band
+    # and decades away from it, against a loop count over [1e-2, 1e-1]
+    outside = [np.nextafter(GAP_BAND_LO, 0), np.nextafter(GAP_BAND_HI, 1), 1e-5, 1.0]
+    scales = [[GAP_BAND_LO, GAP_BAND_HI, 0.05, 0.02], outside]
+    for seed in range(3):
+        net = init_network([3, 6, 4, 2], seed=seed)
+        net.layers[1].weights[:] *= 10.0 ** np.linspace(-3.5, 1.5, 6)
+        net.layers[2].weights[:] = 0.0
+        net.layers[2].weights[0] = scales[seed % 2]
+        norms = np.concatenate(group_norms(net, Mode.GLASSO_OUT))
+        count = sum(1 for n in norms if 1e-2 <= n <= 1e-1)
+        assert 0 < count < len(norms)
+        assert bimodality_gap(net, Mode.GLASSO_OUT) == pytest.approx(
+            count / len(norms), abs=1e-15
+        )
 
 
 def test_write_bundle_empty_curve_header_only(tmp_path):
@@ -156,12 +208,11 @@ def test_histogram_csv_roundtrip(tmp_path):
     hist = norm_histogram(net, Mode.GLASSO_OUT)
     write_bundle(AnalysisBundle(histogram=hist), tmp_path)
     rows = read_histogram_csv(tmp_path / "histogram.csv")
-    by_layer = {}
-    for _, _, layer, count in rows:
-        by_layer[layer] = by_layer.get(layer, 0) + count
-    assert by_layer[POOLED_LAYER] == sum(net.hidden_sizes)
+    assert rows == hist
+    by_layer = counts_by_layer(rows)
+    assert sum(by_layer[POOLED_LAYER]) == sum(net.hidden_sizes)
     for l, width in enumerate(net.hidden_sizes, start=1):
-        assert by_layer[l] == width
+        assert sum(by_layer[l]) == width
 
 
 def test_curve_csv_roundtrip(tmp_path):

@@ -89,6 +89,20 @@ def test_train_outputs_agree_with_its_saved_model(tmp_path):
     assert best.val_accuracy == manifest["best_val_acc"]
 
 
+def test_train_bundle_equals_analyze_outputs(tmp_path):
+    # train's diagnostics are those of analyze on the model and history it saved
+    run, by_model, by_history = tmp_path / "run", tmp_path / "model", tmp_path / "history"
+    cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {run}\n")
+    assert main(["train", str(cfg)]) == 0
+    argv = ["analyze", str(run / "model.glnn"), "--data", str(cfg), "--out", str(by_model)]
+    assert main(argv) == 0
+    assert main(["analyze", str(run / "history.jsonl"), "--out", str(by_history)]) == 0
+    assert sorted(p.name for p in by_history.iterdir()) == ["disposable.csv"]
+    for name, other in [("histogram.csv", by_model), ("gap.json", by_model),
+                        ("retained.csv", by_model), ("disposable.csv", by_history)]:
+        assert (run / name).read_bytes() == (other / name).read_bytes(), name
+
+
 def test_train_missing_output_dir(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["train", str(cfg)]) == 2
@@ -244,12 +258,15 @@ def test_analyze_history_disposable(trained_run, tmp_path):
     assert len(lines) == 1 + 3  # three epochs, one hidden layer
 
 
-def test_analyze_disposable_on_model_errors(trained_run, tmp_path, capsys):
+def test_analyze_disposable_flag_rejected(trained_run, tmp_path, capsys):
+    # a history's one output, disposable.csv, needs no flag; a model has none
     _, _, run = trained_run
-    code = main(
-        ["analyze", str(run / "model.glnn"), "--disposable", "--out", str(tmp_path)]
-    )
-    assert code == 2
+    for target in ("model.glnn", "history.jsonl"):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(run / target), "--disposable", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--disposable" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_histogram_on_history_errors(trained_run, tmp_path):

@@ -83,6 +83,10 @@ def test_duplicate_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "mode = l2\n")
     assert "mode" in str(err.value)
+    # JSON would otherwise keep the last value silently
+    text = '{"dataset": "synth", "layer_sizes": [8, 16, 3], "mode": "glasso_out", '
+    with pytest.raises(ConfigError, match="duplicate key 'alpha'"):
+        parse_config_text(text + '"alpha": 0.1, "alpha": 0.2}')
 
 
 def test_missing_required_key():
@@ -327,6 +331,10 @@ def test_missing_required_key_named():
         ("split_fractions", [0.5, 0.3, 0.3], "0.5,0.3,0.3"),
         ("split_fractions", [0.5, 0.6, -0.1], "0.5,0.6,-0.1"),
         ("split_fractions", [0.9, 0.1, 0.0], "0.9,0.1,0"),
+        ("synth_classes", 1, "1"),
+        ("synth_dim", 0, "0"),
+        ("synth_per_class", 0, "0"),
+        ("synth_per_class", -1, "-1"),
     ],
 )
 def test_malformed_value_rejected_at_parse(key, json_value, kv_value):

@@ -24,6 +24,7 @@ from glasso_prune.regularization import (
     regularizer_value,
 )
 from glasso_prune.trainer import (
+    EVAL_BATCH,
     EpochReport,
     TrainConfig,
     _eval_buffers,
@@ -481,44 +482,48 @@ def ce_by_separate_softmax(logits, labels):
     return log_norm - shifted[np.arange(len(labels)), labels]
 
 
+def odd_task(seed):
+    # 999 = 512 + 487 rows: one full evaluation batch and a partial one
+    return synth_gaussians(3, 6, 333, 4.0, seed=seed)
+
+
 def test_mean_loss_accuracy_equals_evaluate():
     for seed in range(3):
         net = init_network([6, 9, 3], seed=seed)
-        data = small_task(seed=seed)
-        for batch_size in (7, 16, 512):
-            _, acc = mean_loss(net, data, batch_size)
-            assert acc == evaluate(net, data, batch_size)
+        data = odd_task(seed)
+        _, acc = mean_loss(net, data)
+        assert acc == evaluate(net, data)
 
 
 def test_mean_loss_equals_sum_of_separate_passes():
+    assert odd_task(0).n % EVAL_BATCH == 487
     for seed in range(3):
         net = init_network([6, 9, 3], seed=seed)
-        data = small_task(seed=seed)
-        for batch_size in (7, 16, 512):
-            total = 0.0
-            for start in range(0, data.n, batch_size):
-                stop = min(start + batch_size, data.n)
-                logits = forward_batch(net, data.features[start:stop])[-1]
-                total += float(np.sum(ce_by_separate_softmax(logits, data.labels[start:stop])))
-            loss, _ = mean_loss(net, data, batch_size)
-            assert loss == total / data.n
+        data = odd_task(seed)
+        total = 0.0
+        for start in range(0, data.n, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, data.n)
+            logits = forward_batch(net, data.features[start:stop])[-1]
+            total += float(np.sum(ce_by_separate_softmax(logits, data.labels[start:stop])))
+        loss, _ = mean_loss(net, data)
+        assert loss == total / data.n
 
 
 def test_evaluation_unaffected_by_other_networks():
     # evaluation reuses one set of activation buffers; passes over a wider
     # and a narrower pruned network in between must not change net A's
-    data = synth_gaussians(3, 6, 333, 4.0, seed=5)
+    data = odd_task(5)
     net_a = init_network([6, 40, 30, 3], seed=5)
     wider = init_network([6, 90, 70, 3], seed=6)
     narrower = apply_mask(net_a, match_count_mask(net_a, Mode.GLASSO_OUT, 40))
-    for batch_size in (512, 100):  # neither divides n = 999
-        def results(net):
-            return evaluate(net, data, batch_size), mean_loss(net, data, batch_size)
 
-        before = results(net_a)
-        for other in (wider, narrower):
-            results(other)
-            assert results(net_a) == before
+    def results(net):
+        return evaluate(net, data), mean_loss(net, data)
+
+    before = results(net_a)
+    for other in (wider, narrower):
+        results(other)
+        assert results(net_a) == before
 
 
 def test_evaluate_reuses_buffers():
@@ -540,10 +545,10 @@ def test_eval_buffers_serve_both_dtypes():
     data = small_task(seed=3)
     net64 = init_network([6, 9, 3], seed=3)
     nets = [net64, net64.copy(np.float32)]
-    want = [(evaluate(net, data, 7), mean_loss(net, data, 7)) for net in nets]
+    want = [(evaluate(net, data), mean_loss(net, data)) for net in nets]
     before = list(_eval_buffers.flat)
     for i in (0, 1, 1, 0):
-        assert (evaluate(nets[i], data, 7), mean_loss(nets[i], data, 7)) == want[i]
+        assert (evaluate(nets[i], data), mean_loss(nets[i], data)) == want[i]
         views = _eval_buffers.views(7, [9, 3], nets[i].dtype)
         assert [v.dtype for v in views] == [nets[i].dtype] * 2
         assert all(np.shares_memory(v, b) for v, b in zip(views, before))
