@@ -2,9 +2,11 @@
 disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
-so outputs are byte-deterministic and test-friendly. Each CSV table is a
-list of rows, and one writer writes them all. Histograms are binned in
-log10 of the group norm; exact zeros fall in the underflow row from 0.0.
+so outputs are byte-deterministic and test-friendly. train and analyze
+build a model's outputs with one function, diagnostics. Each CSV table is
+a list of rows, and one writer writes them all; write_json writes every
+JSON file. Histograms are binned in log10 of the group norm; exact zeros
+fall in the underflow row from 0.0.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import MlpNetwork
+from .pruning import forced_removal_curve, make_mask
 from .regularization import Mode, group_norms
 from .trainer import EpochReport
 
@@ -81,6 +84,34 @@ class AnalysisBundle:
     gap_report: dict | None = None
 
 
+# a model's outputs: those of its group norms alone, and the curve, which needs data
+NORM_OUTPUTS = ("histogram", "gap", "retained")
+MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
+
+
+def diagnostics(
+    net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=100, history=None
+) -> AnalysisBundle:
+    """The chosen MODEL_OUTPUTS of net, retained.csv at theta, and the history if given."""
+    bundle = AnalysisBundle(history=history)
+    if "histogram" in chosen:
+        bundle.histogram = norm_histogram(net, mode)
+    if "gap" in chosen:
+        bundle.gap_report = {
+            "mode": mode.value,
+            "band_lo": GAP_BAND_LO,
+            "band_hi": GAP_BAND_HI,
+            "gap_fraction": bimodality_gap(net, mode),
+            "hidden_nodes": sum(net.hidden_sizes),
+        }
+    if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
+        keep = make_mask(net, mode, theta).keep
+        bundle.retained_profile = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
+    if "curve" in chosen:
+        bundle.pruning_curve = forced_removal_curve(net, mode, test_set, step=step)
+    return bundle
+
+
 def fmt_float(x) -> str:
     """Shortest decimal that parses back to the same float."""
     return repr(float(x))
@@ -97,7 +128,7 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
     disposable = None if bundle.history is None else [
         (report.epoch, l, count)
         for report in bundle.history
-        for l, count in enumerate(report.disposable_per_layer, start=1)
+        for l, count in enumerate(report.disposable, start=1)
     ]
     tables = [
         ("histogram.csv", HISTOGRAM_HEADER, bundle.histogram),
@@ -116,12 +147,15 @@ def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
         written.append(path)
 
     if bundle.gap_report is not None:
-        path = out_dir / "gap.json"
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(json.dumps(bundle.gap_report, indent=2) + "\n")
-        written.append(path)
-
+        write_json(out_dir / "gap.json", bundle.gap_report)
+        written.append(out_dir / "gap.json")
     return written
+
+
+def write_json(path, doc) -> None:
+    """Write doc as indented JSON with a final newline."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _read_rows(path, header: str, types: tuple) -> list[tuple]:

@@ -10,13 +10,11 @@ import argparse
 import csv
 import dataclasses
 import itertools
-import json
 import sys
 from pathlib import Path
 
 from .analysis import (
-    GAP_BAND_HI, GAP_BAND_LO, AnalysisBundle, bimodality_gap, fmt_float, norm_histogram,
-    write_bundle,
+    MODEL_OUTPUTS, NORM_OUTPUTS, AnalysisBundle, diagnostics, fmt_float, write_bundle, write_json,
 )
 from .config import ExperimentConfig, convert_value, parse_config
 from .datasets import Dataset
@@ -28,8 +26,8 @@ from .errors import (
     TrainingDiverged,
 )
 from .model_io import MAGIC, load_model, save_model
-from .network import MlpNetwork, init_network
-from .pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
+from .network import init_network
+from .pruning import apply_mask, make_mask, match_count_mask
 from .regularization import Mode
 from .trainer import (
     TrainConfig, TrainResult, disposable_counts, evaluate, load_history, train,
@@ -60,49 +58,22 @@ def run_training(
     save_model(result.best_network, out_dir / "model.glnn")
 
     test_acc = evaluate(result.best_network, test_set)
-    last = result.history[-1]
-    manifest = {
+    final = dataclasses.asdict(result.history[-1])
+    del final["epoch"]
+    write_json(out_dir / "manifest.json", {
         "config": cfg.to_dict(),
         "best_epoch": result.best_epoch,
         "best_val_acc": float(result.best_val_accuracy),
-        "final": {
-            "train_loss": float(last.train_loss),
-            "train_acc": float(last.train_accuracy),
-            "val_acc": float(last.val_accuracy),
-            "disposable": last.disposable_per_layer,
-        },
+        "final": final,
         "test_acc": float(test_acc),
-    }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8", newline="") as f:
-        f.write(json.dumps(manifest, indent=2) + "\n")
+    })
 
     if cfg.emit_bundle:
-        mode = _group_mode(None, cfg)
-        bundle = AnalysisBundle(
-            histogram=norm_histogram(result.best_network, mode),
-            history=result.history,
-            retained_profile=_retained_profile(result.best_network, mode, cfg.theta),
-            gap_report=_gap_report(result.best_network, mode),
-        )
+        net, mode = result.best_network, _group_mode(None, cfg)
+        bundle = diagnostics(net, mode, cfg.theta, NORM_OUTPUTS, history=result.history)
         write_bundle(bundle, out_dir)
 
     return result, float(test_acc)
-
-
-def _retained_profile(net: MlpNetwork, mode: Mode, theta: float) -> list[tuple[int, int, int]]:
-    """(layer, kept, total) per hidden layer, as a theta prune keeps them."""
-    mask = make_mask(net, mode, theta)
-    return [(l, int(k.sum()), int(k.size)) for l, k in enumerate(mask.keep, start=1)]
-
-
-def _gap_report(net: MlpNetwork, mode: Mode) -> dict:
-    return {
-        "mode": mode.value,
-        "band_lo": GAP_BAND_LO,
-        "band_hi": GAP_BAND_HI,
-        "gap_fraction": bimodality_gap(net, mode),
-        "hidden_nodes": sum(net.hidden_sizes),
-    }
 
 
 def cmd_train(args) -> int:
@@ -136,7 +107,7 @@ def cmd_prune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_model(pruned, out_dir / "pruned_model.glnn")
 
-    doc = {
+    write_json(out_dir / "prune.json", {
         "mode": mode.value,
         "theta": mask.theta,
         "removed_per_layer": mask.removed_per_layer(),
@@ -148,9 +119,7 @@ def cmd_prune(args) -> int:
         "after_accuracy": after,
         "layer_sizes_before": net.layer_sizes,
         "layer_sizes_after": pruned.layer_sizes,
-    }
-    with open(out_dir / "prune.json", "w", encoding="utf-8", newline="") as f:
-        f.write(json.dumps(doc, indent=2) + "\n")
+    })
 
     print(
         f"removed {mask.total_removed()} of {sum(net.hidden_sizes)} hidden nodes; "
@@ -165,47 +134,37 @@ def _is_model_file(path: Path) -> bool:
         return f.read(len(MAGIC)) == MAGIC
 
 
-# the analyze flags that select a model's outputs; a history yields disposable.csv
-MODEL_OUTPUTS = ("histogram", "curve", "gap", "retained")
-
-
 def cmd_analyze(args) -> int:
     target = Path(args.target)
     chosen = [name for name in MODEL_OUTPUTS if getattr(args, name)]
+    options = [n for n in ("data", "mode", "theta", "step") if getattr(args, n) is not None]
 
-    bundle = AnalysisBundle()
     if _is_model_file(target):
+        if not chosen:  # default: everything derivable from the given files
+            chosen = MODEL_OUTPUTS if args.data is not None else NORM_OUTPUTS
+        for option, output in (("theta", "retained"), ("step", "curve")):
+            if option in options and output not in chosen:
+                raise ConfigError(f"--{option} is read only for {output}.csv, not written here")
         net = load_model(target)
         cfg = parse_config(args.data) if args.data is not None else None
-        mode = _group_mode(args.mode, cfg)
-        if not chosen:  # default: everything derivable from the given files
-            chosen = list(MODEL_OUTPUTS) if cfg is not None else ["histogram", "gap", "retained"]
-        if "histogram" in chosen:
-            bundle.histogram = norm_histogram(net, mode)
-        if "gap" in chosen:
-            bundle.gap_report = _gap_report(net, mode)
-        if "retained" in chosen:
-            theta = args.theta
-            if theta is None:
-                theta = cfg.theta if cfg is not None else TrainConfig.theta
-            bundle.retained_profile = _retained_profile(net, mode, theta)
-        if "curve" in chosen:
-            if cfg is None:
-                raise ConfigError("--curve needs --data to evaluate accuracy")
-            _, _, test_set = cfg.load_splits()
-            bundle.pruning_curve = forced_removal_curve(
-                net, mode, test_set, step=args.step
-            )
+        if "curve" in chosen and cfg is None:
+            raise ConfigError("--curve needs --data to evaluate accuracy")
+        theta = args.theta
+        if theta is None:
+            theta = cfg.theta if cfg is not None else TrainConfig.theta
+        bundle = diagnostics(
+            net, _group_mode(args.mode, cfg), theta, chosen,
+            test_set=cfg.load_splits()[2] if "curve" in chosen else None,
+            step=100 if args.step is None else args.step,
+        )
+    elif chosen or options:
+        flags = "/".join(f"--{name}" for name in chosen + options)
+        raise ConfigError(f"{flags}: need a model file, not a history")
     else:
-        if chosen:
-            raise ConfigError(
-                "histogram/curve/gap/retained need a model file, not a history"
-            )
-        bundle.history = load_history(target)
+        bundle = AnalysisBundle(history=load_history(target))
 
     out_dir = Path(args.out) if args.out else target.parent
-    written = write_bundle(bundle, out_dir)
-    for path in written:
+    for path in write_bundle(bundle, out_dir):
         print(f"wrote {path}")
     return 0
 
@@ -279,10 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("out", "in"), default=None,
                    help="group direction: outgoing or incoming weight vectors "
                    "(default: that of the --data config's mode, out for l2)")
-    p.add_argument("--theta", type=float, default=None,
-                   help="group-norm removal threshold (default: theta of --data)")
-    p.add_argument("--match-count", type=int, default=None, metavar="N",
-                   help="ignore theta and remove exactly the N smallest groups")
+    how = p.add_mutually_exclusive_group()
+    how.add_argument("--theta", type=float, default=None,
+                     help="group-norm removal threshold (default: theta of --data)")
+    how.add_argument("--match-count", type=int, default=None, metavar="N",
+                     help="remove exactly the N smallest groups instead of thresholding")
     p.add_argument("--data", required=True,
                    help="config whose dataset supplies the evaluation split")
     p.add_argument("--out", default=None, help="output directory (default: model dir)")
@@ -301,10 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="group direction for model diagnostics (default: that "
                    "of the --data config's mode, out for l2 or without --data)")
     p.add_argument("--theta", type=float, default=None,
-                   help="threshold for --retained (default: theta of --data, "
-                   "else 1e-2)")
-    p.add_argument("--step", type=int, default=100,
-                   help="nodes removed per curve point (default 100)")
+                   help="threshold for retained.csv, and only for it (default: "
+                   "theta of --data, else 1e-2)")
+    p.add_argument("--step", type=int, default=None,
+                   help="nodes removed per curve point, read only for curve.csv (default 100)")
     p.add_argument("--data", default=None,
                    help="config whose dataset supplies curve evaluation")
     p.add_argument("--out", default=None, help="output directory (default: target dir)")

@@ -2,7 +2,7 @@
 
 Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are skipped. Lists (layer_sizes, split_fractions) are comma
-separated. A file whose first non-space character is '{' is parsed as a
+separated, no item empty. A file whose first non-space character is '{' is parsed as a
 JSON object with the same keys instead. Unknown keys are rejected, numbers
 must be finite (and integral for integer keys), and all nested invariants
 are checked at parse time, so a bad config never reaches the trainer.
@@ -58,7 +58,7 @@ def _to_float(s):
 def _list_of(convert):
     def to_list(s):
         if isinstance(s, str):
-            s = [x for x in s.split(",") if x.strip()]
+            s = s.split(",")  # an empty item fails its conversion
         elif not isinstance(s, list):
             raise TypeError(f"expected a list or comma separated values, got {s!r}")
         return [convert(x) for x in s]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -85,48 +85,39 @@ class TrainConfig:
 
 @dataclass
 class EpochReport:
+    """One history.jsonl record: the fields are its keys, in file order."""
+
     epoch: int
     train_loss: float
-    train_accuracy: float
-    val_accuracy: float
-    disposable_per_layer: list[int] = field(default_factory=list)
+    train_acc: float
+    val_acc: float
+    disposable: list[int] = field(default_factory=list)
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "train_loss": self.train_loss,
-                "train_acc": self.train_accuracy,
-                "val_acc": self.val_accuracy,
-                "disposable": self.disposable_per_layer,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json_line(cls, line: str) -> "EpochReport":
         """Parse one history line; a missing key or wrong type raises."""
         doc = json.loads(line)
-        epoch, disposable = doc["epoch"], doc["disposable"]
-        metrics = [doc[key] for key in ("train_loss", "train_acc", "val_acc")]
-        if not _is_int(epoch):
-            raise TypeError(f"'epoch' must be an integer, got {epoch!r}")
-        if not all(isinstance(m, (int, float)) and not isinstance(m, bool) for m in metrics):
-            raise TypeError(f"train_loss, train_acc and val_acc must be numbers, got {metrics!r}")
-        if not (isinstance(disposable, list) and all(_is_int(c) and c >= 0 for c in disposable)):
-            raise TypeError(
-                f"'disposable' must be a list of non-negative integers, got {disposable!r}"
-            )
-        return cls(
-            epoch=epoch,
-            train_loss=float(metrics[0]),
-            train_accuracy=float(metrics[1]),
-            val_accuracy=float(metrics[2]),
-            disposable_per_layer=disposable,
-        )
+        for f in fields(cls):
+            check, kind = _JSON_TYPES[f.type]
+            if not check(doc[f.name]):
+                raise TypeError(f"{f.name!r} must be {kind}, got {doc[f.name]!r}")
+        return cls(**{f.name: doc[f.name] for f in fields(cls)})
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+# EpochReport field annotation -> (check of a decoded JSON value, what it must be)
+_JSON_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda x: _is_int(x) or isinstance(x, float), "a number"),
+    "list[int]": (lambda x: isinstance(x, list) and all(_is_int(c) and c >= 0 for c in x),
+                  "a list of non-negative integers"),
+}
 
 
 @dataclass
@@ -318,9 +309,9 @@ def train(
             report = EpochReport(
                 epoch=epoch,
                 train_loss=ce_sum / train_set.n + regularizer_value(net, spec),
-                train_accuracy=hit_sum / train_set.n,
-                val_accuracy=evaluate(net, val_set),
-                disposable_per_layer=(
+                train_acc=hit_sum / train_set.n,
+                val_acc=evaluate(net, val_set),
+                disposable=(
                     disposable_counts(net, spec.mode, cfg.theta) if spec.mode.grouped else []
                 ),
             )
@@ -331,8 +322,8 @@ def train(
             # >= so ties go to the latest epoch: with equal validation
             # accuracy the later snapshot has had more time to shrink
             # group norms, which is the model worth keeping.
-            if report.val_accuracy >= best_val:
-                best_val = report.val_accuracy
+            if report.val_acc >= best_val:
+                best_val = report.val_acc
                 best_epoch = epoch
                 best_net = net.copy()
             lr *= cfg.lr_decay

@@ -93,7 +93,7 @@ def reference_runs():
                 net=net,
                 base=evaluate(net, test_set),
                 per_epoch_disposable=[
-                    sum(r.disposable_per_layer) for r in result.history
+                    sum(r.disposable) for r in result.history
                 ],
             )
             if mode is not Mode.L2_ALL:

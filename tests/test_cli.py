@@ -10,7 +10,8 @@ from glasso_prune.analysis import (
 )
 from glasso_prune.cli import entry, main
 from glasso_prune.config import ExperimentConfig, parse_config
-from glasso_prune.model_io import load_model, model_bytes
+from glasso_prune.model_io import load_model, model_bytes, save_model
+from glasso_prune.network import init_network
 from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import evaluate, load_history
 
@@ -85,8 +86,13 @@ def test_train_outputs_agree_with_its_saved_model(tmp_path):
         kept = [int(row["kept"]) for row in csv.DictReader(f)]
     assert kept == doc["retained_per_layer"]
     best = load_history(run / "history.jsonl")[manifest["best_epoch"] - 1]
-    assert best.disposable_per_layer == doc["removed_per_layer"]
-    assert best.val_accuracy == manifest["best_val_acc"]
+    assert best.disposable == doc["removed_per_layer"]
+    assert best.val_acc == manifest["best_val_acc"]
+    # the final block is the last history record without its epoch
+    last = json.loads((run / "history.jsonl").read_text().splitlines()[-1])
+    assert last.pop("epoch") == 3
+    assert manifest["final"] == last
+    assert list(manifest["final"]) == list(last)
 
 
 def test_train_bundle_equals_analyze_outputs(tmp_path):
@@ -277,6 +283,84 @@ def test_analyze_histogram_on_history_errors(trained_run, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "target, options, named",
+    [
+        # a history yields only disposable.csv, so it reads none of these
+        ("history.jsonl", ["--theta", "0.5"], "--theta"),
+        ("history.jsonl", ["--mode", "in"], "--mode"),
+        ("history.jsonl", ["--data", "{missing}"], "--data"),
+        ("history.jsonl", ["--step", "3"], "--step"),
+        ("history.jsonl", ["--step", "0"], "--step"),
+        ("history.jsonl", ["--theta", "0.5", "--mode", "in", "--data", "{missing}", "--step", "3"],
+         "--data/--mode/--theta/--step"),
+        # a model reads --theta only for retained.csv and --step only for curve.csv
+        ("model.glnn", ["--histogram", "--theta", "0.5", "--step", "3"], "--theta"),
+        ("model.glnn", ["--histogram", "--theta", "0.5"], "--theta"),
+        ("model.glnn", ["--gap", "--step", "3"], "--step"),
+        ("model.glnn", ["--step", "3"], "--step"),  # without --data there is no curve
+        ("model.glnn", ["--curve", "--theta", "0.5", "--data", "{cfg}"], "--theta"),
+        ("model.glnn", ["--retained", "--step", "3", "--data", "{cfg}"], "--step"),
+    ],
+)
+def test_analyze_unread_option_rejected(trained_run, tmp_path, capsys, target, options, named):
+    _, cfg, run = trained_run
+    options = [o.format(cfg=cfg, missing=tmp_path / "missing.cfg") for o in options]
+    out = tmp_path / "o"
+    assert main(["analyze", str(run / target), *options, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_option_accepted_where_read(trained_run, tmp_path, capsys):
+    _, cfg, run = trained_run
+    # with --data and no selector the curve is drawn, so --step is read
+    argv = ["analyze", str(run / "model.glnn"), "--data", str(cfg), "--step", "4"]
+    assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+    assert (tmp_path / "a" / "curve.csv").read_bytes() == (
+        _curve_bytes(run / "model.glnn", cfg, tmp_path / "b", "--step", "4")
+    )
+    # without a selector retained.csv is written, so --theta is read
+    argv = ["analyze", str(run / "model.glnn"), "--theta", "0.5", "--out", str(tmp_path / "c")]
+    assert main(argv) == 0
+    assert (tmp_path / "c" / "retained.csv").exists()
+    # --step 0 is read, and rejected
+    assert _curve_bytes(run / "model.glnn", cfg, tmp_path / "d", "--step", "0") is None
+    assert "step must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def _curve_bytes(model, cfg, out, *options):
+    argv = ["analyze", str(model), "--curve", "--data", str(cfg), *options]
+    if main(argv + ["--out", str(out)]) != 0:
+        return None
+    return (out / "curve.csv").read_bytes()
+
+
+def test_analyze_default_step_is_100(trained_run, tmp_path):
+    # 250 hidden nodes, so step 100 draws points 0, 100 and 200, unlike step 50
+    _, cfg, _ = trained_run
+    model = tmp_path / "wide.glnn"
+    save_model(init_network([8, 250, 3], seed=1), model)
+    default = _curve_bytes(model, cfg, tmp_path / "a")
+    assert default == _curve_bytes(model, cfg, tmp_path / "b", "--step", "100")
+    assert default != _curve_bytes(model, cfg, tmp_path / "c", "--step", "50")
+    assert [line.split(",")[0] for line in default.decode().splitlines()[1:]] == [
+        "0", "100", "200"
+    ]
+
+
+def test_prune_theta_and_match_count_exclusive(trained_run, tmp_path, capsys):
+    _, cfg, run = trained_run
+    argv = ["prune", str(run / "model.glnn"), "--match-count", "10", "--theta", "0.5",
+            "--data", str(cfg), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_analyze_default_model_products(trained_run, tmp_path):
     _, _, run = trained_run
     out = tmp_path / "defaults"
@@ -322,7 +406,7 @@ def test_single_alpha_sweep_matches_train_plus_prune(tmp_path):
         out_root / "alpha_0.02" / "model.glnn"
     ).read_bytes()
     history = load_history(solo / "history.jsonl")
-    assert float(row[1]) == max(r.val_accuracy for r in history)
+    assert float(row[1]) == max(r.val_acc for r in history)
 
 
 def test_sweep_empty_alphas_errors(tmp_path, capsys):
@@ -332,6 +416,14 @@ def test_sweep_empty_alphas_errors(tmp_path, capsys):
     assert exc.value.code == 2
     assert main(["sweep", str(cfg), "--set", "alpha="]) == 2
     assert main(["sweep", str(cfg), "--set", "alpha=0.1", "--set", "alpha=fish"]) == 2
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("value", ["8,,16,3", "8,16,3,", ",8,16,3"])
+def test_sweep_empty_list_item_exits_2(tmp_path, capsys, value):
+    cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'x'}\n")
+    assert main(["sweep", str(cfg), "--set", f"layer_sizes={value}"]) == 2
+    assert "layer_sizes" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -554,10 +646,12 @@ def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta)
     assert not out.exists()
 
 
+HISTORY_DOC = {"epoch": 2, "train_loss": 0.5, "train_acc": 1.0, "val_acc": 1.0,
+               "disposable": [1, 2]}
+
+
 def history_line(**changes):
-    doc = {"epoch": 2, "train_loss": 0.5, "train_acc": 1.0, "val_acc": 1.0,
-           "disposable": [1, 2]}
-    return json.dumps(dict(doc, **changes))
+    return json.dumps(dict(HISTORY_DOC, **changes))
 
 
 @pytest.mark.parametrize(
@@ -572,6 +666,16 @@ def history_line(**changes):
         pytest.param(history_line(epoch=True), id="epoch-bool"),
         pytest.param(history_line(train_loss="0.5"), id="loss-string"),
         pytest.param(history_line(val_acc=None), id="val-acc-null"),
+        pytest.param(history_line(epoch="2"), id="epoch-string"),
+        pytest.param(history_line(train_loss=False), id="loss-bool"),
+        pytest.param(history_line(train_acc=[1.0]), id="train-acc-list"),
+        pytest.param(history_line(val_acc="1.0"), id="val-acc-string"),
+        pytest.param(history_line(disposable={"1": 2}), id="disposable-object"),
+        *[
+            pytest.param(json.dumps({k: v for k, v in HISTORY_DOC.items() if k != key}),
+                         id=f"no-{key}")
+            for key in HISTORY_DOC
+        ],
         pytest.param("[2]", id="not-an-object"),
         # written as latin-1 below, so these are the bytes ff fe: not UTF-8
         pytest.param("\xff\xfe", id="not-utf8"),

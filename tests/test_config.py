@@ -335,6 +335,11 @@ def test_missing_required_key_named():
         ("synth_dim", 0, "0"),
         ("synth_per_class", 0, "0"),
         ("synth_per_class", -1, "-1"),
+        # an empty list item is an error, not a skipped item
+        ("layer_sizes", [8, "", 16, 3], "8,,16,3"),
+        ("layer_sizes", [8, 16, 3, " "], "8,16,3,"),
+        ("split_fractions", [0.8, "", 0.1, 0.1], "0.8,,0.1,0.1"),
+        ("split_fractions", [0.8, 0.1, 0.1, ""], "0.8,0.1,0.1,"),
     ],
 )
 def test_malformed_value_rejected_at_parse(key, json_value, kv_value):

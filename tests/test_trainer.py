@@ -3,6 +3,8 @@ import json
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glasso_prune import trainer
 from glasso_prune.datasets import Dataset, synth_gaussians
@@ -218,7 +220,7 @@ def test_separable_two_gaussians_reach_high_accuracy():
     net = init_network([8, 16, 2], seed=5)
     cfg = TrainConfig(mode="glasso_out", epochs=20, batch_size=32, seed=5)
     result = train(net, data, data, cfg)
-    assert result.history[-1].train_accuracy > 0.95
+    assert result.history[-1].train_acc > 0.95
 
 
 def test_evaluate_single_sample():
@@ -267,9 +269,9 @@ def test_train_determinism():
     for a, b in zip(r1.history, r2.history):
         assert a.epoch == b.epoch
         assert a.train_loss == b.train_loss
-        assert a.train_accuracy == b.train_accuracy
-        assert a.val_accuracy == b.val_accuracy
-        assert a.disposable_per_layer == b.disposable_per_layer
+        assert a.train_acc == b.train_acc
+        assert a.val_acc == b.val_acc
+        assert a.disposable == b.disposable
     assert networks_equal(r1.best_network, r2.best_network)
     assert r1.best_epoch == r2.best_epoch
 
@@ -297,11 +299,11 @@ def test_best_epoch_attains_max_val_accuracy():
     net = init_network([6, 8, 3], seed=6)
     cfg = TrainConfig(mode="glasso_out", epochs=6, batch_size=16, seed=6)
     result = train(net, data, data, cfg)
-    best = max(r.val_accuracy for r in result.history)
-    assert result.history[result.best_epoch - 1].val_accuracy == best
+    best = max(r.val_acc for r in result.history)
+    assert result.history[result.best_epoch - 1].val_acc == best
     assert result.best_val_accuracy == best
     # latest on ties: equal accuracy, prefer the further-regularized net
-    last_hit = max(r.epoch for r in result.history if r.val_accuracy == best)
+    last_hit = max(r.epoch for r in result.history if r.val_acc == best)
     assert result.best_epoch == last_hit
 
 
@@ -408,18 +410,18 @@ def test_history_log_roundtrip(tmp_path):
     for a, b in zip(result.history, loaded):
         assert a.epoch == b.epoch
         assert a.train_loss == b.train_loss
-        assert a.train_accuracy == b.train_accuracy
-        assert a.val_accuracy == b.val_accuracy
-        assert a.disposable_per_layer == b.disposable_per_layer
+        assert a.train_acc == b.train_acc
+        assert a.val_acc == b.val_acc
+        assert a.disposable == b.disposable
 
 
 def test_epoch_report_json_keys():
     report = EpochReport(
         epoch=2,
         train_loss=0.5,
-        train_accuracy=0.75,
-        val_accuracy=0.5,
-        disposable_per_layer=[3, 1],
+        train_acc=0.75,
+        val_acc=0.5,
+        disposable=[3, 1],
     )
     line = report.to_json_line()
     assert '"epoch": 2' in line
@@ -427,6 +429,29 @@ def test_epoch_report_json_keys():
     assert '"train_acc"' in line
     assert '"val_acc"' in line
     assert '"disposable": [3, 1]' in line
+    # the history.jsonl line, byte for byte: the five keys in file order
+    assert line == json.dumps(
+        {"epoch": 2, "train_loss": 0.5, "train_acc": 0.75, "val_acc": 0.5, "disposable": [3, 1]}
+    )
+    assert line == '{"epoch": 2, "train_loss": 0.5, "train_acc": 0.75, "val_acc": 0.5, ' \
+        '"disposable": [3, 1]}'
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(
+    epoch=st.integers(min_value=0, max_value=2**63),
+    metrics=st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+    disposable=st.lists(st.integers(min_value=0, max_value=2**31), max_size=6),
+)
+def test_epoch_report_json_roundtrip(epoch, metrics, disposable):
+    report = EpochReport(epoch, *metrics, disposable)
+    line = report.to_json_line()
+    assert "\n" not in line
+    back = EpochReport.from_json_line(line)
+    assert back == report
+    assert [type(getattr(back, k)) for k in ("epoch", "train_loss", "disposable")] == [
+        int, float, list
+    ]
 
 
 def test_l2_mode_records_no_disposable():
@@ -440,7 +465,7 @@ def test_l2_mode_records_no_disposable():
         seed=2,
     )
     result = train(net, data, data, cfg)
-    assert all(r.disposable_per_layer == [] for r in result.history)
+    assert all(r.disposable == [] for r in result.history)
 
 
 def test_train_loss_includes_regularizer():
@@ -473,7 +498,7 @@ def test_history_disposable_counts_use_config_theta():
     result = train(net, data, data, cfg)
     expected = [int(np.sum(n < 0.05)) for n in group_norms(net, Mode.GLASSO_OUT)]
     assert expected == [2]
-    assert [r.disposable_per_layer for r in result.history] == [expected] * 3
+    assert [r.disposable for r in result.history] == [expected] * 3
 
 
 def ce_by_separate_softmax(logits, labels):
