@@ -3,16 +3,15 @@ disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
 so outputs are byte-deterministic and test-friendly. train and analyze
-build a model's outputs with one function, diagnostics. Each CSV table is
-a list of rows, and one writer writes them all; write_json writes every
-JSON file. Histograms are binned in log10 of the group norm; exact zeros
-fall in the underflow row from 0.0.
+build a model's outputs with one function, diagnostics, as a mapping from
+output name to rows. Each CSV table is a list of rows, and one writer
+writes them all; write_json writes every JSON file. Histograms are binned
+in log10 of the group norm; exact zeros fall in the underflow row from 0.0.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +21,14 @@ from .pruning import forced_removal_curve, make_mask
 from .regularization import Mode, group_norms
 from .trainer import EpochReport
 
-HISTOGRAM_HEADER = "bin_lo,bin_hi,layer,count"
-CURVE_HEADER = "removed,accuracy"
-DISPOSABLE_HEADER = "epoch,layer,count"
-RETAINED_HEADER = "layer,kept,total"
+# output name -> header of its CSV file, in the order write_bundle writes them
+CSV_HEADERS = {
+    "histogram": "bin_lo,bin_hi,layer,count",
+    "curve": "removed,accuracy",
+    "disposable": "epoch,layer,count",
+    "retained": "layer,kept,total",
+}
+HISTOGRAM_HEADER, CURVE_HEADER, DISPOSABLE_HEADER, RETAINED_HEADER = CSV_HEADERS.values()
 
 POOLED_LAYER = 0  # layer id for the all-hidden-layers histogram rows
 
@@ -73,31 +76,19 @@ def bimodality_gap(net: MlpNetwork, mode: Mode) -> float:
     return float(inside / len(norms))
 
 
-@dataclass
-class AnalysisBundle:
-    """Collected diagnostics; None fields are skipped by write_bundle."""
-
-    histogram: list[tuple[float, float, int, int]] | None = None  # norm_histogram rows
-    pruning_curve: list[tuple[int, float]] | None = None
-    history: list[EpochReport] | None = None
-    retained_profile: list[tuple[int, int, int]] | None = None  # (layer, kept, total)
-    gap_report: dict | None = None
-
-
 # a model's outputs: those of its group norms alone, and the curve, which needs data
 NORM_OUTPUTS = ("histogram", "gap", "retained")
 MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
 
 
-def diagnostics(
-    net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=100, history=None
-) -> AnalysisBundle:
-    """The chosen MODEL_OUTPUTS of net, retained.csv at theta, and the history if given."""
-    bundle = AnalysisBundle(history=history)
+def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=100) -> dict:
+    """The chosen MODEL_OUTPUTS of net, {name: rows}, with retained.csv at
+    theta and gap mapping to its JSON document."""
+    outputs = {}
     if "histogram" in chosen:
-        bundle.histogram = norm_histogram(net, mode)
+        outputs["histogram"] = norm_histogram(net, mode)
     if "gap" in chosen:
-        bundle.gap_report = {
+        outputs["gap"] = {
             "mode": mode.value,
             "band_lo": GAP_BAND_LO,
             "band_hi": GAP_BAND_HI,
@@ -106,10 +97,15 @@ def diagnostics(
         }
     if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
         keep = make_mask(net, mode, theta).keep
-        bundle.retained_profile = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
+        outputs["retained"] = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
     if "curve" in chosen:
-        bundle.pruning_curve = forced_removal_curve(net, mode, test_set, step=step)
-    return bundle
+        outputs["curve"] = forced_removal_curve(net, mode, test_set, step=step)
+    return outputs
+
+
+def disposable_rows(history: list[EpochReport]) -> list[tuple[int, int, int]]:
+    """The rows of disposable.csv: (epoch, layer, count) per epoch and hidden layer."""
+    return [(r.epoch, l, count) for r in history for l, count in enumerate(r.disposable, 1)]
 
 
 def fmt_float(x) -> str:
@@ -121,33 +117,22 @@ def _cell(x) -> str:
     return fmt_float(x) if isinstance(x, (float, np.floating)) else str(int(x))
 
 
-def write_bundle(bundle: AnalysisBundle, out_dir) -> list[Path]:
-    """Write the bundle's data files into out_dir; returns written paths."""
+def write_bundle(outputs: dict, out_dir) -> list[Path]:
+    """Write the given outputs into out_dir, the CSV tables in CSV_HEADERS
+    order, then gap.json; names not given are skipped. Returns written paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    disposable = None if bundle.history is None else [
-        (report.epoch, l, count)
-        for report in bundle.history
-        for l, count in enumerate(report.disposable, start=1)
-    ]
-    tables = [
-        ("histogram.csv", HISTOGRAM_HEADER, bundle.histogram),
-        ("curve.csv", CURVE_HEADER, bundle.pruning_curve),
-        ("disposable.csv", DISPOSABLE_HEADER, disposable),
-        ("retained.csv", RETAINED_HEADER, bundle.retained_profile),
-    ]
     written = []
-    for name, header, rows in tables:
-        if rows is None:
+    for name, header in CSV_HEADERS.items():
+        if name not in outputs:
             continue
-        path = out_dir / name
+        path = out_dir / f"{name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(header + "\n")
-            f.writelines(",".join(map(_cell, row)) + "\n" for row in rows)
+            f.writelines(",".join(map(_cell, row)) + "\n" for row in outputs[name])
         written.append(path)
-
-    if bundle.gap_report is not None:
-        write_json(out_dir / "gap.json", bundle.gap_report)
+    if "gap" in outputs:
+        write_json(out_dir / "gap.json", outputs["gap"])
         written.append(out_dir / "gap.json")
     return written
 

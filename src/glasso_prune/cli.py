@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    MODEL_OUTPUTS, NORM_OUTPUTS, AnalysisBundle, diagnostics, fmt_float, write_bundle, write_json,
+    MODEL_OUTPUTS, NORM_OUTPUTS, diagnostics, disposable_rows, fmt_float, write_bundle, write_json,
 )
 from .config import ExperimentConfig, convert_value, parse_config
 from .datasets import Dataset
@@ -70,8 +70,8 @@ def run_training(
 
     if cfg.emit_bundle:
         net, mode = result.best_network, _group_mode(None, cfg)
-        bundle = diagnostics(net, mode, cfg.theta, NORM_OUTPUTS, history=result.history)
-        write_bundle(bundle, out_dir)
+        outputs = diagnostics(net, mode, cfg.theta, NORM_OUTPUTS)
+        write_bundle({**outputs, "disposable": disposable_rows(result.history)}, out_dir)
 
     return result, float(test_acc)
 
@@ -145,6 +145,12 @@ def cmd_analyze(args) -> int:
         for option, output in (("theta", "retained"), ("step", "curve")):
             if option in options and output not in chosen:
                 raise ConfigError(f"--{option} is read only for {output}.csv, not written here")
+        # --data sets the direction unless --mode does, and theta unless --theta does
+        data_read = "curve" in chosen or args.mode is None or (
+            "retained" in chosen and args.theta is None)
+        if "data" in options and not data_read:
+            raise ConfigError("--data is read only for curve.csv, for the group direction "
+                              "without --mode and for retained.csv's theta without --theta")
         net = load_model(target)
         cfg = parse_config(args.data) if args.data is not None else None
         if "curve" in chosen and cfg is None:
@@ -152,7 +158,7 @@ def cmd_analyze(args) -> int:
         theta = args.theta
         if theta is None:
             theta = cfg.theta if cfg is not None else TrainConfig.theta
-        bundle = diagnostics(
+        outputs = diagnostics(
             net, _group_mode(args.mode, cfg), theta, chosen,
             test_set=cfg.load_splits()[2] if "curve" in chosen else None,
             step=100 if args.step is None else args.step,
@@ -161,10 +167,10 @@ def cmd_analyze(args) -> int:
         flags = "/".join(f"--{name}" for name in chosen + options)
         raise ConfigError(f"{flags}: need a model file, not a history")
     else:
-        bundle = AnalysisBundle(history=load_history(target))
+        outputs = {"disposable": disposable_rows(load_history(target))}
 
     out_dir = Path(args.out) if args.out else target.parent
-    for path in write_bundle(bundle, out_dir):
+    for path in write_bundle(outputs, out_dir):
         print(f"wrote {path}")
     return 0
 

@@ -59,49 +59,37 @@ def _read_u32_be(data: bytes, offset: int, path: str) -> int:
     return struct.unpack_from(">I", data, offset)[0]
 
 
+def _read_idx(path: str, magic: int, kind: str) -> tuple[list[int], np.ndarray]:
+    """(dims, u8 items) of an IDX file; the magic's low byte counts the dims.
+
+    kind names the items in the error for a payload of the wrong length.
+    """
+    data = Path(path).read_bytes()
+    found = _read_u32_be(data, 0, path)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    ndim = magic & 0xFF
+    dims = [_read_u32_be(data, 4 + 4 * i, path) for i in range(ndim)]
+    body = data[4 + 4 * ndim :]
+    if len(body) != math.prod(dims):
+        raise DataFormatError(f"{path}: expected {math.prod(dims)} {kind} bytes, got {len(body)}")
+    return dims, np.frombuffer(body, dtype=np.uint8)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair (the MNIST container format).
 
     Pixels are scaled to [0, 1] by /255.
     """
     images_path, labels_path = str(images_path), str(labels_path)
-    img = Path(images_path).read_bytes()
-    magic = _read_u32_be(img, 0, images_path)
-    if magic != IDX_IMAGE_MAGIC:
-        raise DataFormatError(
-            f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-        )
-    count = _read_u32_be(img, 4, images_path)
-    rows = _read_u32_be(img, 8, images_path)
-    cols = _read_u32_be(img, 12, images_path)
-    payload = img[16:]
-    if len(payload) != count * rows * cols:
-        raise DataFormatError(
-            f"{images_path}: expected {count * rows * cols} pixel bytes, "
-            f"got {len(payload)}"
-        )
-    features = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) / 255.0
-    features = features.reshape(count, rows * cols)
-
-    lab = Path(labels_path).read_bytes()
-    magic = _read_u32_be(lab, 0, labels_path)
-    if magic != IDX_LABEL_MAGIC:
-        raise DataFormatError(
-            f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-        )
-    lab_count = _read_u32_be(lab, 4, labels_path)
-    lab_payload = lab[8:]
-    if len(lab_payload) != lab_count:
-        raise DataFormatError(
-            f"{labels_path}: expected {lab_count} label bytes, got {len(lab_payload)}"
-        )
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "pixel")
+    (lab_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if lab_count != count:
         raise DataFormatError(
             f"count mismatch: {images_path} has {count} images but "
             f"{labels_path} has {lab_count} labels"
         )
-    labels = np.frombuffer(lab_payload, dtype=np.uint8).astype(np.int64)
-
+    features = (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols)
     num_classes = int(labels.max()) + 1 if count else 1
     return Dataset(features, labels, num_classes)
 

@@ -89,19 +89,9 @@ class MlpNetwork:
         )
 
 
-@dataclass
-class GradientSet:
-    """Per-layer parameter gradients, shape-mirroring a network."""
-
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-
-    @classmethod
-    def zeros_like(cls, net: MlpNetwork) -> "GradientSet":
-        return cls(
-            [np.zeros_like(p.weights) for p in net.layers],
-            [np.zeros_like(p.bias) for p in net.layers],
-        )
+def zero_layers(net: MlpNetwork) -> list[LayerParams]:
+    """One zero LayerParams per layer, in the network's shapes and dtype."""
+    return [LayerParams(np.zeros_like(p.weights), np.zeros_like(p.bias)) for p in net.layers]
 
 
 def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
@@ -165,10 +155,11 @@ def cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> 
 
 def batch_gradients(
     net: MlpNetwork, xs: np.ndarray, labels: np.ndarray
-) -> tuple[float, int, GradientSet]:
+) -> tuple[float, int, list[LayerParams]]:
     """Mean cross-entropy, hit count and gradient over one (n, dim) minibatch.
 
-    The hit count is the number of rows whose argmax logit equals the
+    The gradient is one LayerParams per layer, in the network's shapes and
+    dtype. The hit count is the number of rows whose argmax logit equals the
     label, read from the raw logits before the softmax. One softmax serves
     both the loss and the output delta; the delta is then backpropagated
     through the sigmoid layers via z * (1 - z).
@@ -182,14 +173,12 @@ def batch_gradients(
     delta = probs
     delta[np.arange(n), labels] -= 1.0
     delta /= n
-    d_weights = [None] * net.num_layers
-    d_biases = [None] * net.num_layers
+    grads = [None] * net.num_layers
     for l in range(net.num_layers - 1, -1, -1):
-        d_weights[l] = delta.T @ zs[l]
-        d_biases[l] = delta.sum(axis=0)
+        grads[l] = LayerParams(delta.T @ zs[l], delta.sum(axis=0))
         if l > 0:
             z = zs[l]
             delta = delta @ net.layers[l].weights
             delta *= z
             delta *= 1.0 - z
-    return loss, hits, GradientSet(d_weights, d_biases)
+    return loss, hits, grads

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import norms
-from .network import GradientSet, MlpNetwork
+from .network import LayerParams, MlpNetwork
 
 EPSILON_NORM = 1e-12
 
@@ -127,24 +127,24 @@ def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
 
 
 def regularizer_gradient(
-    net: MlpNetwork, spec: RegularizerSpec, grad: GradientSet
-) -> GradientSet:
-    """Add the gradient of regularizer_value into grad; returns grad.
+    net: MlpNetwork, spec: RegularizerSpec, grads: list[LayerParams]
+) -> list[LayerParams]:
+    """Add the gradient of regularizer_value into grads; returns grads.
 
     Each grouped vector contributes alpha * w / max(||w||, EPSILON_NORM),
     which is exactly zero for an exactly-zero group. These norms stay in
     the network's own dtype; only group_norms widens. Adding in place
-    spares the trainer a zero GradientSet per minibatch step; pass
-    GradientSet.zeros_like(net) to get the penalty gradient alone.
+    spares the trainer a zero gradient per minibatch step; pass
+    network.zero_layers(net) to get the penalty gradient alone.
     """
     layout = group_layout(net, spec.mode)
     for l, axis in layout:
         w = net.layers[l].weights
         scale = spec.alpha / np.maximum(norms(w, axis), EPSILON_NORM)
-        grad.d_weights[l] += w * np.expand_dims(scale, axis)
+        grads[l].weights += w * np.expand_dims(scale, axis)
     grouped = {l for l, _ in layout}
-    for l, p in enumerate(net.layers):
+    for l, (p, g) in enumerate(zip(net.layers, grads)):
         if l not in grouped:
-            grad.d_weights[l] += spec.beta * p.weights
-        grad.d_biases[l] += spec.beta * p.bias
-    return grad
+            g.weights += spec.beta * p.weights
+        g.bias += spec.beta * p.bias
+    return grads

@@ -27,7 +27,8 @@ import numpy as np
 from .datasets import Dataset
 from .errors import DataFormatError, ShapeMismatchError, TrainingDiverged
 from .network import (
-    GradientSet, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
+    LayerParams, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
+    zero_layers,
 )
 from .regularization import Mode, RegularizerSpec, below_theta, regularizer_gradient, regularizer_value
 
@@ -251,17 +252,17 @@ def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
 
 
 def _sgd_step(
-    net: MlpNetwork, velocity: GradientSet, grads: GradientSet, lr: float, momentum: float
+    net: MlpNetwork, velocity: list[LayerParams], grads: list[LayerParams],
+    lr: float, momentum: float,
 ) -> None:
     """v <- momentum * v - lr * g, then p <- p + v, in place on every array (g included)."""
-    params = [p.weights for p in net.layers] + [p.bias for p in net.layers]
-    for p, v, g in zip(
-        params, velocity.d_weights + velocity.d_biases, grads.d_weights + grads.d_biases
-    ):
-        g *= lr
-        v *= momentum
-        v -= g
-        p += v
+    for layer, vel, grad in zip(net.layers, velocity, grads):
+        arrays = ((layer.weights, vel.weights, grad.weights), (layer.bias, vel.bias, grad.bias))
+        for p, v, g in arrays:
+            g *= lr
+            v *= momentum
+            v -= g
+            p += v
 
 
 def train(
@@ -281,7 +282,7 @@ def train(
     check_shapes(net, val_set)
     spec = cfg.regularizer_spec()
     net = net.copy(TRAIN_DTYPE)
-    velocity = GradientSet.zeros_like(net)
+    velocity = zero_layers(net)
     history: list[EpochReport] = []
     best_net = net.copy()
     best_epoch = 0

@@ -18,7 +18,6 @@ import pytest
 
 from glasso_prune import cli
 from glasso_prune.analysis import (
-    AnalysisBundle,
     bimodality_gap,
     norm_histogram,
     read_curve_csv,
@@ -162,7 +161,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
                         down = total()
                         p.weights[i, j] = old
                         fd = (up - down) / (2 * h)
-                        rel = abs(grad.d_weights[layer][i, j] - fd) / max(abs(fd), 1e-8)
+                        rel = abs(grad[layer].weights[i, j] - fd) / max(abs(fd), 1e-8)
                         worst = max(worst, rel)
                         checked += 1
                 for i in range(p.bias.shape[0]):
@@ -173,7 +172,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
                     down = total()
                     p.bias[i] = old
                     fd = (up - down) / (2 * h)
-                    rel = abs(grad.d_biases[layer][i] - fd) / max(abs(fd), 1e-8)
+                    rel = abs(grad[layer].bias[i] - fd) / max(abs(fd), 1e-8)
                     worst = max(worst, rel)
                     checked += 1
     passed = worst < 1e-5
@@ -450,7 +449,7 @@ def test_criterion_9_file_format_roundtrips(tmp_path, reference_runs):
 
     hist = norm_histogram(net, Mode.GLASSO_OUT)
     curve = forced_removal_curve(net, Mode.GLASSO_OUT, R.test_set, step=256)
-    write_bundle(AnalysisBundle(histogram=hist, pruning_curve=curve), tmp_path)
+    write_bundle({"histogram": hist, "curve": curve}, tmp_path)
     hist_ok = read_histogram_csv(tmp_path / "histogram.csv") == hist
     curve_ok = read_curve_csv(tmp_path / "curve.csv") == [
         (int(n), float(a)) for n, a in curve

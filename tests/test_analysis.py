@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from glasso_prune.analysis import (
+    CSV_HEADERS,
     CURVE_HEADER,
     DISPOSABLE_HEADER,
     GAP_BAND_HI,
@@ -14,8 +15,8 @@ from glasso_prune.analysis import (
     HISTOGRAM_HEADER,
     POOLED_LAYER,
     RETAINED_HEADER,
-    AnalysisBundle,
     bimodality_gap,
+    disposable_rows,
     norm_histogram,
     read_curve_csv,
     read_histogram_csv,
@@ -147,22 +148,22 @@ def test_gap_matches_loop_count():
 
 
 def test_write_bundle_empty_curve_header_only(tmp_path):
-    write_bundle(AnalysisBundle(pruning_curve=[]), tmp_path)
+    write_bundle({"curve": []}, tmp_path)
     assert (tmp_path / "curve.csv").read_text() == CURVE_HEADER + "\n"
 
 
 def test_write_bundle_headers_bit_exact(tmp_path):
     net = init_network([3, 5, 2], seed=5)
-    bundle = AnalysisBundle(
-        histogram=norm_histogram(net, Mode.GLASSO_OUT),
-        pruning_curve=[(0, 0.9), (2, 0.85)],
-        history=[
+    bundle = {
+        "histogram": norm_histogram(net, Mode.GLASSO_OUT),
+        "curve": [(0, 0.9), (2, 0.85)],
+        "disposable": disposable_rows([
             EpochReport(1, 0.6, 0.7, 0.65, [2]),
             EpochReport(2, 0.5, 0.8, 0.7, [3]),
-        ],
-        retained_profile=[(1, 3, 5)],
-        gap_report={"gap_fraction": 0.01},
-    )
+        ]),
+        "retained": [(1, 3, 5)],
+        "gap": {"gap_fraction": 0.01},
+    }
     written = write_bundle(bundle, tmp_path)
     assert sorted(p.name for p in written) == [
         "curve.csv",
@@ -181,9 +182,35 @@ def test_write_bundle_headers_bit_exact(tmp_path):
     assert RETAINED_HEADER == "layer,kept,total"
 
 
+def test_write_bundle_fixed_order_skips_names_not_given(tmp_path):
+    # the CSV tables in CSV_HEADERS order, then gap.json, whatever the
+    # mapping's insertion order; a name not given writes no file
+    rows = {
+        "gap": {"gap_fraction": 0.5},
+        "retained": [(1, 2, 3)],
+        "curve": [(0, 1.0)],
+        "histogram": [(0.0, 1.0, 0, 4)],
+        "disposable": [(1, 1, 0)],
+    }
+    written = write_bundle(rows, tmp_path / "all")
+    assert [p.name for p in written] == [
+        "histogram.csv", "curve.csv", "disposable.csv", "retained.csv", "gap.json",
+    ]
+    assert list(CSV_HEADERS) == ["histogram", "curve", "disposable", "retained"]
+    some = {name: rows[name] for name in ("retained", "gap", "curve")}
+    written = write_bundle(some, tmp_path / "some")
+    assert [p.name for p in written] == ["curve.csv", "retained.csv", "gap.json"]
+    assert sorted(p.name for p in (tmp_path / "some").iterdir()) == [
+        "curve.csv", "gap.json", "retained.csv",
+    ]
+    for name in ("curve.csv", "retained.csv", "gap.json"):
+        assert (tmp_path / "some" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+    assert write_bundle({}, tmp_path / "none") == []
+
+
 def test_write_bundle_lf_endings(tmp_path):
     net = init_network([3, 5, 2], seed=6)
-    write_bundle(AnalysisBundle(histogram=norm_histogram(net, Mode.GLASSO_OUT)), tmp_path)
+    write_bundle({"histogram": norm_histogram(net, Mode.GLASSO_OUT)}, tmp_path)
     raw = (tmp_path / "histogram.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -191,11 +218,11 @@ def test_write_bundle_lf_endings(tmp_path):
 
 def test_write_bundle_deterministic_bytes(tmp_path):
     net = init_network([3, 6, 4, 2], seed=7)
-    bundle = AnalysisBundle(
-        histogram=norm_histogram(net, Mode.GLASSO_OUT),
-        pruning_curve=[(0, 1 / 3), (5, 0.1)],
-        gap_report={"gap_fraction": bimodality_gap(net, Mode.GLASSO_OUT)},
-    )
+    bundle = {
+        "histogram": norm_histogram(net, Mode.GLASSO_OUT),
+        "curve": [(0, 1 / 3), (5, 0.1)],
+        "gap": {"gap_fraction": bimodality_gap(net, Mode.GLASSO_OUT)},
+    }
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_bundle(bundle, d1)
     write_bundle(bundle, d2)
@@ -206,7 +233,7 @@ def test_write_bundle_deterministic_bytes(tmp_path):
 def test_histogram_csv_roundtrip(tmp_path):
     net = init_network([3, 6, 4, 2], seed=8)
     hist = norm_histogram(net, Mode.GLASSO_OUT)
-    write_bundle(AnalysisBundle(histogram=hist), tmp_path)
+    write_bundle({"histogram": hist}, tmp_path)
     rows = read_histogram_csv(tmp_path / "histogram.csv")
     assert rows == hist
     by_layer = counts_by_layer(rows)
@@ -217,7 +244,7 @@ def test_histogram_csv_roundtrip(tmp_path):
 
 def test_curve_csv_roundtrip(tmp_path):
     curve = [(0, 0.91), (100, 0.905), (200, 0.4)]
-    write_bundle(AnalysisBundle(pruning_curve=curve), tmp_path)
+    write_bundle({"curve": curve}, tmp_path)
     assert read_curve_csv(tmp_path / "curve.csv") == curve
 
 
@@ -233,7 +260,7 @@ def test_disposable_rows_per_epoch_and_layer(tmp_path):
         EpochReport(1, 0.5, 0.6, 0.55, [2, 0]),
         EpochReport(2, 0.4, 0.7, 0.60, [3, 1]),
     ]
-    write_bundle(AnalysisBundle(history=history), tmp_path)
+    write_bundle({"disposable": disposable_rows(history)}, tmp_path)
     lines = (tmp_path / "disposable.csv").read_text().splitlines()
     assert lines == [
         DISPOSABLE_HEADER,
@@ -245,7 +272,7 @@ def test_disposable_rows_per_epoch_and_layer(tmp_path):
 
 
 def test_gap_json_readable(tmp_path):
-    write_bundle(AnalysisBundle(gap_report={"gap_fraction": 0.25}), tmp_path)
+    write_bundle({"gap": {"gap_fraction": 0.25}}, tmp_path)
     doc = json.loads((tmp_path / "gap.json").read_text())
     assert doc["gap_fraction"] == 0.25
 

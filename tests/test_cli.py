@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from glasso_prune.analysis import (
-    CURVE_HEADER, HISTOGRAM_HEADER, AnalysisBundle, bimodality_gap, norm_histogram,
-    write_bundle,
+    CURVE_HEADER, HISTOGRAM_HEADER, bimodality_gap, norm_histogram, write_bundle,
 )
 from glasso_prune.cli import entry, main
 from glasso_prune.config import ExperimentConfig, parse_config
@@ -301,6 +300,11 @@ def test_analyze_histogram_on_history_errors(trained_run, tmp_path):
         ("model.glnn", ["--step", "3"], "--step"),  # without --data there is no curve
         ("model.glnn", ["--curve", "--theta", "0.5", "--data", "{cfg}"], "--theta"),
         ("model.glnn", ["--retained", "--step", "3", "--data", "{cfg}"], "--step"),
+        # --data is read for the curve, for the direction without --mode, and
+        # for retained.csv's theta without --theta; here for none of them
+        ("model.glnn", ["--histogram", "--mode", "out", "--data", "{cfg}"], "--data"),
+        ("model.glnn", ["--gap", "--retained", "--theta", "0.05", "--mode", "in",
+                        "--data", "{cfg}"], "--data"),
     ],
 )
 def test_analyze_unread_option_rejected(trained_run, tmp_path, capsys, target, options, named):
@@ -324,6 +328,13 @@ def test_analyze_option_accepted_where_read(trained_run, tmp_path, capsys):
     argv = ["analyze", str(run / "model.glnn"), "--theta", "0.5", "--out", str(tmp_path / "c")]
     assert main(argv) == 0
     assert (tmp_path / "c" / "retained.csv").exists()
+    # --data is read for the direction without --mode, and for theta without --theta
+    argv = ["analyze", str(run / "model.glnn"), "--histogram", "--data", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "e")]) == 0
+    assert (tmp_path / "e" / "histogram.csv").exists()
+    argv = ["analyze", str(run / "model.glnn"), "--retained", "--mode", "out", "--data", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "f")]) == 0
+    assert (tmp_path / "f" / "retained.csv").exists()
     # --step 0 is read, and rejected
     assert _curve_bytes(run / "model.glnn", cfg, tmp_path / "d", "--step", "0") is None
     assert "step must be >= 1" in capsys.readouterr().err
@@ -856,13 +867,15 @@ def test_prune_mode_defaults_to_data_config(trained_run, tmp_path, data_mode, fl
 def test_analyze_mode_defaults_to_data_config(trained_run, tmp_path, data_mode, flag, expected):
     _, _, run = trained_run
     out = tmp_path / "o"
-    argv = ["analyze", str(run / "model.glnn"), "--gap", "--histogram", "--out", str(out)]
+    # --retained without --theta reads the --data config even when --mode is given
+    argv = ["analyze", str(run / "model.glnn"), "--gap", "--histogram", "--retained",
+            "--out", str(out)]
     if data_mode:
         argv += ["--data", str(mode_cfg(tmp_path, data_mode))]
     assert main(argv + (["--mode", flag] if flag else [])) == 0
     assert json.loads((out / "gap.json").read_text())["mode"] == expected
     net = load_model(run / "model.glnn")
-    write_bundle(AnalysisBundle(histogram=norm_histogram(net, Mode(expected))), tmp_path)
+    write_bundle({"histogram": norm_histogram(net, Mode(expected))}, tmp_path)
     assert (out / "histogram.csv").read_bytes() == (tmp_path / "histogram.csv").read_bytes()
 
 

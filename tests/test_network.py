@@ -246,7 +246,7 @@ def test_backward_finite_differences():
             lo = network_loss(net, x, target)
             p.weights[idx] = orig
             numeric = (hi - lo) / (2 * h)
-            assert grads.d_weights[l][idx] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+            assert grads[l].weights[idx] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
         for i in range(len(p.bias)):
             orig = p.bias[i]
             p.bias[i] = orig + h
@@ -255,14 +255,14 @@ def test_backward_finite_differences():
             lo = network_loss(net, x, target)
             p.bias[i] = orig
             numeric = (hi - lo) / (2 * h)
-            assert grads.d_biases[l][i] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
+            assert grads[l].bias[i] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
 def test_backward_zero_gradient_fixed_point():
     # a single output class makes softmax exactly one-hot
     net = init_network([3, 4, 1], seed=6)
     grads = row_gradients(net, as_vector([0.5, 0.5, 0.5]), 0)
-    for dw, db in zip(grads.d_weights, grads.d_biases):
+    for dw, db in ((g.weights, g.bias) for g in grads):
         npt.assert_array_equal(dw, np.zeros_like(dw))
         npt.assert_array_equal(db, np.zeros_like(db))
 
@@ -270,7 +270,7 @@ def test_backward_zero_gradient_fixed_point():
 def test_backward_shapes_mirror_network():
     net = init_network([3, 5, 4, 2], seed=7)
     grads = row_gradients(net, as_vector([1.0, 0.0, -1.0]), 0)
-    for p, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
+    for p, (dw, db) in zip(net.layers, ((g.weights, g.bias) for g in grads)):
         assert dw.shape == p.weights.shape
         assert db.shape == p.bias.shape
 
@@ -293,8 +293,8 @@ def test_loss_directional_derivative():
         d_w = [rng.standard_normal(p.weights.shape) for p in net.layers]
         d_b = [rng.standard_normal(p.bias.shape) for p in net.layers]
         inner = sum(
-            np.sum(g * d) for g, d in zip(grads.d_weights, d_w)
-        ) + sum(np.sum(g * d) for g, d in zip(grads.d_biases, d_b))
+            np.sum(g.weights * d) for g, d in zip(grads, d_w)
+        ) + sum(np.sum(g.bias * d) for g, d in zip(grads, d_b))
 
         shifted = net.copy()
         for p, dw, db in zip(shifted.layers, d_w, d_b):
@@ -330,4 +330,4 @@ def test_sigmoid_derivative_identity_used_by_backward():
     probs = np.exp(logits) / np.sum(np.exp(logits))
     delta_out = probs - np.array([0.0, 1.0])
     delta_hidden = (net.layers[1].weights.T @ delta_out) * z1 * (1.0 - z1)
-    npt.assert_allclose(grads.d_biases[0], delta_hidden, atol=1e-12)
+    npt.assert_allclose(grads[0].bias, delta_hidden, atol=1e-12)

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from glasso_prune.linalg import as_matrix
-from glasso_prune.network import GradientSet, LayerParams, MlpNetwork, init_network
+from glasso_prune.network import LayerParams, MlpNetwork, init_network, zero_layers
 from glasso_prune.regularization import (
     EPSILON_NORM,
     Mode,
@@ -24,7 +24,16 @@ def net_from_weights(*weight_lists):
 
 
 def penalty_gradient(net, spec):
-    return regularizer_gradient(net, spec, GradientSet.zeros_like(net))
+    return regularizer_gradient(net, spec, zero_layers(net))
+
+
+def layers_of(weights, biases):
+    return [LayerParams(w, b) for w, b in zip(weights, biases)]
+
+
+def arrays_of(grads):
+    """Every weight matrix, then every bias vector."""
+    return [g.weights for g in grads] + [g.bias for g in grads]
 
 
 def transposed_reversed(net):
@@ -139,7 +148,7 @@ def test_float32_group_norms_are_those_of_the_float64_widening():
                 assert a.dtype == np.float64
                 npt.assert_array_equal(a, b)
         grad = penalty_gradient(net32, spec)
-        assert all(g.dtype == np.float32 for g in grad.d_weights + grad.d_biases)
+        assert all(a.dtype == np.float32 for g in grad for a in (g.weights, g.bias))
 
 
 def test_group_norms_transpose_duality():
@@ -187,14 +196,14 @@ def test_gradient_unit_column():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
     grads = penalty_gradient(net, spec)
-    npt.assert_allclose(grads.d_weights[1][:, 0], [0.6, 0.8], atol=1e-15)
+    npt.assert_allclose(grads[1].weights[:, 0], [0.6, 0.8], atol=1e-15)
 
 
 def test_gradient_zero_column_safeguard():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
     grads = penalty_gradient(net, spec)
-    npt.assert_array_equal(grads.d_weights[1][:, 1], [0.0, 0.0])
+    npt.assert_array_equal(grads[1].weights[:, 1], [0.0, 0.0])
 
 
 def test_gradient_finite_differences():
@@ -221,7 +230,7 @@ def test_gradient_finite_differences():
                     lo = regularizer_value(net, spec)
                     p.weights[idx] = orig
                     numeric = (hi - lo) / (2 * h)
-                    assert grads.d_weights[l][idx] == pytest.approx(
+                    assert grads[l].weights[idx] == pytest.approx(
                         numeric, rel=1e-5, abs=1e-9
                     )
                 for i in range(len(p.bias)):
@@ -232,7 +241,7 @@ def test_gradient_finite_differences():
                     lo = regularizer_value(net, spec)
                     p.bias[i] = orig
                     numeric = (hi - lo) / (2 * h)
-                    assert grads.d_biases[l][i] == pytest.approx(
+                    assert grads[l].bias[i] == pytest.approx(
                         numeric, rel=1e-5, abs=1e-9
                     )
 
@@ -245,7 +254,7 @@ def test_gradient_group_block_norm_capped_at_alpha():
             spec = RegularizerSpec(mode=mode, alpha=alpha, beta=0.0)
             grads = penalty_gradient(net, spec)
             mats = (
-                grads.d_weights[1:] if mode is Mode.GLASSO_OUT else grads.d_weights[:-1]
+                [g.weights for g in grads[1:]] if mode is Mode.GLASSO_OUT else [g.weights for g in grads[:-1]]
             )
             for dw in mats:
                 blocks = dw.T if mode is Mode.GLASSO_OUT else dw
@@ -287,7 +296,7 @@ def test_l2_gradient_is_identity_scaling():
     beta = 0.6
     spec = RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=beta)
     grads = penalty_gradient(net, spec)
-    for p, dw, db in zip(net.layers, grads.d_weights, grads.d_biases):
+    for p, (dw, db) in zip(net.layers, ((g.weights, g.bias) for g in grads)):
         npt.assert_allclose(dw, beta * p.weights, atol=1e-15)
         npt.assert_allclose(db, beta * p.bias, atol=1e-15)
 
@@ -298,7 +307,7 @@ def test_biases_never_grouped_always_l2():
         p.bias[:] = 1.0
     spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.5)
     grads = penalty_gradient(net, spec)
-    for p, db in zip(net.layers, grads.d_biases):
+    for p, db in zip(net.layers, (g.bias for g in grads)):
         npt.assert_allclose(db, 0.5 * p.bias, atol=1e-15)
 
 
@@ -311,23 +320,19 @@ def test_gradient_adds_into_given_set():
         spec = RegularizerSpec(
             mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 0.3, beta=0.05
         )
-        base = GradientSet(
+        base = layers_of(
             [rng.standard_normal(p.weights.shape) for p in net.layers],
             [rng.standard_normal(p.bias.shape) for p in net.layers],
         )
-        given = GradientSet(
-            [w.copy() for w in base.d_weights], [b.copy() for b in base.d_biases]
+        given = layers_of(
+            [g.weights.copy() for g in base], [g.bias.copy() for g in base]
         )
-        arrays = given.d_weights + given.d_biases
+        arrays = arrays_of(given)
         assert regularizer_gradient(net, spec, given) is given
         # same array objects, updated in place
-        assert all(a is b for a, b in zip(arrays, given.d_weights + given.d_biases))
+        assert all(a is b for a, b in zip(arrays, arrays_of(given)))
         alone = penalty_gradient(net, spec)
-        for g, b, a in zip(
-            given.d_weights + given.d_biases,
-            base.d_weights + base.d_biases,
-            alone.d_weights + alone.d_biases,
-        ):
+        for g, b, a in zip(arrays_of(given), arrays_of(base), arrays_of(alone)):
             npt.assert_array_equal(g, b + a)
 
 
@@ -369,21 +374,21 @@ def gradient_by_mode_branches(net, spec, grad):
     big_l = net.num_layers
     if spec.mode is Mode.L2_ALL:
         for l, p in enumerate(net.layers):
-            grad.d_weights[l] += spec.beta * p.weights
+            grad[l].weights += spec.beta * p.weights
     elif spec.mode is Mode.GLASSO_OUT:
         for l in range(1, big_l):
             w = net.layers[l].weights
             scale = spec.alpha / np.maximum(_column_norms(w), EPSILON_NORM)
-            grad.d_weights[l] += w * scale[np.newaxis, :]
-        grad.d_weights[0] += spec.beta * net.layers[0].weights
+            grad[l].weights += w * scale[np.newaxis, :]
+        grad[0].weights += spec.beta * net.layers[0].weights
     else:
         for l in range(1, big_l):
             w = net.layers[l - 1].weights
             scale = spec.alpha / np.maximum(_row_norms(w), EPSILON_NORM)
-            grad.d_weights[l - 1] += w * scale[:, np.newaxis]
-        grad.d_weights[-1] += spec.beta * net.layers[-1].weights
+            grad[l - 1].weights += w * scale[:, np.newaxis]
+        grad[-1].weights += spec.beta * net.layers[-1].weights
     for l, p in enumerate(net.layers):
-        grad.d_biases[l] += spec.beta * p.bias
+        grad[l].bias += spec.beta * p.bias
     return grad
 
 
@@ -411,14 +416,14 @@ def test_penalty_bit_identical_to_mode_branches(sizes, mode):
 
     def random_grads():
         g = np.random.default_rng(99)
-        return GradientSet(
+        return layers_of(
             [g.standard_normal(p.weights.shape) for p in net.layers],
             [g.standard_normal(p.bias.shape) for p in net.layers],
         )
 
     got = regularizer_gradient(net, spec, random_grads())
     want = gradient_by_mode_branches(net, spec, random_grads())
-    for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+    for g, w in zip(arrays_of(got), arrays_of(want)):
         assert_bits_equal(g, w)
     if mode.grouped:
         zero_node = 1 if mode is Mode.GLASSO_OUT else 2

@@ -11,7 +11,6 @@ from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError, TrainingDiverged
 from glasso_prune.linalg import as_matrix, as_vector
 from glasso_prune.network import (
-    GradientSet,
     LayerParams,
     MlpNetwork,
     batch_gradients,
@@ -70,8 +69,8 @@ def replay_sgd(net, train_set, val_set, cfg):
             hit_sum += hits
             regularizer_gradient(net, spec, grads)
             for l, p in enumerate(net.layers):
-                vw[l] = cfg.momentum * vw[l] - lr * grads.d_weights[l]
-                vb[l] = cfg.momentum * vb[l] - lr * grads.d_biases[l]
+                vw[l] = cfg.momentum * vw[l] - lr * grads[l].weights
+                vb[l] = cfg.momentum * vb[l] - lr * grads[l].bias
                 p.weights = p.weights + vw[l]
                 p.bias = p.bias + vb[l]
         epochs.append((ce_sum / train_set.n, hit_sum / train_set.n, net.copy()))
@@ -80,6 +79,11 @@ def replay_sgd(net, train_set, val_set, cfg):
             best_val, best_net = val, net.copy()
         lr *= cfg.lr_decay
     return epochs, best_net
+
+
+def arrays_of(layers):
+    """Every weight matrix, then every bias vector, of a LayerParams list."""
+    return [g.weights for g in layers] + [g.bias for g in layers]
 
 
 def replay_configs():
@@ -338,21 +342,20 @@ def test_sgd_step_is_the_closed_form(dtype):
     rng = np.random.default_rng(3)
 
     def random_set():
-        return GradientSet(
-            [rng.standard_normal(p.weights.shape).astype(dtype) for p in net.layers],
-            [rng.standard_normal(p.n_out).astype(dtype) for p in net.layers],
-        )
+        weights = [rng.standard_normal(p.weights.shape).astype(dtype) for p in net.layers]
+        biases = [rng.standard_normal(p.n_out).astype(dtype) for p in net.layers]
+        return [LayerParams(w, b) for w, b in zip(weights, biases)]
 
     velocity, grads = random_set(), random_set()
     before = net.copy()
-    v0 = [a.copy() for a in velocity.d_weights + velocity.d_biases]
-    g0 = [a.copy() for a in grads.d_weights + grads.d_biases]
+    v0 = [a.copy() for a in arrays_of(velocity)]
+    g0 = [a.copy() for a in arrays_of(grads)]
     lr, momentum = 0.07, 0.9
     _sgd_step(net, velocity, grads, lr, momentum)
     params = [p.weights for p in net.layers] + [p.bias for p in net.layers]
     params0 = [p.weights for p in before.layers] + [p.bias for p in before.layers]
     for p, p_prev, v, v_prev, g_prev in zip(
-        params, params0, velocity.d_weights + velocity.d_biases, v0, g0
+        params, params0, arrays_of(velocity), v0, g0
     ):
         v_expected = momentum * v_prev - lr * g_prev
         assert v.dtype == dtype and np.array_equal(v, v_expected)
@@ -601,15 +604,14 @@ def test_batch_gradients_match_two_softmax_oracle():
     delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(16), labels] -= 1.0
     delta /= 16
-    want = GradientSet([None] * 3, [None] * 3)
+    want = [None] * 3
     for l in (2, 1, 0):
-        want.d_weights[l] = delta.T @ zs[l]
-        want.d_biases[l] = delta.sum(axis=0)
+        want[l] = LayerParams(delta.T @ zs[l], delta.sum(axis=0))
         if l > 0:
             delta = (delta @ net.layers[l].weights) * zs[l] * (1.0 - zs[l])
     loss, _, got = batch_gradients(net, xs, labels)
     assert loss == want_loss
-    for g, w in zip(got.d_weights + got.d_biases, want.d_weights + want.d_biases):
+    for g, w in zip(arrays_of(got), arrays_of(want)):
         npt.assert_array_equal(g, w)
 
 
