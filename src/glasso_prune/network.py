@@ -115,17 +115,12 @@ def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
     return MlpNetwork(layers)
 
 
-def forward_batch(
-    net: MlpNetwork, xs: np.ndarray, out: list[np.ndarray] | None = None
-) -> list[np.ndarray]:
+def forward_batch(net: MlpNetwork, xs: np.ndarray) -> list[np.ndarray]:
     """Forward pass over a (n, dim) batch.
 
     Returns [Z^0 .. Z^L] where row i of Z^l corresponds to sample i; the
     last entry holds raw logits. The batch is cast to the dtype of the
-    weights, and every Z^l is in that dtype. When out is given, out[l] is a
-    C-ordered (n, n_out) array of that dtype that receives Z^(l+1), so a
-    caller can reuse its buffers across batches; the GEMMs and their shapes
-    are the same either way, and so are the bits.
+    weights, and every Z^l is in that dtype.
     """
     xs = np.asarray(xs, dtype=net.dtype)
     if xs.ndim != 2 or xs.shape[1] != net.layers[0].n_in:
@@ -135,7 +130,7 @@ def forward_batch(
     zs = [xs]
     last = net.num_layers - 1
     for l, p in enumerate(net.layers):
-        a = np.matmul(zs[-1], p.weights.T, out=None if out is None else out[l])
+        a = zs[-1] @ p.weights.T
         a += p.bias
         zs.append(a if l == last else linalg.sigmoid(a, out=a))
     return zs

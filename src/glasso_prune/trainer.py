@@ -18,7 +18,6 @@ included, computes on the same values in the same dtype.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -156,52 +155,16 @@ def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int
     return [int(np.sum(below)) for below in below_theta(net, mode, threshold)]
 
 
-class _EvalBuffers(threading.local):
-    """Per-thread activation buffers for evaluation forward passes.
-
-    One flat byte buffer per layer slot, replaced by a larger one only when
-    a request outgrows it, so a pass over a dataset, and the passes over
-    ever narrower pruned networks, reuse the same memory instead of
-    allocating (and page-faulting in) fresh arrays for every batch. Views
-    take the dtype of the request, so the float32 passes over trained
-    models and the float64 passes over a version 1 model file share the
-    same bytes.
-    """
-
-    def __init__(self):
-        self.flat: list[np.ndarray] = []
-
-    def views(self, rows: int, widths: list[int], dtype: np.dtype) -> list[np.ndarray]:
-        """C-ordered (rows, width) views of dtype, one per slot, valid until the next call."""
-        itemsize = np.dtype(dtype).itemsize
-        self.flat += [np.empty(0, np.uint8)] * (len(widths) - len(self.flat))
-        views = []
-        for slot, width in enumerate(widths):
-            nbytes = rows * width * itemsize
-            if self.flat[slot].size < nbytes:
-                self.flat[slot] = np.empty(nbytes, np.uint8)
-            views.append(self.flat[slot][:nbytes].view(dtype).reshape(rows, width))
-        return views
-
-
-_eval_buffers = _EvalBuffers()
-
-
 def _logit_batches(net: MlpNetwork, dataset: Dataset):
     """Yield (logits, labels) for consecutive EVAL_BATCH-row batches of a dataset.
 
-    The logits live in this thread's _EvalBuffers and are overwritten by
-    the next batch, so a consumer must finish with each batch before
-    asking for the next one and must not keep the array; evaluate and
-    mean_loss reduce each batch to numbers first. Training never calls
-    this on the train set: its epoch report comes from the SGD steps.
+    Training never calls this on the train set: its epoch report comes
+    from the SGD steps.
     """
     check_shapes(net, dataset)
-    widths = [p.n_out for p in net.layers]
     for start in range(0, dataset.n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, dataset.n)
-        out = _eval_buffers.views(stop - start, widths, net.dtype)
-        logits = forward_batch(net, dataset.features[start:stop], out=out)[-1]
+        logits = forward_batch(net, dataset.features[start:stop])[-1]
         yield logits, dataset.labels[start:stop]
 
 

@@ -28,7 +28,6 @@ from glasso_prune.trainer import (
     EVAL_BATCH,
     EpochReport,
     TrainConfig,
-    _eval_buffers,
     _sgd_step,
     disposable_counts,
     evaluate,
@@ -523,23 +522,42 @@ def test_mean_loss_accuracy_equals_evaluate():
         assert acc == evaluate(net, data)
 
 
-def test_mean_loss_equals_sum_of_separate_passes():
-    assert odd_task(0).n % EVAL_BATCH == 487
+def random_task(n, seed):
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.normal(0.0, 3.0, (n, 6)), rng.integers(0, 3, n), num_classes=3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n, batches",
+    [(7, [7]), (999, [512, 487]), (1024, [512, 512])],
+    ids=["one-short-batch", "full-and-partial", "two-full-batches"],
+)
+def test_mean_loss_equals_sum_of_separate_passes(n, batches, dtype):
+    # evaluate and mean_loss run forward_batch on consecutive EVAL_BATCH-row
+    # batches; the same calls here give the same bits, a short last batch
+    # included
+    starts = range(0, n, EVAL_BATCH)
+    assert [min(EVAL_BATCH, n - start) for start in starts] == batches
     for seed in range(3):
-        net = init_network([6, 9, 3], seed=seed)
-        data = odd_task(seed)
+        net = init_network([6, 9, 3], seed=seed).copy(dtype)
+        data = random_task(n, seed)
         total = 0.0
-        for start in range(0, data.n, EVAL_BATCH):
+        hits = 0
+        for start in starts:
             stop = min(start + EVAL_BATCH, data.n)
             logits = forward_batch(net, data.features[start:stop])[-1]
-            total += float(np.sum(ce_by_separate_softmax(logits, data.labels[start:stop])))
-        loss, _ = mean_loss(net, data)
-        assert loss == total / data.n
+            assert logits.dtype == dtype
+            labels = data.labels[start:stop]
+            total += float(np.sum(ce_by_separate_softmax(logits, labels)))
+            hits += int(np.sum(np.argmax(logits, axis=1) == labels))
+        assert mean_loss(net, data) == (total / data.n, hits / data.n)
+        assert evaluate(net, data) == hits / data.n
 
 
 def test_evaluation_unaffected_by_other_networks():
-    # evaluation reuses one set of activation buffers; passes over a wider
-    # and a narrower pruned network in between must not change net A's
+    # passes over a wider network, a narrower pruned one and net A in
+    # float32 in between must not change net A's results
     data = odd_task(5)
     net_a = init_network([6, 40, 30, 3], seed=5)
     wider = init_network([6, 90, 70, 3], seed=6)
@@ -549,38 +567,9 @@ def test_evaluation_unaffected_by_other_networks():
         return evaluate(net, data), mean_loss(net, data)
 
     before = results(net_a)
-    for other in (wider, narrower):
+    for other in (wider, narrower, net_a.copy(np.float32)):
         results(other)
         assert results(net_a) == before
-
-
-def test_evaluate_reuses_buffers():
-    data = small_task(seed=3)
-    net = init_network([6, 9, 3], seed=3)
-    evaluate(net, data)
-    before = list(_eval_buffers.flat)
-    for _ in range(3):
-        evaluate(net, data)
-        mean_loss(net, data)
-    after = _eval_buffers.flat
-    assert len(after) == len(before)
-    assert all(a is b for a, b in zip(after, before))
-
-
-def test_eval_buffers_serve_both_dtypes():
-    # float32 and float64 passes view the same byte buffers, in the
-    # network's dtype; results do not depend on which dtype ran before
-    data = small_task(seed=3)
-    net64 = init_network([6, 9, 3], seed=3)
-    nets = [net64, net64.copy(np.float32)]
-    want = [(evaluate(net, data), mean_loss(net, data)) for net in nets]
-    before = list(_eval_buffers.flat)
-    for i in (0, 1, 1, 0):
-        assert (evaluate(nets[i], data), mean_loss(nets[i], data)) == want[i]
-        views = _eval_buffers.views(7, [9, 3], nets[i].dtype)
-        assert [v.dtype for v in views] == [nets[i].dtype] * 2
-        assert all(np.shares_memory(v, b) for v, b in zip(views, before))
-    assert all(a is b for a, b in zip(_eval_buffers.flat, before))
 
 
 def test_mean_loss_empty_dataset_errors():
