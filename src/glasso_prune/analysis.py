@@ -96,7 +96,7 @@ def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None
             "hidden_nodes": sum(net.hidden_sizes),
         }
     if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
-        keep = make_mask(net, mode, theta).keep
+        keep = make_mask(net, mode, theta)
         outputs["retained"] = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
     if "curve" in chosen:
         outputs["curve"] = forced_removal_curve(net, mode, test_set, step=step)

@@ -93,15 +93,18 @@ def cmd_prune(args) -> int:
     net = load_model(args.model)
     cfg = parse_config(args.data)
     mode = _group_mode(args.mode, cfg)
+    theta = None  # a --match-count prune has no threshold
     if args.match_count is not None:
-        mask = match_count_mask(net, mode, args.match_count)
+        keep = match_count_mask(net, mode, args.match_count)
     else:
-        mask = make_mask(net, mode, cfg.theta if args.theta is None else args.theta)
+        theta = cfg.theta if args.theta is None else args.theta
+        keep = make_mask(net, mode, theta)
 
     _, _, test_set = cfg.load_splits()
     before = evaluate(net, test_set)
-    pruned = apply_mask(net, mask)
+    pruned = apply_mask(net, mode, keep)
     after = evaluate(pruned, test_set)
+    removed = [n - m for n, m in zip(net.hidden_sizes, pruned.hidden_sizes)]
 
     out_dir = Path(args.out) if args.out else Path(args.model).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,10 +112,10 @@ def cmd_prune(args) -> int:
 
     write_json(out_dir / "prune.json", {
         "mode": mode.value,
-        "theta": mask.theta,
-        "removed_per_layer": mask.removed_per_layer(),
-        "retained_per_layer": mask.retained_per_layer(),
-        "total_removed": mask.total_removed(),
+        "theta": theta,
+        "removed_per_layer": removed,
+        "retained_per_layer": pruned.hidden_sizes,
+        "total_removed": sum(removed),
         "accuracy": after,  # same as after_accuracy; kept so the key list is stable
         "model": str(args.model),
         "before_accuracy": before,
@@ -122,7 +125,7 @@ def cmd_prune(args) -> int:
     })
 
     print(
-        f"removed {mask.total_removed()} of {sum(net.hidden_sizes)} hidden nodes; "
+        f"removed {sum(removed)} of {sum(net.hidden_sizes)} hidden nodes; "
         f"test acc {fmt_float(before)} -> {fmt_float(after)}"
     )
     print(f"wrote {out_dir / 'pruned_model.glnn'}")
@@ -213,7 +216,7 @@ def cmd_sweep(args) -> int:
         net = result.best_network
         mode = _group_mode(None, run_cfg)
         disposable = sum(disposable_counts(net, mode, run_cfg.theta))
-        post_acc = evaluate(apply_mask(net, make_mask(net, mode, run_cfg.theta)), splits[2])
+        post_acc = evaluate(apply_mask(net, mode, make_mask(net, mode, run_cfg.theta)), splits[2])
         rows.append([*cells, fmt_float(result.best_val_accuracy), disposable, fmt_float(post_acc)])
         print(
             f"{sub.name}: best val acc {fmt_float(result.best_val_accuracy)}, "

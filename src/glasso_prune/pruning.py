@@ -15,7 +15,6 @@ a removal batch touches, on the GEMM operands apply_mask would give.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +26,9 @@ from .regularization import Mode, below_theta, group_norms
 from .trainer import EVAL_BATCH, check_shapes
 
 
-@dataclass
-class PruneMask:
-    """Per-hidden-layer keep decisions; True keeps the node."""
-
-    keep: list[np.ndarray]
-    mode: Mode
-    theta: float | None  # None for count-driven masks with no threshold
-
-    def __post_init__(self):
-        self.keep = [np.asarray(k, dtype=bool) for k in self.keep]
-        for l, k in enumerate(self.keep, start=1):
-            if not k.any():
-                raise ValueError(f"mask would empty hidden layer {l}")
-
-    def removed_per_layer(self) -> list[int]:
-        return [int(np.sum(~k)) for k in self.keep]
-
-    def retained_per_layer(self) -> list[int]:
-        return [int(np.sum(k)) for k in self.keep]
-
-    def total_removed(self) -> int:
-        return sum(self.removed_per_layer())
-
-
-def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> PruneMask:
-    """Keep every hidden node whose group norm is at least theta.
+def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
+    """Per hidden layer, a bool keep vector: True for each node whose group
+    norm is at least theta.
 
     A layer is never emptied: if every node falls below theta the
     largest-norm one is retained and a warning is issued.
@@ -65,11 +41,11 @@ def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> PruneMask:
                 f"thresholding would empty hidden layer {l}; "
                 f"keeping its largest-norm node"
             )
-    return PruneMask(keep, mode, theta)
+    return keep
 
 
-def apply_mask(net: MlpNetwork, mask: PruneMask) -> MlpNetwork:
-    """Rebuild the network without the dropped nodes.
+def apply_mask(net: MlpNetwork, mode: Mode, keep: list) -> MlpNetwork:
+    """Rebuild the network without the nodes whose keep entry is False.
 
     Working from the original parameters: dropped node j of hidden layer l
     loses row j of W^l, entry j of b^l, and column j of W^(l+1). In
@@ -77,15 +53,17 @@ def apply_mask(net: MlpNetwork, mask: PruneMask) -> MlpNetwork:
     absorbed into b^(l+1) via its outgoing column before removal. A layer
     no removal touches is shared with net, not copied.
     """
-    hidden = net.hidden_sizes
-    if [len(k) for k in mask.keep] != hidden:
+    keep = [np.asarray(k, dtype=bool) for k in keep]
+    if [len(k) for k in keep] != net.hidden_sizes:
         raise ShapeMismatchError(
-            f"mask lengths {[len(k) for k in mask.keep]} do not match "
-            f"hidden layer sizes {hidden}"
+            f"mask lengths {[len(k) for k in keep]} do not match "
+            f"hidden layer sizes {net.hidden_sizes}"
         )
-    keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
-    new = [keep[0], *mask.keep, keep[-1]]
-    return MlpNetwork(_cut(net, mask.mode, net.layers, keep, new, first=1))
+    for l, k in enumerate(keep, start=1):
+        if not k.any():
+            raise ValueError(f"mask would empty hidden layer {l}")
+    full = [np.ones(n, dtype=bool) for n in net.layer_sizes]
+    return MlpNetwork(_cut(net, mode, net.layers, full, [full[0], *keep, full[-1]], first=1))
 
 
 def _cut(
@@ -175,8 +153,8 @@ def forced_removal_curve(
     return curve
 
 
-def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> PruneMask:
-    """Mask removing exactly the n_remove smallest-norm hidden nodes.
+def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> list[np.ndarray]:
+    """Keep vectors removing exactly the n_remove smallest-norm hidden nodes.
 
     Nodes whose removal would empty their layer are skipped in favor of the
     next-smallest candidates.
@@ -200,4 +178,4 @@ def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> PruneMask:
             f"cannot remove {n_remove} of {sum(hidden)} hidden nodes while "
             f"keeping one per layer"
         )
-    return PruneMask(keep, mode, theta=None)
+    return keep

@@ -19,7 +19,6 @@ defined as zero (subgradient choice, guarded by EPSILON_NORM).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,21 +46,6 @@ class Mode(enum.Enum):
     @property
     def grouped(self) -> bool:
         return self is not Mode.L2_ALL
-
-
-@dataclass(frozen=True)
-class RegularizerSpec:
-    mode: Mode
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(
-                f"alpha and beta must be nonnegative, got {self.alpha}, {self.beta}"
-            )
-        if self.mode is Mode.L2_ALL and self.alpha != 0:
-            raise ValueError("alpha must be 0 in L2_ALL mode (no grouped penalty)")
 
 
 # Per grouped mode, (offset, norm axis): hidden layer l's groups lie in
@@ -105,13 +89,13 @@ def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
     return [layer_norms < theta for layer_norms in group_norms(net, mode)]
 
 
-def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
+def regularizer_value(net: MlpNetwork, mode: Mode, alpha: float, beta: float) -> float:
     """Total penalty: alpha * sum of group norms + beta * L2 terms."""
-    grouped = {l for l, _ in group_layout(net, spec.mode)}
+    grouped = {l for l, _ in group_layout(net, mode)}
     glasso = 0.0
     l2 = 0.0
     if grouped:
-        for layer_norms in group_norms(net, spec.mode):
+        for layer_norms in group_norms(net, mode):
             glasso += float(np.sum(layer_norms))
         for l, p in enumerate(net.layers):
             if l not in grouped:
@@ -123,11 +107,11 @@ def regularizer_value(net: MlpNetwork, spec: RegularizerSpec) -> float:
         # summation order is part of the train_loss bits in history.jsonl
         for p in net.layers:
             l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
-    return spec.alpha * glasso + spec.beta * l2
+    return alpha * glasso + beta * l2
 
 
 def regularizer_gradient(
-    net: MlpNetwork, spec: RegularizerSpec, grads: list[LayerParams]
+    net: MlpNetwork, mode: Mode, alpha: float, beta: float, grads: list[LayerParams]
 ) -> list[LayerParams]:
     """Add the gradient of regularizer_value into grads; returns grads.
 
@@ -137,14 +121,14 @@ def regularizer_gradient(
     spares the trainer a zero gradient per minibatch step; pass
     network.zero_layers(net) to get the penalty gradient alone.
     """
-    layout = group_layout(net, spec.mode)
+    layout = group_layout(net, mode)
     for l, axis in layout:
         w = net.layers[l].weights
-        scale = spec.alpha / np.maximum(norms(w, axis), EPSILON_NORM)
+        scale = alpha / np.maximum(norms(w, axis), EPSILON_NORM)
         grads[l].weights += w * np.expand_dims(scale, axis)
     grouped = {l for l, _ in layout}
     for l, (p, g) in enumerate(zip(net.layers, grads)):
         if l not in grouped:
-            g.weights += spec.beta * p.weights
-        g.bias += spec.beta * p.bias
+            g.weights += beta * p.weights
+        g.bias += beta * p.bias
     return grads

@@ -29,7 +29,7 @@ from .network import (
     LayerParams, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
     zero_layers,
 )
-from .regularization import Mode, RegularizerSpec, below_theta, regularizer_gradient, regularizer_value
+from .regularization import Mode, below_theta, regularizer_gradient, regularizer_value
 
 
 # beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
@@ -59,8 +59,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.beta_coupling and self.beta != 0:
             raise ValueError("key 'beta' must be 0 when key 'beta_coupling' sets it from alpha")
-        # Mode and RegularizerSpec check mode, alpha and beta
-        self.regularizer_spec()
+        mode = Mode.from_string(self.mode)
+        if self.alpha < 0 or self.beta < 0:
+            raise ValueError(f"alpha and beta must be nonnegative, got {self.alpha}, {self.beta}")
+        if mode is Mode.L2_ALL and self.alpha != 0:
+            raise ValueError("alpha must be 0 in L2_ALL mode (no grouped penalty)")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError(
                 f"epochs and batch_size must be >= 1, got {self.epochs}, {self.batch_size}"
@@ -76,11 +79,6 @@ class TrainConfig:
             raise ValueError(f"key 'seed' must be nonnegative, got {self.seed}")
         if not 0 < self.theta < np.inf:
             raise ValueError(f"theta must be positive and finite, got {self.theta}")
-
-    def regularizer_spec(self) -> RegularizerSpec:
-        """The run's penalty, with beta already coupled to alpha if asked."""
-        beta = COUPLED_BETA_RATIO * self.alpha if self.beta_coupling else self.beta
-        return RegularizerSpec(mode=Mode.from_string(self.mode), alpha=self.alpha, beta=beta)
 
 
 @dataclass
@@ -243,7 +241,8 @@ def train(
     """
     check_shapes(net, train_set)
     check_shapes(net, val_set)
-    spec = cfg.regularizer_spec()
+    mode = Mode.from_string(cfg.mode)
+    beta = COUPLED_BETA_RATIO * cfg.alpha if cfg.beta_coupling else cfg.beta
     net = net.copy(TRAIN_DTYPE)
     velocity = zero_layers(net)
     history: list[EpochReport] = []
@@ -268,16 +267,14 @@ def train(
                     )
                 ce_sum += loss * len(idx)
                 hit_sum += hits
-                regularizer_gradient(net, spec, grads)
+                regularizer_gradient(net, mode, cfg.alpha, beta, grads)
                 _sgd_step(net, velocity, grads, lr, cfg.momentum)
             report = EpochReport(
                 epoch=epoch,
-                train_loss=ce_sum / train_set.n + regularizer_value(net, spec),
+                train_loss=ce_sum / train_set.n + regularizer_value(net, mode, cfg.alpha, beta),
                 train_acc=hit_sum / train_set.n,
                 val_acc=evaluate(net, val_set),
-                disposable=(
-                    disposable_counts(net, spec.mode, cfg.theta) if spec.mode.grouped else []
-                ),
+                disposable=disposable_counts(net, mode, cfg.theta) if mode.grouped else [],
             )
             history.append(report)
             if log_file:

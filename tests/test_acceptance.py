@@ -34,7 +34,6 @@ from glasso_prune.errors import DataFormatError
 from glasso_prune.model_io import load_model, model_bytes, model_from_bytes, save_model
 from glasso_prune.network import batch_gradients, forward_batch, init_network
 from glasso_prune.pruning import (
-    PruneMask,
     apply_mask,
     forced_removal_curve,
     make_mask,
@@ -42,7 +41,6 @@ from glasso_prune.pruning import (
 )
 from glasso_prune.regularization import (
     Mode,
-    RegularizerSpec,
     group_norms,
     regularizer_gradient,
     regularizer_value,
@@ -120,9 +118,9 @@ def reference_runs():
             ],
         )
         if mode is not Mode.L2_ALL:
-            mask = make_mask(net, mode, cfg.theta)
-            rec.removed = mask.total_removed()
-            rec.pruned_acc = evaluate(apply_mask(net, mask), test_set)
+            keep = make_mask(net, mode, cfg.theta)
+            rec.removed = sum(int(np.sum(~k)) for k in keep)
+            rec.pruned_acc = evaluate(apply_mask(net, mode, keep), test_set)
             rec.gap = bimodality_gap(net, mode)
         runs[(key, seed)] = rec
     return SimpleNamespace(
@@ -161,7 +159,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
     worst = 0.0
     checked = 0
     for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
-        spec = RegularizerSpec(mode=mode, alpha=0.02, beta=0.002)
+        penalty = (mode, 0.02, 0.002)
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
             net = init_network(sizes, seed)
@@ -173,7 +171,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
             batch = Dataset(xs, ys, num_classes=sizes[-1])
 
             _, _, grad = batch_gradients(net, batch.features, batch.labels)
-            regularizer_gradient(net, spec, grad)
+            regularizer_gradient(net, *penalty, grad)
 
             norms = group_norms(net, mode)
             last = len(net.layers) - 1
@@ -187,7 +185,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
                 return layer == last or norms[layer][i] >= 1e-3
 
             def total():
-                return mean_loss(net, batch)[0] + regularizer_value(net, spec)
+                return mean_loss(net, batch)[0] + regularizer_value(net, *penalty)
 
             for layer, p in enumerate(net.layers):
                 for i in range(p.weights.shape[0]):
@@ -240,7 +238,7 @@ def test_criterion_2_zero_group_pruning_is_logit_identical():
                     net.layers[layer].weights[:, i] = 0.0
                 else:
                     net.layers[layer - 1].weights[i, :] = 0.0
-        pruned = apply_mask(net, PruneMask(keep, mode, None))
+        pruned = apply_mask(net, mode, keep)
         # a float64 oracle: its 1e-12 bound is below float32 rounding
         assert net.dtype == pruned.dtype == np.float64
         for _ in range(100):
@@ -279,7 +277,7 @@ def test_criterion_3_out_prune_deviation_below_dropped_norm_sum():
         if not keep1.any():
             keep1[int(rng.integers(0, sizes[1]))] = True
         keep = [keep1, np.ones(sizes[2], dtype=bool)]
-        pruned = apply_mask(net, PruneMask(keep, Mode.GLASSO_OUT, None))
+        pruned = apply_mask(net, Mode.GLASSO_OUT, keep)
         x = rng.normal(0.0, 1.5, size=(1, sizes[0]))
         pre = [
             forward_batch(n, x)[1] @ n.layers[1].weights.T + n.layers[1].bias
@@ -349,7 +347,7 @@ def test_criterion_5_prune_without_loss_vs_l2(reference_runs):
         drops = []
         for mode, count in ((Mode.GLASSO_OUT, out_r.removed), (Mode.GLASSO_IN, in_r.removed)):
             acc = evaluate(
-                apply_mask(l2_r.net, match_count_mask(l2_r.net, mode, count)), R.test_set
+                apply_mask(l2_r.net, mode, match_count_mask(l2_r.net, mode, count)), R.test_set
             )
             drops.append(l2_r.base - acc)
         least_l2_drop = min(least_l2_drop, *drops)
@@ -375,11 +373,15 @@ def test_criterion_6_low_norm_cluster_removal(reference_runs):
         l2_r = R.runs[("l2", seed)]
         count = out_r.removed
         g_acc = evaluate(
-            apply_mask(out_r.net, match_count_mask(out_r.net, Mode.GLASSO_OUT, count)),
+            apply_mask(
+                out_r.net, Mode.GLASSO_OUT, match_count_mask(out_r.net, Mode.GLASSO_OUT, count)
+            ),
             R.test_set,
         )
         l_acc = evaluate(
-            apply_mask(l2_r.net, match_count_mask(l2_r.net, Mode.GLASSO_OUT, count)),
+            apply_mask(
+                l2_r.net, Mode.GLASSO_OUT, match_count_mask(l2_r.net, Mode.GLASSO_OUT, count)
+            ),
             R.test_set,
         )
         worst_dev = max(worst_dev, abs(g_acc - out_r.base))

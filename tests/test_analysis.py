@@ -284,6 +284,5 @@ def test_final_disposable_equals_mask_removals():
         net = init_network([4, 6, 5, 3], seed=seed)
         net.layers[1].weights[:, :2] *= 1e-6
         counts = disposable_counts(net, Mode.GLASSO_OUT, 1e-2)
-        mask = make_mask(net, Mode.GLASSO_OUT, 1e-2)
-        removed = [int((~k).sum()) for k in mask.keep]
+        removed = [int((~k).sum()) for k in make_mask(net, Mode.GLASSO_OUT, 1e-2)]
         assert counts == removed

@@ -644,6 +644,25 @@ def test_prune_json_keys_in_order(trained_run, tmp_path, how):
     assert doc["accuracy"] == doc["after_accuracy"] == evaluate(pruned, test_set)
 
 
+def test_prune_above_every_norm_keeps_each_layer_largest_node(trained_run, tmp_path):
+    # the one prune whose keep vectors are not the raw threshold: the
+    # prune.json counts come from the pruned network, not from theta
+    _, cfg, run = trained_run
+    out = tmp_path / "o"
+    argv = ["prune", str(run / "model.glnn"), "--mode", "out", "--theta", "1e6",
+            "--data", str(cfg), "--out", str(out)]
+    with pytest.warns(UserWarning, match="keeping its largest-norm node") as caught:
+        assert main(argv) == 0
+    doc = json.loads((out / "prune.json").read_text())
+    hidden = doc["layer_sizes_before"][1:-1]
+    assert len([w for w in caught if w.category is UserWarning]) == len(hidden)
+    assert doc["theta"] == 1e6
+    assert doc["retained_per_layer"] == [1] * len(hidden)
+    assert [r + k for r, k in zip(doc["removed_per_layer"], doc["retained_per_layer"])] == hidden
+    assert doc["total_removed"] == sum(hidden) - len(hidden)
+    assert load_model(out / "pruned_model.glnn").layer_sizes == [8, 1, 3]
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["prune", "analyze"])
 def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta):

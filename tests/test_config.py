@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from glasso_prune.cli import main
 from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
 from glasso_prune.errors import ConfigError
-from glasso_prune.regularization import Mode, RegularizerSpec
+from glasso_prune.model_io import load_model
 from glasso_prune.trainer import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -181,13 +183,52 @@ def test_json_unknown_key():
     assert "widgets" in str(err.value)
 
 
-def test_beta_coupling_propagates_to_train_config():
-    # the config is the TrainConfig that train reads its penalty from
-    cfg = parse_config_text(MINIMAL + "alpha = 0.2\nbeta_coupling = true\n")
-    assert isinstance(cfg, TrainConfig)
-    spec = cfg.regularizer_spec()
-    assert spec.beta == pytest.approx(0.02, abs=1e-15)
-    assert spec.mode is Mode.GLASSO_OUT
+@pytest.mark.parametrize(
+    "mode, alpha, beta, message",
+    [
+        ("glasso_out", -0.1, 0.0, "alpha and beta must be nonnegative, got -0.1, 0.0"),
+        ("glasso_out", 0.0, -0.1, "alpha and beta must be nonnegative, got 0.0, -0.1"),
+        ("l2", 0.5, 0.0, "alpha must be 0 in L2_ALL mode (no grouped penalty)"),
+        # mode is checked first, then the signs, then alpha against l2
+        ("l2", -1.0, 0.0, "alpha and beta must be nonnegative, got -1.0, 0.0"),
+        ("ridge", -1.0, 0.0,
+         "unknown mode 'ridge', expected one of ['glasso_out', 'glasso_in', 'l2']"),
+    ],
+)
+def test_train_config_checks_mode_alpha_and_beta(mode, alpha, beta, message):
+    with pytest.raises(ValueError) as err:
+        TrainConfig(mode=mode, alpha=alpha, beta=beta)
+    assert str(err.value) == message
+
+
+def test_beta_coupling_trains_as_tenth_of_alpha(tmp_path):
+    # a coupled run is, bit for bit, the run with beta = 0.1 * alpha written out
+    base = MINIMAL + (
+        "synth_classes = 3\nsynth_dim = 8\nsynth_per_class = 20\nepochs = 2\nalpha = 0.2\n"
+    )
+    runs = {
+        "coupled": "beta_coupling = true\n",
+        "explicit": f"beta = {0.1 * 0.2!r}\n",
+        "uncoupled": "",
+    }
+    for name, keys in runs.items():
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(base + keys + f"output_dir = {tmp_path / name}\n")
+        assert isinstance(parse_config(cfg), TrainConfig)
+        assert main(["train", str(cfg)]) == 0
+
+    def run(name):
+        net = load_model(tmp_path / name / "model.glnn")
+        history = (tmp_path / name / "history.jsonl").read_bytes()
+        return history, [a for p in net.layers for a in (p.weights, p.bias)]
+
+    (hist_c, arrays_c), (hist_e, arrays_e) = run("coupled"), run("explicit")
+    assert hist_c.count(b"\n") == 2 and hist_c == hist_e
+    assert len(arrays_c) == len(arrays_e) == 4
+    for a, b in zip(arrays_c, arrays_e):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    # and beta reaches the run: without it the losses differ
+    assert run("uncoupled")[0] != hist_c
 
 
 def test_beta_coupling_forces_tenth():
@@ -196,20 +237,14 @@ def test_beta_coupling_forces_tenth():
         with pytest.raises(ConfigError, match="'beta'.*'beta_coupling'"):
             parse_config_text(MINIMAL + f"alpha = 0.4\nbeta = {beta}\nbeta_coupling = true\n")
     cfg = parse_config_text(MINIMAL + "alpha = 0.4\nbeta = 0.0\nbeta_coupling = true\n")
-    assert cfg.regularizer_spec().beta == 0.1 * 0.4
-    assert cfg.regularizer_spec().alpha == 0.4
-    reference = parse_config(CONFIGS / "reference_glasso_out.cfg")
-    assert reference.regularizer_spec().beta == 0.1 * reference.alpha
-    # the coupling and its check live in TrainConfig, without any data keys
-    bare = TrainConfig(mode="glasso_in", alpha=0.4, beta_coupling=True)
-    assert bare.regularizer_spec().beta == 0.1 * 0.4
+    assert cfg.beta_coupling and cfg.alpha == 0.4
+    assert parse_config(CONFIGS / "reference_glasso_out.cfg").beta_coupling
+    # the coupling check lives in TrainConfig, without any data keys
     with pytest.raises(ValueError, match="'beta'.*'beta_coupling'"):
         TrainConfig(mode="glasso_in", alpha=0.4, beta=0.5, beta_coupling=True)
-
-
-def test_regularizer_spec_roundtrip():
-    cfg = parse_config_text(MINIMAL + "alpha = 0.3\nbeta = 0.01\n")
-    assert cfg.regularizer_spec() == RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.3, beta=0.01)
+    # the sign check reports the keys as written, not the coupled beta
+    with pytest.raises(ValueError, match=r"nonnegative, got -0\.5, 0\.0$"):
+        TrainConfig(mode="glasso_in", alpha=-0.5, beta_coupling=True)
 
 
 @pytest.mark.parametrize("key", ["emit_history", "emit_model", "epsilon_norm"])

@@ -7,13 +7,7 @@ from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError
 from glasso_prune.linalg import as_vector, norms, sigmoid
 from glasso_prune.network import forward_batch, init_network
-from glasso_prune.pruning import (
-    PruneMask,
-    apply_mask,
-    forced_removal_curve,
-    make_mask,
-    match_count_mask,
-)
+from glasso_prune.pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
 from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import EVAL_BATCH, disposable_counts, evaluate
 
@@ -41,19 +35,18 @@ def logits_close(a, b, inputs, tol=1e-12):
 
 def test_make_mask_threshold_separates_clusters():
     net = bimodal_net(seed=1)
-    mask = make_mask(net, Mode.GLASSO_OUT, 1e-2)
+    keep = make_mask(net, Mode.GLASSO_OUT, 1e-2)
     for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT)):
-        npt.assert_array_equal(mask.keep[l], norms >= 1e-2)
+        npt.assert_array_equal(keep[l], norms >= 1e-2)
         # the clusters really are separated: nothing within a decade of theta
         assert not np.any((norms > 1e-3) & (norms < 1e-1))
 
 
 def test_make_mask_below_all_norms_is_identity():
     net = init_network([3, 5, 4, 2], seed=2)
-    mask = make_mask(net, Mode.GLASSO_OUT, 1e-9)
-    assert all(np.all(k) for k in mask.keep)
-    assert mask.total_removed() == 0
-    pruned = apply_mask(net, mask)
+    keep = make_mask(net, Mode.GLASSO_OUT, 1e-9)
+    assert all(np.all(k) for k in keep)
+    pruned = apply_mask(net, Mode.GLASSO_OUT, keep)
     assert pruned.layer_sizes == net.layer_sizes
     rng = np.random.default_rng(0)
     assert logits_close(net, pruned, rng.standard_normal((10, 3)))
@@ -62,8 +55,7 @@ def test_make_mask_below_all_norms_is_identity():
 def test_make_mask_agrees_with_loop_oracle():
     net = init_network([3, 6, 4, 2], seed=3)
     theta = float(np.median(np.concatenate(group_norms(net, Mode.GLASSO_IN))))
-    mask = make_mask(net, Mode.GLASSO_IN, theta)
-    for keep, norms in zip(mask.keep, group_norms(net, Mode.GLASSO_IN)):
+    for keep, norms in zip(make_mask(net, Mode.GLASSO_IN, theta), group_norms(net, Mode.GLASSO_IN)):
         for j in range(len(norms)):
             assert keep[j] == (norms[j] >= theta)
 
@@ -82,28 +74,40 @@ def test_make_mask_rejects_nonpositive_theta():
 def test_make_mask_never_empties_a_layer():
     net = init_network([3, 4, 2], seed=4)
     with pytest.warns(UserWarning):
-        mask = make_mask(net, Mode.GLASSO_OUT, 1e6)
-    assert mask.keep[0].sum() == 1
+        keep = make_mask(net, Mode.GLASSO_OUT, 1e6)
+    assert keep[0].sum() == 1
     norms = group_norms(net, Mode.GLASSO_OUT)[0]
-    assert mask.keep[0][int(np.argmax(norms))]
+    assert keep[0][int(np.argmax(norms))]
 
 
-def test_prune_mask_rejects_empty_layer():
-    with pytest.raises(ValueError):
-        PruneMask(
-            keep=[np.array([False, False])], mode=Mode.GLASSO_OUT, theta=0.5
-        )
+def test_apply_mask_rejects_empty_layer():
+    net = init_network([3, 2, 4, 2], seed=0)
+    with pytest.raises(ValueError, match="mask would empty hidden layer 2"):
+        apply_mask(net, Mode.GLASSO_OUT, [np.array([True, False]), np.zeros(4, dtype=bool)])
+
+
+def test_apply_mask_rejects_wrong_length():
+    net = init_network([3, 2, 4, 2], seed=0)
+    with pytest.raises(ShapeMismatchError, match=r"mask lengths \[2, 3\]"):
+        apply_mask(net, Mode.GLASSO_OUT, [np.ones(2, dtype=bool), np.ones(3, dtype=bool)])
+
+
+@pytest.mark.parametrize("mode", [Mode.GLASSO_OUT, Mode.GLASSO_IN])
+def test_apply_mask_takes_int_keep_vectors_as_bools(mode):
+    net = init_network([3, 5, 4, 2], seed=1)
+    ints = [[1, 0, 1, 1, 0], [0, 1, 1, 1]]
+    from_ints = apply_mask(net, mode, ints)
+    from_bools = apply_mask(net, mode, [np.array(k, dtype=bool) for k in ints])
+    assert from_ints.layer_sizes == [3, 3, 3, 2]
+    for a, b in zip(from_ints.layers, from_bools.layers):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.bias, b.bias)
 
 
 def test_apply_mask_out_zero_column_exact():
     net = init_network([4, 6, 3], seed=5)
     net.layers[1].weights[:, 2] = 0.0
-    mask = PruneMask(
-        keep=[np.array([True, True, False, True, True, True])],
-        mode=Mode.GLASSO_OUT,
-        theta=1e-2,
-    )
-    pruned = apply_mask(net, mask)
+    keep = [np.array([True, True, False, True, True, True])]
+    pruned = apply_mask(net, Mode.GLASSO_OUT, keep)
     assert pruned.layer_sizes == [4, 5, 3]
     rng = np.random.default_rng(1)
     assert logits_close(net, pruned, rng.standard_normal((100, 4)))
@@ -115,12 +119,8 @@ def test_apply_mask_in_zero_row_exact():
     net = init_network([4, 6, 3], seed=6)
     net.layers[0].weights[3, :] = 0.0
     net.layers[0].bias[3] = 0.7
-    mask = PruneMask(
-        keep=[np.array([True, True, True, False, True, True])],
-        mode=Mode.GLASSO_IN,
-        theta=1e-2,
-    )
-    pruned = apply_mask(net, mask)
+    keep = [np.array([True, True, True, False, True, True])]
+    pruned = apply_mask(net, Mode.GLASSO_IN, keep)
     assert pruned.layer_sizes == [4, 5, 3]
     rng = np.random.default_rng(2)
     assert logits_close(net, pruned, rng.standard_normal((100, 4)))
@@ -139,7 +139,7 @@ def test_exactness_at_zero_multi_node_both_modes():
             net.layers[1].bias[[0, 3]] = [0.1, 0.9]
         norms = group_norms(net, mode)
         keep = [n > 0.0 for n in norms]
-        pruned = apply_mask(net, PruneMask(keep=keep, mode=mode, theta=None))
+        pruned = apply_mask(net, mode, keep)
         assert pruned.layer_sizes == [3, 6, 4, 2]
         rng = np.random.default_rng(3)
         assert logits_close(net, pruned, rng.standard_normal((100, 3)))
@@ -182,15 +182,15 @@ def test_in_mode_constant_output_lipschitz_bound():
 
 def test_structural_accounting():
     net = bimodal_net(seed=10)
-    mask = make_mask(net, Mode.GLASSO_OUT, 1e-2)
+    keep = make_mask(net, Mode.GLASSO_OUT, 1e-2)
+    retained = [int(np.sum(k)) for k in keep]
+    removed = [int(np.sum(~k)) for k in keep]
     hidden = net.hidden_sizes
-    for kept, removed, width in zip(
-        mask.retained_per_layer(), mask.removed_per_layer(), hidden
-    ):
-        assert kept + removed == width
-    assert mask.total_removed() == sum(mask.removed_per_layer())
+    for kept, dropped, width in zip(retained, removed, hidden):
+        assert kept + dropped == width
+    assert sum(removed) > 0
     # pruned network construction re-validates chaining
-    assert apply_mask(net, mask).hidden_sizes == mask.retained_per_layer()
+    assert apply_mask(net, Mode.GLASSO_OUT, keep).hidden_sizes == retained
 
 
 def test_forced_removal_curve_starts_at_baseline():
@@ -229,26 +229,26 @@ def test_forced_removal_follows_ascending_norms():
     keep = [np.ones(w, dtype=bool) for w in net.hidden_sizes]
     for l, j in expected_removed:
         keep[l][j] = False
-    pruned = apply_mask(net, PruneMask(keep=keep, mode=Mode.GLASSO_OUT, theta=None))
+    pruned = apply_mask(net, Mode.GLASSO_OUT, keep)
     assert evaluate(pruned, data) == pytest.approx(
         curve[1][1], abs=1e-15
     )
 
 
-def reference_prune(net, mask):
+def reference_prune(net, mode, keep):
     """(W, b) per layer of the pruned net, from the definition alone.
 
     Each layer is W[np.ix_(rows, cols)]; in GLASSO_IN mode its bias is first
     b + W[:, dropped] @ sigmoid(b_prev[dropped]), dropped being the
     previous hidden layer's removed nodes.
     """
-    keep = [np.ones(net.layers[0].n_in, dtype=bool), *mask.keep,
+    keep = [np.ones(net.layers[0].n_in, dtype=bool), *keep,
             np.ones(net.layers[-1].n_out, dtype=bool)]
     layers = []
     for l, p in enumerate(net.layers, start=1):
         rows, cols = keep[l], keep[l - 1]
         bias = p.bias
-        if mask.mode is Mode.GLASSO_IN and l >= 2:
+        if mode is Mode.GLASSO_IN and l >= 2:
             dropped = ~cols
             bias = p.bias + p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
         layers.append((p.weights[np.ix_(rows, cols)], bias[rows]))
@@ -275,9 +275,8 @@ def test_apply_mask_equals_reference_prune(mode, dtype, removed):
     keep = [np.ones(n, dtype=bool) for n in net.hidden_sizes]
     for l, nodes in removed.items():
         keep[l][nodes] = False
-    mask = PruneMask(keep=keep, mode=mode, theta=None)
-    pruned = apply_mask(net, mask)
-    expected = reference_prune(net, mask)
+    pruned = apply_mask(net, mode, keep)
+    expected = reference_prune(net, mode, keep)
     assert len(pruned.layers) == len(expected)
     for l, (p, (w, b)) in enumerate(zip(pruned.layers, expected), start=1):
         assert p.weights.dtype == dtype and p.bias.dtype == dtype
@@ -302,7 +301,7 @@ def rebuilt_curve(net, mode, data, step):
             keep[l][j] = False
         if not all(k.any() for k in keep):
             break
-        nets.append(apply_mask(net, PruneMask(keep=keep, mode=mode, theta=None)))
+        nets.append(apply_mask(net, mode, keep))
         curve.append((count, evaluate(nets[-1], data)))
     return curve, nets
 
@@ -371,17 +370,16 @@ def test_forced_removal_rejects_empty_eval_set():
 
 def test_match_count_zero_is_identity():
     net = init_network([3, 5, 2], seed=14)
-    mask = match_count_mask(net, Mode.GLASSO_OUT, 0)
-    assert mask.total_removed() == 0
-    assert mask.theta is None
-    assert apply_mask(net, mask).layer_sizes == net.layer_sizes
+    keep = match_count_mask(net, Mode.GLASSO_OUT, 0)
+    assert all(np.all(k) for k in keep)
+    assert apply_mask(net, Mode.GLASSO_OUT, keep).layer_sizes == net.layer_sizes
 
 
 def test_match_count_removes_smallest_norms():
     net = bimodal_net(seed=15)
     n_remove = 4
-    mask = match_count_mask(net, Mode.GLASSO_OUT, n_remove)
-    assert mask.total_removed() == n_remove
+    keep_vectors = match_count_mask(net, Mode.GLASSO_OUT, n_remove)
+    assert sum(int(np.sum(~k)) for k in keep_vectors) == n_remove
     ranked = sorted(
         (float(n), l, j)
         for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT))
@@ -390,7 +388,7 @@ def test_match_count_removes_smallest_norms():
     expected = {(l, j) for _, l, j in ranked[:n_remove]}
     actual = {
         (l, j)
-        for l, keep in enumerate(mask.keep)
+        for l, keep in enumerate(keep_vectors)
         for j in range(len(keep))
         if not keep[j]
     }

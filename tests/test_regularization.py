@@ -7,7 +7,6 @@ from glasso_prune.network import LayerParams, MlpNetwork, init_network, zero_lay
 from glasso_prune.regularization import (
     EPSILON_NORM,
     Mode,
-    RegularizerSpec,
     group_layout,
     group_norms,
     regularizer_gradient,
@@ -24,7 +23,7 @@ def net_from_weights(*weight_lists):
 
 
 def penalty_gradient(net, spec):
-    return regularizer_gradient(net, spec, zero_layers(net))
+    return regularizer_gradient(net, *spec, zero_layers(net))
 
 
 def layers_of(weights, biases):
@@ -45,7 +44,7 @@ def transposed_reversed(net):
 
 
 def value_by_loops(net, spec):
-    mode = spec.mode
+    mode, alpha, beta = spec
     total = 0.0
     if mode is Mode.GLASSO_OUT:
         grouped = net.layers[1:]
@@ -63,31 +62,18 @@ def value_by_loops(net, spec):
                 acc = 0.0
                 for i in range(w.shape[0]):
                     acc += w[i, j] ** 2
-                total += spec.alpha * np.sqrt(acc)
+                total += alpha * np.sqrt(acc)
         else:
             for i in range(w.shape[0]):
                 acc = 0.0
                 for j in range(w.shape[1]):
                     acc += w[i, j] ** 2
-                total += spec.alpha * np.sqrt(acc)
+                total += alpha * np.sqrt(acc)
     for w in l2_mats:
-        total += spec.beta * 0.5 * float(np.sum(np.asarray(w) ** 2))
+        total += beta * 0.5 * float(np.sum(np.asarray(w) ** 2))
     for p in net.layers:
-        total += spec.beta * 0.5 * float(np.sum(p.bias**2))
+        total += beta * 0.5 * float(np.sum(p.bias**2))
     return total
-
-
-def test_spec_rejects_negative_strengths():
-    with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=-0.1, beta=0.0)
-    with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.0, beta=-0.1)
-
-
-def test_spec_l2_forbids_alpha():
-    with pytest.raises(ValueError):
-        RegularizerSpec(mode=Mode.L2_ALL, alpha=0.5, beta=0.0)
-    RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.5)  # fine
 
 
 def test_mode_from_string():
@@ -139,7 +125,7 @@ def test_group_norms_lengths_match_hidden_sizes():
 def test_float32_group_norms_are_those_of_the_float64_widening():
     # selection decides on the norms of the float64 model that is saved;
     # the penalty gradient keeps the network's own dtype
-    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.02, beta=0.002)
+    spec = (Mode.GLASSO_OUT, 0.02, 0.002)
     for seed in range(3):
         net32 = init_network([3, 5, 4, 2], seed).copy(np.float32)
         net64 = net32.copy(np.float64)
@@ -164,17 +150,15 @@ def test_group_norms_transpose_duality():
 def test_value_zero_network():
     net = net_from_weights(np.zeros((3, 2)), np.zeros((2, 3)))
     for mode in Mode:
-        spec = RegularizerSpec(
-            mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 1.0, beta=1.0
-        )
-        assert regularizer_value(net, spec) == 0.0
+        spec = (mode, 0.0 if mode is Mode.L2_ALL else 1.0, 1.0)
+        assert regularizer_value(net, *spec) == 0.0
 
 
 def test_value_single_column_345():
     # grouped matrix [[3,0],[4,0]] under column grouping: one 3-4-5 column
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
-    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
-    assert regularizer_value(net, spec) == pytest.approx(5.0, abs=1e-15)
+    spec = (Mode.GLASSO_OUT, 1.0, 0.0)
+    assert regularizer_value(net, *spec) == pytest.approx(5.0, abs=1e-15)
 
 
 def test_value_matches_loop_oracle():
@@ -182,26 +166,22 @@ def test_value_matches_loop_oracle():
     for p in net.layers:
         p.bias[:] = np.linspace(-0.5, 0.5, len(p.bias))
     for mode in Mode:
-        spec = RegularizerSpec(
-            mode=mode,
-            alpha=0.0 if mode is Mode.L2_ALL else 0.3,
-            beta=0.07,
-        )
-        assert regularizer_value(net, spec) == pytest.approx(
+        spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.3, 0.07)
+        assert regularizer_value(net, *spec) == pytest.approx(
             value_by_loops(net, spec), rel=1e-12
         )
 
 
 def test_gradient_unit_column():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
-    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
+    spec = (Mode.GLASSO_OUT, 1.0, 0.0)
     grads = penalty_gradient(net, spec)
     npt.assert_allclose(grads[1].weights[:, 0], [0.6, 0.8], atol=1e-15)
 
 
 def test_gradient_zero_column_safeguard():
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
-    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.0)
+    spec = (Mode.GLASSO_OUT, 1.0, 0.0)
     grads = penalty_gradient(net, spec)
     npt.assert_array_equal(grads[1].weights[:, 1], [0.0, 0.0])
 
@@ -213,11 +193,7 @@ def test_gradient_finite_differences():
         for p in net.layers:
             p.bias[:] = np.linspace(-0.4, 0.4, len(p.bias))
         for mode in Mode:
-            spec = RegularizerSpec(
-                mode=mode,
-                alpha=0.0 if mode is Mode.L2_ALL else 0.2,
-                beta=0.05,
-            )
+            spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.2, 0.05)
             if mode is not Mode.L2_ALL:
                 assert all(np.all(v > 1e-3) for v in group_norms(net, mode))
             grads = penalty_gradient(net, spec)
@@ -225,9 +201,9 @@ def test_gradient_finite_differences():
                 for idx in np.ndindex(p.weights.shape):
                     orig = p.weights[idx]
                     p.weights[idx] = orig + h
-                    hi = regularizer_value(net, spec)
+                    hi = regularizer_value(net, *spec)
                     p.weights[idx] = orig - h
-                    lo = regularizer_value(net, spec)
+                    lo = regularizer_value(net, *spec)
                     p.weights[idx] = orig
                     numeric = (hi - lo) / (2 * h)
                     assert grads[l].weights[idx] == pytest.approx(
@@ -236,9 +212,9 @@ def test_gradient_finite_differences():
                 for i in range(len(p.bias)):
                     orig = p.bias[i]
                     p.bias[i] = orig + h
-                    hi = regularizer_value(net, spec)
+                    hi = regularizer_value(net, *spec)
                     p.bias[i] = orig - h
-                    lo = regularizer_value(net, spec)
+                    lo = regularizer_value(net, *spec)
                     p.bias[i] = orig
                     numeric = (hi - lo) / (2 * h)
                     assert grads[l].bias[i] == pytest.approx(
@@ -251,7 +227,7 @@ def test_gradient_group_block_norm_capped_at_alpha():
     for seed in range(3):
         net = init_network([3, 5, 4, 2], seed)
         for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
-            spec = RegularizerSpec(mode=mode, alpha=alpha, beta=0.0)
+            spec = (mode, alpha, 0.0)
             grads = penalty_gradient(net, spec)
             mats = (
                 [g.weights for g in grads[1:]] if mode is Mode.GLASSO_OUT else [g.weights for g in grads[:-1]]
@@ -264,28 +240,28 @@ def test_gradient_group_block_norm_capped_at_alpha():
 
 def test_positive_homogeneity():
     net = init_network([3, 5, 4, 2], seed=9)
-    glasso = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.4, beta=0.0)
-    l2 = RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=0.4)
-    base_g = regularizer_value(net, glasso)
-    base_l = regularizer_value(net, l2)
+    glasso = (Mode.GLASSO_OUT, 0.4, 0.0)
+    l2 = (Mode.L2_ALL, 0.0, 0.4)
+    base_g = regularizer_value(net, *glasso)
+    base_l = regularizer_value(net, *l2)
     for c in (0.5, 2.0, 7.0):
         scaled = net.copy()
         for p in scaled.layers:
             p.weights *= c
             p.bias *= c
-        assert regularizer_value(scaled, glasso) == pytest.approx(c * base_g, rel=1e-12)
-        assert regularizer_value(scaled, l2) == pytest.approx(c * c * base_l, rel=1e-12)
+        assert regularizer_value(scaled, *glasso) == pytest.approx(c * base_g, rel=1e-12)
+        assert regularizer_value(scaled, *l2) == pytest.approx(c * c * base_l, rel=1e-12)
 
 
 def test_mode_symmetry_value():
     # IN on a net equals OUT on the transposed, layer-reversed net
     for seed in range(4):
         net = init_network([3, 5, 4, 2], seed)
-        spec_in = RegularizerSpec(mode=Mode.GLASSO_IN, alpha=0.7, beta=0.2)
-        spec_out = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=0.7, beta=0.2)
+        spec_in = (Mode.GLASSO_IN, 0.7, 0.2)
+        spec_out = (Mode.GLASSO_OUT, 0.7, 0.2)
         flipped = transposed_reversed(net)
-        assert regularizer_value(net, spec_in) == pytest.approx(
-            regularizer_value(flipped, spec_out), rel=1e-12
+        assert regularizer_value(net, *spec_in) == pytest.approx(
+            regularizer_value(flipped, *spec_out), rel=1e-12
         )
 
 
@@ -294,7 +270,7 @@ def test_l2_gradient_is_identity_scaling():
     for p in net.layers:
         p.bias[:] = 0.25
     beta = 0.6
-    spec = RegularizerSpec(mode=Mode.L2_ALL, alpha=0.0, beta=beta)
+    spec = (Mode.L2_ALL, 0.0, beta)
     grads = penalty_gradient(net, spec)
     for p, (dw, db) in zip(net.layers, ((g.weights, g.bias) for g in grads)):
         npt.assert_allclose(dw, beta * p.weights, atol=1e-15)
@@ -305,7 +281,7 @@ def test_biases_never_grouped_always_l2():
     net = init_network([2, 3, 2], seed=5)
     for p in net.layers:
         p.bias[:] = 1.0
-    spec = RegularizerSpec(mode=Mode.GLASSO_OUT, alpha=1.0, beta=0.5)
+    spec = (Mode.GLASSO_OUT, 1.0, 0.5)
     grads = penalty_gradient(net, spec)
     for p, db in zip(net.layers, (g.bias for g in grads)):
         npt.assert_allclose(db, 0.5 * p.bias, atol=1e-15)
@@ -317,9 +293,7 @@ def test_gradient_adds_into_given_set():
     for p in net.layers:
         p.bias[:] = rng.standard_normal(len(p.bias))
     for mode in Mode:
-        spec = RegularizerSpec(
-            mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 0.3, beta=0.05
-        )
+        spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.3, 0.05)
         base = layers_of(
             [rng.standard_normal(p.weights.shape) for p in net.layers],
             [rng.standard_normal(p.bias.shape) for p in net.layers],
@@ -328,7 +302,7 @@ def test_gradient_adds_into_given_set():
             [g.weights.copy() for g in base], [g.bias.copy() for g in base]
         )
         arrays = arrays_of(given)
-        assert regularizer_gradient(net, spec, given) is given
+        assert regularizer_gradient(net, *spec, given) is given
         # same array objects, updated in place
         assert all(a is b for a, b in zip(arrays, arrays_of(given)))
         alone = penalty_gradient(net, spec)
@@ -350,45 +324,47 @@ def _row_norms(m):
 
 
 def value_by_mode_branches(net, spec):
+    mode, alpha, beta = spec
     l2 = 0.0
     glasso = 0.0
     big_l = net.num_layers
-    if spec.mode is Mode.L2_ALL:
+    if mode is Mode.L2_ALL:
         for p in net.layers:
             l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
     else:
-        if spec.mode is Mode.GLASSO_OUT:
+        if mode is Mode.GLASSO_OUT:
             norms = [_column_norms(net.layers[l].weights) for l in range(1, big_l)]
         else:
             norms = [_row_norms(net.layers[l - 1].weights) for l in range(1, big_l)]
         for n in norms:
             glasso += float(np.sum(n))
-        ungrouped = net.layers[0] if spec.mode is Mode.GLASSO_OUT else net.layers[-1]
+        ungrouped = net.layers[0] if mode is Mode.GLASSO_OUT else net.layers[-1]
         l2 += 0.5 * float(np.sum(ungrouped.weights**2))
         for p in net.layers:
             l2 += 0.5 * float(np.sum(p.bias**2))
-    return spec.alpha * glasso + spec.beta * l2
+    return alpha * glasso + beta * l2
 
 
 def gradient_by_mode_branches(net, spec, grad):
+    mode, alpha, beta = spec
     big_l = net.num_layers
-    if spec.mode is Mode.L2_ALL:
+    if mode is Mode.L2_ALL:
         for l, p in enumerate(net.layers):
-            grad[l].weights += spec.beta * p.weights
-    elif spec.mode is Mode.GLASSO_OUT:
+            grad[l].weights += beta * p.weights
+    elif mode is Mode.GLASSO_OUT:
         for l in range(1, big_l):
             w = net.layers[l].weights
-            scale = spec.alpha / np.maximum(_column_norms(w), EPSILON_NORM)
+            scale = alpha / np.maximum(_column_norms(w), EPSILON_NORM)
             grad[l].weights += w * scale[np.newaxis, :]
-        grad[0].weights += spec.beta * net.layers[0].weights
+        grad[0].weights += beta * net.layers[0].weights
     else:
         for l in range(1, big_l):
             w = net.layers[l - 1].weights
-            scale = spec.alpha / np.maximum(_row_norms(w), EPSILON_NORM)
+            scale = alpha / np.maximum(_row_norms(w), EPSILON_NORM)
             grad[l - 1].weights += w * scale[:, np.newaxis]
-        grad[-1].weights += spec.beta * net.layers[-1].weights
+        grad[-1].weights += beta * net.layers[-1].weights
     for l, p in enumerate(net.layers):
-        grad[l].bias += spec.beta * p.bias
+        grad[l].bias += beta * p.bias
     return grad
 
 
@@ -409,10 +385,8 @@ def test_penalty_bit_identical_to_mode_branches(sizes, mode):
     # node 1 and incoming row of hidden node 2, both in hidden layer 1
     net.layers[1].weights[:, 1] = 0.0
     net.layers[0].weights[2, :] = 0.0
-    spec = RegularizerSpec(
-        mode=mode, alpha=0.0 if mode is Mode.L2_ALL else 0.013, beta=0.0013
-    )
-    assert_bits_equal(regularizer_value(net, spec), value_by_mode_branches(net, spec))
+    spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.013, 0.0013)
+    assert_bits_equal(regularizer_value(net, *spec), value_by_mode_branches(net, spec))
 
     def random_grads():
         g = np.random.default_rng(99)
@@ -421,7 +395,7 @@ def test_penalty_bit_identical_to_mode_branches(sizes, mode):
             [g.standard_normal(p.bias.shape) for p in net.layers],
         )
 
-    got = regularizer_gradient(net, spec, random_grads())
+    got = regularizer_gradient(net, *spec, random_grads())
     want = gradient_by_mode_branches(net, spec, random_grads())
     for g, w in zip(arrays_of(got), arrays_of(want)):
         assert_bits_equal(g, w)

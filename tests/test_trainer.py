@@ -49,7 +49,7 @@ def replay_sgd(net, train_set, val_set, cfg):
     epoch-end network) per epoch, and the best-validation network (latest
     on ties), all float32.
     """
-    spec = cfg.regularizer_spec()
+    mode = Mode.from_string(cfg.mode)
     net = net.copy(np.float32)
     vw = [np.zeros_like(p.weights) for p in net.layers]
     vb = [np.zeros_like(p.bias) for p in net.layers]
@@ -66,7 +66,7 @@ def replay_sgd(net, train_set, val_set, cfg):
             )
             ce_sum += loss * len(idx)
             hit_sum += hits
-            regularizer_gradient(net, spec, grads)
+            regularizer_gradient(net, mode, cfg.alpha, cfg.beta, grads)
             for l, p in enumerate(net.layers):
                 vw[l] = cfg.momentum * vw[l] - lr * grads[l].weights
                 vb[l] = cfg.momentum * vb[l] - lr * grads[l].bias
@@ -480,7 +480,7 @@ def test_train_loss_includes_regularizer():
         cfg = TrainConfig(mode="glasso_out", alpha=alpha, epochs=1, batch_size=16, seed=3)
         reported = train(net, data, data, cfg).history[0].train_loss
         [(ce_mean, _, end_net)], _ = replay_sgd(net, data, data, cfg)
-        penalties.append(regularizer_value(end_net, cfg.regularizer_spec()))
+        penalties.append(regularizer_value(end_net, Mode.GLASSO_OUT, alpha, 0.0))
         assert reported == ce_mean + penalties[-1]
     assert penalties[0] == 0.0
     assert penalties[1] > 1.0
@@ -561,7 +561,7 @@ def test_evaluation_unaffected_by_other_networks():
     data = odd_task(5)
     net_a = init_network([6, 40, 30, 3], seed=5)
     wider = init_network([6, 90, 70, 3], seed=6)
-    narrower = apply_mask(net_a, match_count_mask(net_a, Mode.GLASSO_OUT, 40))
+    narrower = apply_mask(net_a, Mode.GLASSO_OUT, match_count_mask(net_a, Mode.GLASSO_OUT, 40))
 
     def results(net):
         return evaluate(net, data), mean_loss(net, data)
@@ -618,7 +618,7 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         assert len(lines) == len(replayed) == cfg.epochs
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
             assert end_net.dtype == np.float32
-            penalty = regularizer_value(end_net, cfg.regularizer_spec())
+            penalty = regularizer_value(end_net, Mode.from_string(cfg.mode), cfg.alpha, cfg.beta)
             assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
 
