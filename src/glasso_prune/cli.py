@@ -25,12 +25,12 @@ from .errors import (
     ShapeMismatchError,
     TrainingDiverged,
 )
-from .model_io import MAGIC, load_model, save_model
+from .model_io import load_model, save_model
 from .network import init_network
 from .pruning import apply_mask, make_mask, match_count_mask
 from .regularization import Mode
 from .trainer import (
-    TrainConfig, TrainResult, disposable_counts, evaluate, load_history, train,
+    TrainConfig, TrainResult, disposable_counts, evaluate, train,
 )
 
 
@@ -68,10 +68,11 @@ def run_training(
         "test_acc": float(test_acc),
     })
 
+    outputs = {"disposable": disposable_rows(result.history)}
     if cfg.emit_bundle:
         net, mode = result.best_network, _group_mode(None, cfg)
-        outputs = diagnostics(net, mode, cfg.theta, NORM_OUTPUTS)
-        write_bundle({**outputs, "disposable": disposable_rows(result.history)}, out_dir)
+        outputs.update(diagnostics(net, mode, cfg.theta, NORM_OUTPUTS))
+    write_bundle(outputs, out_dir)
 
     return result, float(test_acc)
 
@@ -132,45 +133,34 @@ def cmd_prune(args) -> int:
     return 0
 
 
-def _is_model_file(path: Path) -> bool:
-    with open(path, "rb") as f:
-        return f.read(len(MAGIC)) == MAGIC
-
-
 def cmd_analyze(args) -> int:
     target = Path(args.target)
+    net = load_model(target)  # a target that is not a model exits 4 before any option check
     chosen = [name for name in MODEL_OUTPUTS if getattr(args, name)]
     options = [n for n in ("data", "mode", "theta", "step") if getattr(args, n) is not None]
 
-    if _is_model_file(target):
-        if not chosen:  # default: everything derivable from the given files
-            chosen = MODEL_OUTPUTS if args.data is not None else NORM_OUTPUTS
-        for option, output in (("theta", "retained"), ("step", "curve")):
-            if option in options and output not in chosen:
-                raise ConfigError(f"--{option} is read only for {output}.csv, not written here")
-        # --data sets the direction unless --mode does, and theta unless --theta does
-        data_read = "curve" in chosen or args.mode is None or (
-            "retained" in chosen and args.theta is None)
-        if "data" in options and not data_read:
-            raise ConfigError("--data is read only for curve.csv, for the group direction "
-                              "without --mode and for retained.csv's theta without --theta")
-        net = load_model(target)
-        cfg = parse_config(args.data) if args.data is not None else None
-        if "curve" in chosen and cfg is None:
-            raise ConfigError("--curve needs --data to evaluate accuracy")
-        theta = args.theta
-        if theta is None:
-            theta = cfg.theta if cfg is not None else TrainConfig.theta
-        outputs = diagnostics(
-            net, _group_mode(args.mode, cfg), theta, chosen,
-            test_set=cfg.load_splits()[2] if "curve" in chosen else None,
-            step=100 if args.step is None else args.step,
-        )
-    elif chosen or options:
-        flags = "/".join(f"--{name}" for name in chosen + options)
-        raise ConfigError(f"{flags}: need a model file, not a history")
-    else:
-        outputs = {"disposable": disposable_rows(load_history(target))}
+    if not chosen:  # default: everything derivable from the given files
+        chosen = MODEL_OUTPUTS if args.data is not None else NORM_OUTPUTS
+    for option, output in (("theta", "retained"), ("step", "curve")):
+        if option in options and output not in chosen:
+            raise ConfigError(f"--{option} is read only for {output}.csv, not written here")
+    # --data sets the direction unless --mode does, and theta unless --theta does
+    data_read = "curve" in chosen or args.mode is None or (
+        "retained" in chosen and args.theta is None)
+    if "data" in options and not data_read:
+        raise ConfigError("--data is read only for curve.csv, for the group direction "
+                          "without --mode and for retained.csv's theta without --theta")
+    cfg = parse_config(args.data) if args.data is not None else None
+    if "curve" in chosen and cfg is None:
+        raise ConfigError("--curve needs --data to evaluate accuracy")
+    theta = args.theta
+    if theta is None:
+        theta = cfg.theta if cfg is not None else TrainConfig.theta
+    outputs = diagnostics(
+        net, _group_mode(args.mode, cfg), theta, chosen,
+        test_set=cfg.load_splits()[2] if "curve" in chosen else None,
+        step=100 if args.step is None else args.step,
+    )
 
     out_dir = Path(args.out) if args.out else target.parent
     for path in write_bundle(outputs, out_dir):
@@ -257,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output directory (default: model dir)")
     p.set_defaults(func=cmd_prune)
 
-    p = sub.add_parser("analyze", help="norm and history diagnostics")
-    p.add_argument("target", help="a .glnn model, or a history.jsonl, which yields "
-                   "the per-epoch disposable-node CSV")
+    p = sub.add_parser("analyze", help="group-norm diagnostics of a saved model")
+    p.add_argument("target", help="path to a .glnn model")
     p.add_argument("--histogram", action="store_true", help="group-norm histogram CSV")
     p.add_argument("--curve", action="store_true",
                    help="forced-removal accuracy curve CSV (needs --data)")
@@ -276,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="nodes removed per curve point, read only for curve.csv (default 100)")
     p.add_argument("--data", default=None,
                    help="config whose dataset supplies curve evaluation")
-    p.add_argument("--out", default=None, help="output directory (default: target dir)")
+    p.add_argument("--out", default=None, help="output directory (default: model dir)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="train once per grid point and summarize")

@@ -139,13 +139,13 @@ class ExperimentConfig(TrainConfig):
             full = load_idx(self.idx_images, self.idx_labels)
         else:
             full = load_csv(self.csv_path, self.csv_label_column)
+        self.check_fit(full)  # before split, whose class scan is as long as the class count
         splits = split(full, tuple(self.split_fractions), self.data_seed)
         if min(part.n for part in splits) == 0:
             raise ConfigError(
                 f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
                 f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
             )
-        self.check_fit(full)
         if self.standardize:
             return standardize(*splits)
         return splits

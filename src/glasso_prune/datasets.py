@@ -142,6 +142,8 @@ def load_csv(path, label_column: str) -> Dataset:
             raise DataFormatError(
                 f"{path}: row {row_no} label {label} is not an integer"
             )
+        if not 0 <= label < 2**63:  # a class index that fits the labels' int64
+            raise DataFormatError(f"{path}: row {row_no} label {label} is outside [0, 2**63)")
         features.append(values)
         labels.append(int(label))
     if not features:

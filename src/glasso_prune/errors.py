@@ -18,7 +18,7 @@ class DataFormatError(GlassoPruneError, ValueError):
 
 
 class TrainingDiverged(GlassoPruneError):
-    """The loss became non-finite; the message names the epoch and batch."""
+    """The loss became non-finite; the message names the epoch, and the batch if known."""
 
 
 class ConfigError(GlassoPruneError):

@@ -18,13 +18,12 @@ included, computes on the same values in the same dtype.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .datasets import Dataset
-from .errors import DataFormatError, ShapeMismatchError, TrainingDiverged
+from .errors import ShapeMismatchError, TrainingDiverged
 from .network import (
     LayerParams, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
     zero_layers,
@@ -94,29 +93,6 @@ class EpochReport:
     def to_json_line(self) -> str:
         return json.dumps(asdict(self))
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "EpochReport":
-        """Parse one history line; a missing key or wrong type raises."""
-        doc = json.loads(line)
-        for f in fields(cls):
-            check, kind = _JSON_TYPES[f.type]
-            if not check(doc[f.name]):
-                raise TypeError(f"{f.name!r} must be {kind}, got {doc[f.name]!r}")
-        return cls(**{f.name: doc[f.name] for f in fields(cls)})
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-# EpochReport field annotation -> (check of a decoded JSON value, what it must be)
-_JSON_TYPES = {
-    "int": (_is_int, "an integer"),
-    "float": (lambda x: _is_int(x) or isinstance(x, float), "a number"),
-    "list[int]": (lambda x: isinstance(x, list) and all(_is_int(c) and c >= 0 for c in x),
-                  "a list of non-negative integers"),
-}
-
 
 @dataclass
 class TrainResult:
@@ -124,28 +100,6 @@ class TrainResult:
     best_epoch: int
     best_val_accuracy: float  # of best_network, the largest in history
     history: list[EpochReport]
-
-
-def load_history(path) -> list[EpochReport]:
-    """Parse a history.jsonl file; a malformed line, or a file with no
-    epoch record at all, raises DataFormatError.
-
-    Each line is decoded as UTF-8 on its own, so a line that is not UTF-8
-    is reported by number like any other malformed line.
-    """
-    reports = []
-    for i, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8")
-            if line.strip():
-                reports.append(EpochReport.from_json_line(line))
-        except (ValueError, KeyError, TypeError) as e:
-            raise DataFormatError(
-                f"{path}, line {i}: not an epoch record ({type(e).__name__}: {e})"
-            ) from None
-    if not reports:
-        raise DataFormatError(f"{path}: no epoch records")
-    return reports
 
 
 def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int]:
@@ -276,6 +230,9 @@ def train(
                 val_acc=evaluate(net, val_set),
                 disposable=disposable_counts(net, mode, cfg.theta) if mode.grouped else [],
             )
+            # a step can diverge after its minibatch loss passed the check above
+            if not np.isfinite(report.train_loss):
+                raise TrainingDiverged(f"non-finite train loss at the end of epoch {epoch}")
             history.append(report)
             if log_file:
                 log_file.write(report.to_json_line() + "\n")

@@ -12,7 +12,7 @@ from glasso_prune.config import ExperimentConfig, parse_config
 from glasso_prune.model_io import load_model, model_bytes, save_model
 from glasso_prune.network import init_network
 from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import evaluate, load_history
+from glasso_prune.trainer import EpochReport, evaluate
 
 BASE_CFG = """
 dataset = synth
@@ -38,6 +38,10 @@ def write_cfg(tmp_path, extra="", name="exp.cfg"):
     return path
 
 
+def read_history(path):
+    return [EpochReport(**json.loads(line)) for line in path.read_text().splitlines()]
+
+
 @pytest.fixture(scope="module")
 def trained_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trained")
@@ -57,7 +61,7 @@ def test_train_minimal_roundtrip(trained_run):
 
 def test_train_writes_history_and_manifest(trained_run):
     _, _, run = trained_run
-    history = load_history(run / "history.jsonl")
+    history = read_history(run / "history.jsonl")
     assert len(history) == 3
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["config"]["alpha"] == 0.02
@@ -84,7 +88,7 @@ def test_train_outputs_agree_with_its_saved_model(tmp_path):
     with open(run / "retained.csv", newline="") as f:
         kept = [int(row["kept"]) for row in csv.DictReader(f)]
     assert kept == doc["retained_per_layer"]
-    best = load_history(run / "history.jsonl")[manifest["best_epoch"] - 1]
+    best = read_history(run / "history.jsonl")[manifest["best_epoch"] - 1]
     assert best.disposable == doc["removed_per_layer"]
     assert best.val_acc == manifest["best_val_acc"]
     # the final block is the last history record without its epoch
@@ -95,17 +99,59 @@ def test_train_outputs_agree_with_its_saved_model(tmp_path):
 
 
 def test_train_bundle_equals_analyze_outputs(tmp_path):
-    # train's diagnostics are those of analyze on the model and history it saved
-    run, by_model, by_history = tmp_path / "run", tmp_path / "model", tmp_path / "history"
+    # train's model diagnostics are those of analyze on the model it saved,
+    # and its disposable.csv holds the counts of its history.jsonl
+    run, by_model = tmp_path / "run", tmp_path / "model"
     cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {run}\n")
     assert main(["train", str(cfg)]) == 0
     argv = ["analyze", str(run / "model.glnn"), "--data", str(cfg), "--out", str(by_model)]
     assert main(argv) == 0
-    assert main(["analyze", str(run / "history.jsonl"), "--out", str(by_history)]) == 0
-    assert sorted(p.name for p in by_history.iterdir()) == ["disposable.csv"]
-    for name, other in [("histogram.csv", by_model), ("gap.json", by_model),
-                        ("retained.csv", by_model), ("disposable.csv", by_history)]:
-        assert (run / name).read_bytes() == (other / name).read_bytes(), name
+    for name in ("histogram.csv", "gap.json", "retained.csv"):
+        assert (run / name).read_bytes() == (by_model / name).read_bytes(), name
+    history = read_history(run / "history.jsonl")
+    want = [[r.epoch, layer, count] for r in history for layer, count in enumerate(r.disposable, 1)]
+    with open(run / "disposable.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["epoch", "layer", "count"]
+    assert [[int(cell) for cell in row] for row in rows] == want
+    assert len(want) == 3  # three epochs, one hidden layer
+
+
+def test_train_without_bundle_writes_disposable_only(tmp_path):
+    # disposable.csv comes from the history in memory; emit_bundle gates only
+    # the files analyze can rebuild from model.glnn
+    run = tmp_path / "run"
+    assert main(["train", str(write_cfg(tmp_path, f"output_dir = {run}\n"))]) == 0
+    assert sorted(p.name for p in run.iterdir()) == [
+        "disposable.csv", "history.jsonl", "manifest.json", "model.glnn"
+    ]
+    assert (run / "disposable.csv").read_text().splitlines()[0] == "epoch,layer,count"
+
+
+@pytest.mark.parametrize(
+    "mode, layer_sizes",
+    [("glasso_out", "8,16,16,3"), ("glasso_in", "8,16,16,3"), ("glasso_in", "8,5,7,6,3"),
+     ("l2", "8,16,3")],
+)
+def test_train_disposable_csv_holds_history_counts(tmp_path, mode, layer_sizes):
+    # one row per epoch and hidden layer, layers numbered from 1; an l2 run
+    # counts no groups, so its file is the header alone
+    run = tmp_path / "run"
+    text = BASE_CFG.replace("layer_sizes = 8,16,3", f"layer_sizes = {layer_sizes}")
+    text = text.replace("mode = glasso_out", f"mode = {mode}")
+    if mode == "l2":
+        text = text.replace("alpha = 0.02", "alpha = 0.0").replace("beta_coupling = true", "")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text + f"output_dir = {run}\n")
+    assert main(["train", str(cfg)]) == 0
+    history = read_history(run / "history.jsonl")
+    want = [[r.epoch, layer, count] for r in history for layer, count in enumerate(r.disposable, 1)]
+    with open(run / "disposable.csv", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["epoch", "layer", "count"]
+    assert [[int(cell) for cell in row] for row in rows] == want
+    hidden = 0 if mode == "l2" else layer_sizes.count(",") - 1
+    assert len(want) == 3 * hidden
 
 
 def test_train_missing_output_dir(tmp_path, capsys):
@@ -254,64 +300,99 @@ def test_analyze_curve_without_data_errors(trained_run, tmp_path, capsys):
     assert "--data" in capsys.readouterr().err
 
 
-def test_analyze_history_disposable(trained_run, tmp_path):
-    _, _, run = trained_run
-    out = tmp_path / "hist"
-    assert main(["analyze", str(run / "history.jsonl"), "--out", str(out)]) == 0
-    lines = (out / "disposable.csv").read_text().splitlines()
-    assert lines[0] == "epoch,layer,count"
-    assert len(lines) == 1 + 3  # three epochs, one hidden layer
-
-
 def test_analyze_disposable_flag_rejected(trained_run, tmp_path, capsys):
-    # a history's one output, disposable.csv, needs no flag; a model has none
+    # train writes disposable.csv from its history; a model has no such output
     _, _, run = trained_run
-    for target in ("model.glnn", "history.jsonl"):
-        with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(run / target), "--disposable", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "--disposable" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(run / "model.glnn"), "--disposable", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--disposable" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_analyze_histogram_on_history_errors(trained_run, tmp_path):
+@pytest.mark.parametrize("options", [[], ["--theta", "0.5"], ["--histogram"]])
+def test_analyze_history_exits_4(trained_run, tmp_path, capsys, options):
+    # analyze takes only a model: a history is not one, whatever the options
     _, _, run = trained_run
-    code = main(
-        ["analyze", str(run / "history.jsonl"), "--histogram", "--out", str(tmp_path)]
-    )
-    assert code == 2
+    history = tmp_path / "history.jsonl"
+    history.write_bytes((run / "history.jsonl").read_bytes())
+    assert main(["analyze", str(history), *options]) == 4
+    err = capsys.readouterr().err
+    assert str(history) in err and "bad magic" in err
+    assert list(tmp_path.iterdir()) == [history]
+
+
+# trained_run's model.glnn, [8, 16, 3] in float32: a 16-byte header (magic,
+# version, element size, L), layer 1 at 16 (rows, cols, 512 weight bytes at
+# 24, 64 bias bytes at 536), layer 2 at 600 (weights at 608, biases at 800)
+# and 812 bytes in all
+def _patched(blob, at, value):
+    return blob[:at] + value + blob[at + len(value):]
 
 
 @pytest.mark.parametrize(
-    "target, options, named",
+    "make, message",
     [
-        # a history yields only disposable.csv, so it reads none of these
-        ("history.jsonl", ["--theta", "0.5"], "--theta"),
-        ("history.jsonl", ["--mode", "in"], "--mode"),
-        ("history.jsonl", ["--data", "{missing}"], "--data"),
-        ("history.jsonl", ["--step", "3"], "--step"),
-        ("history.jsonl", ["--step", "0"], "--step"),
-        ("history.jsonl", ["--theta", "0.5", "--mode", "in", "--data", "{missing}", "--step", "3"],
-         "--data/--mode/--theta/--step"),
-        # a model reads --theta only for retained.csv and --step only for curve.csv
-        ("model.glnn", ["--histogram", "--theta", "0.5", "--step", "3"], "--theta"),
-        ("model.glnn", ["--histogram", "--theta", "0.5"], "--theta"),
-        ("model.glnn", ["--gap", "--step", "3"], "--step"),
-        ("model.glnn", ["--step", "3"], "--step"),  # without --data there is no curve
-        ("model.glnn", ["--curve", "--theta", "0.5", "--data", "{cfg}"], "--theta"),
-        ("model.glnn", ["--retained", "--step", "3", "--data", "{cfg}"], "--step"),
-        # --data is read for the curve, for the direction without --mode, and
-        # for retained.csv's theta without --theta; here for none of them
-        ("model.glnn", ["--histogram", "--mode", "out", "--data", "{cfg}"], "--data"),
-        ("model.glnn", ["--gap", "--retained", "--theta", "0.05", "--mode", "in",
-                        "--data", "{cfg}"], "--data"),
+        pytest.param(lambda m: b"", "truncated at byte 0, needed 4 more of 0", id="empty"),
+        pytest.param(lambda m: BASE_CFG.encode(), "bad magic", id="config"),
+        pytest.param(lambda m: b"a,b,y\n1,2,0\n", "bad magic b'a,b,'", id="csv"),
+        pytest.param(lambda m: m[:2], "truncated at byte 0, needed 4 more of 2", id="cut-magic"),
+        pytest.param(lambda m: m[:4], "truncated at byte 4", id="cut-version"),
+        pytest.param(lambda m: m[:10], "truncated at byte 8", id="cut-element-size"),
+        pytest.param(lambda m: m[:14], "truncated at byte 12", id="cut-layer-count"),
+        pytest.param(lambda m: m[:18], "truncated at byte 16", id="cut-rows"),
+        pytest.param(lambda m: m[:20], "truncated at byte 20", id="cut-cols"),
+        pytest.param(lambda m: m[:100], "truncated at byte 24, needed 512 more", id="cut-weights"),
+        pytest.param(lambda m: m[:540], "truncated at byte 536, needed 64 more", id="cut-biases"),
+        pytest.param(lambda m: m[:604], "truncated at byte 604", id="cut-layer-2"),
+        pytest.param(lambda m: m[:-1], "truncated at byte 800, needed 12 more of 811",
+                     id="cut-last-byte"),
+        pytest.param(lambda m: m + b"\0", "1 trailing bytes", id="trailing-byte"),
+        pytest.param(lambda m: _patched(m, 4, (3).to_bytes(4, "little")),
+                     "unsupported version 3", id="version-3"),
+        pytest.param(lambda m: _patched(m, 8, (2).to_bytes(4, "little")),
+                     "element size 2", id="element-size-2"),
+        pytest.param(lambda m: _patched(m, 12, (3).to_bytes(4, "little")),
+                     "truncated at byte 812", id="layer-count-3"),
+        pytest.param(lambda m: _patched(m, 16, (0).to_bytes(4, "little")),
+                     "layer 1 has zero width (0x8)", id="zero-width"),
+        pytest.param(lambda m: _patched(m, 800, np.float32(np.inf).tobytes()),
+                     "layer 2 has a non-finite weight or bias", id="inf-bias"),
     ],
 )
-def test_analyze_unread_option_rejected(trained_run, tmp_path, capsys, target, options, named):
+def test_analyze_unreadable_model_exits_4(trained_run, tmp_path, capsys, make, message):
+    # analyze's one target is a model, so every load error exits 4 naming
+    # the file, before any output is made
+    _, _, run = trained_run
+    model = tmp_path / "model.glnn"
+    model.write_bytes(make((run / "model.glnn").read_bytes()))
+    assert main(["analyze", str(model), "--out", str(tmp_path / "o")]) == 4
+    assert f"{model}: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [model]
+
+
+@pytest.mark.parametrize(
+    "options, named",
+    [
+        # a model reads --theta only for retained.csv and --step only for curve.csv
+        (["--histogram", "--theta", "0.5", "--step", "3"], "--theta"),
+        (["--histogram", "--theta", "0.5"], "--theta"),
+        (["--gap", "--step", "3"], "--step"),
+        (["--step", "3"], "--step"),  # without --data there is no curve
+        (["--curve", "--theta", "0.5", "--data", "{cfg}"], "--theta"),
+        (["--retained", "--step", "3", "--data", "{cfg}"], "--step"),
+        # --data is read for the curve, for the direction without --mode, and
+        # for retained.csv's theta without --theta; here for none of them
+        (["--histogram", "--mode", "out", "--data", "{cfg}"], "--data"),
+        (["--gap", "--retained", "--theta", "0.05", "--mode", "in", "--data", "{cfg}"],
+         "--data"),
+    ],
+)
+def test_analyze_unread_option_rejected(trained_run, tmp_path, capsys, options, named):
     _, cfg, run = trained_run
-    options = [o.format(cfg=cfg, missing=tmp_path / "missing.cfg") for o in options]
+    options = [o.format(cfg=cfg) for o in options]
     out = tmp_path / "o"
-    assert main(["analyze", str(run / target), *options, "--out", str(out)]) == 2
+    assert main(["analyze", str(run / "model.glnn"), *options, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
@@ -416,7 +497,7 @@ def test_single_alpha_sweep_matches_train_plus_prune(tmp_path):
     assert (solo / "model.glnn").read_bytes() == (
         out_root / "alpha_0.02" / "model.glnn"
     ).read_bytes()
-    history = load_history(solo / "history.jsonl")
+    history = read_history(solo / "history.jsonl")
     assert float(row[1]) == max(r.val_acc for r in history)
 
 
@@ -515,29 +596,72 @@ def test_analyze_curve_on_data_that_does_not_fit_exits_4(
     assert not (out / "curve.csv").exists()
 
 
-@pytest.mark.parametrize("label", ["nan", "inf"])
-def test_train_non_finite_csv_label_exits_4(tmp_path, capsys, label):
-    data = tmp_path / "d.csv"
-    data.write_text(f"a,b,y\n1,2,0\n3,4,1\n5,6,{label}\n")
+def write_csv_cfg(tmp_path, data: bytes):
+    """A config training on a CSV with features a, b and label y."""
+    (tmp_path / "d.csv").write_bytes(data)
     cfg = tmp_path / "csv.cfg"
     cfg.write_text(
-        f"dataset = csv\ncsv_path = {data}\ncsv_label_column = y\n"
+        f"dataset = csv\ncsv_path = {tmp_path / 'd.csv'}\ncsv_label_column = y\n"
         f"layer_sizes = 2,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n"
     )
+    return cfg
+
+
+@pytest.mark.parametrize("label", ["nan", "inf"])
+def test_train_non_finite_csv_label_exits_4(tmp_path, capsys, label):
+    cfg = write_csv_cfg(tmp_path, f"a,b,y\n1,2,0\n3,4,1\n5,6,{label}\n".encode())
     assert main(["train", str(cfg)]) == 4
     assert "not finite" in capsys.readouterr().err
 
 
-def test_train_non_utf8_csv_exits_4(tmp_path, capsys):
-    data = tmp_path / "d.csv"
-    data.write_bytes(b"a,b,y\n1,2,0\n3,4,1\n5,\xff,1\n")
-    cfg = tmp_path / "csv.cfg"
-    cfg.write_text(
-        f"dataset = csv\ncsv_path = {data}\ncsv_label_column = y\n"
-        f"layer_sizes = 2,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n"
-    )
+@pytest.mark.parametrize("label", ["1e300", "9223372036854775808", "-1e300"])
+def test_train_csv_label_past_int64_exits_4(tmp_path, capsys, label):
+    cfg = write_csv_cfg(tmp_path, f"a,b,y\n1,2,0\n3,4,1\n5,6,{label}\n".encode())
     assert main(["train", str(cfg)]) == 4
-    assert f"{data}: row 4 is not UTF-8" in capsys.readouterr().err
+    assert f"{tmp_path / 'd.csv'}: row 4 label" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_csv_label_past_layer_sizes_exits_2_before_split(tmp_path, capsys, monkeypatch):
+    # a label of 1e18 makes 1e18 + 1 classes, which split would scan one by one
+    def unreachable(*args):
+        raise AssertionError("split ran before check_fit")
+
+    monkeypatch.setattr("glasso_prune.config.split", unreachable)
+    cfg = write_csv_cfg(tmp_path, b"a,b,y\n1,2,0\n3,4,1\n5,6,1e18\n")
+    assert main(["train", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "'layer_sizes' [2, 4, 2]" in err and "1000000000000000001 classes" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_train_non_utf8_csv_exits_4(tmp_path, capsys):
+    cfg = write_csv_cfg(tmp_path, b"a,b,y\n1,2,0\n3,4,1\n5,\xff,1\n")
+    assert main(["train", str(cfg)]) == 4
+    assert f"{tmp_path / 'd.csv'}: row 4 is not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "penalty", ["mode = glasso_out\nalpha = 0.01", "mode = glasso_in\nalpha = 0.01",
+                "mode = l2\nalpha = 0\nbeta = 0.01"],
+    ids=["glasso_out", "glasso_in", "l2"],
+)
+def test_train_diverging_last_step_exits_3(tmp_path, capsys, penalty):
+    # the epoch's one step overflows the weights after its minibatch loss was
+    # checked, so only the epoch-end train loss, penalty included, is not finite
+    run = tmp_path / "run"
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(
+        "dataset = synth\nsynth_classes = 3\nsynth_per_class = 20\nsynth_dim = 4\n"
+        f"layer_sizes = 4,8,3\n{penalty}\nepochs = 1\n"
+        f"batch_size = 1000\nlearning_rate = 1e38\noutput_dir = {run}\n"
+    )
+    with np.errstate(all="ignore"):
+        assert main(["train", str(cfg)]) == 3
+    assert "epoch 1" in capsys.readouterr().err
+    assert not (run / "model.glnn").exists()
+    for path in run.iterdir():
+        assert b"NaN" not in path.read_bytes() and b"Infinity" not in path.read_bytes(), path
 
 
 def test_train_non_utf8_config_exits_2(tmp_path, capsys):
@@ -674,60 +798,6 @@ def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta)
     assert main(argv) == 2
     assert "theta must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
-
-
-HISTORY_DOC = {"epoch": 2, "train_loss": 0.5, "train_acc": 1.0, "val_acc": 1.0,
-               "disposable": [1, 2]}
-
-
-def history_line(**changes):
-    return json.dumps(dict(HISTORY_DOC, **changes))
-
-
-@pytest.mark.parametrize(
-    "bad_line",
-    [
-        "{}",
-        "not json",
-        pytest.param(history_line(disposable="12"), id="disposable-string"),
-        pytest.param(history_line(disposable=[True, 2.5]), id="disposable-bool-float"),
-        pytest.param(history_line(disposable=[3, -1]), id="disposable-negative"),
-        pytest.param(history_line(epoch=1.7), id="epoch-float"),
-        pytest.param(history_line(epoch=True), id="epoch-bool"),
-        pytest.param(history_line(train_loss="0.5"), id="loss-string"),
-        pytest.param(history_line(val_acc=None), id="val-acc-null"),
-        pytest.param(history_line(epoch="2"), id="epoch-string"),
-        pytest.param(history_line(train_loss=False), id="loss-bool"),
-        pytest.param(history_line(train_acc=[1.0]), id="train-acc-list"),
-        pytest.param(history_line(val_acc="1.0"), id="val-acc-string"),
-        pytest.param(history_line(disposable={"1": 2}), id="disposable-object"),
-        *[
-            pytest.param(json.dumps({k: v for k, v in HISTORY_DOC.items() if k != key}),
-                         id=f"no-{key}")
-            for key in HISTORY_DOC
-        ],
-        pytest.param("[2]", id="not-an-object"),
-        # written as latin-1 below, so these are the bytes ff fe: not UTF-8
-        pytest.param("\xff\xfe", id="not-utf8"),
-    ],
-)
-def test_analyze_malformed_history_exits_4(trained_run, tmp_path, capsys, bad_line):
-    _, _, run = trained_run
-    history = tmp_path / "history.jsonl"
-    first = (run / "history.jsonl").read_text().splitlines()[0]
-    history.write_text(f"{first}\n{bad_line}\n", encoding="latin-1")
-    assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
-    assert f"{history}, line 2" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
-def test_analyze_history_without_records_exits_4(tmp_path, capsys, text):
-    history = tmp_path / "history.jsonl"
-    history.write_text(text, encoding="utf-8")
-    assert main(["analyze", str(history), "--out", str(tmp_path / "o")]) == 4
-    assert f"{history}: no epoch records" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
