@@ -148,19 +148,23 @@ def cross_entropy(shifted: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> 
     return np.log(sums) - shifted[np.arange(len(labels)), labels]
 
 
+def count_hits(logits: np.ndarray, labels: np.ndarray) -> int:
+    """Rows whose argmax logit equals the label: the one accuracy rule."""
+    return int(np.sum(np.argmax(logits, axis=1) == labels))
+
+
 def batch_gradients(
     net: MlpNetwork, xs: np.ndarray, labels: np.ndarray
 ) -> tuple[float, int, list[LayerParams]]:
     """Mean cross-entropy, hit count and gradient over one (n, dim) minibatch.
 
     The gradient is one LayerParams per layer, in the network's shapes and
-    dtype. The hit count is the number of rows whose argmax logit equals the
-    label, read from the raw logits before the softmax. One softmax serves
-    both the loss and the output delta; the delta is then backpropagated
-    through the sigmoid layers via z * (1 - z).
+    dtype. The hit count is count_hits of the raw logits, before the
+    softmax. One softmax serves both the loss and the output delta; the
+    delta is then backpropagated through the sigmoid layers via z * (1 - z).
     """
     zs = forward_batch(net, xs)
-    hits = int(np.sum(np.argmax(zs[-1], axis=1) == labels))
+    hits = count_hits(zs[-1], labels)
     shifted, probs, sums = softmax_terms(zs[-1])
     loss = float(cross_entropy(shifted, sums, labels).mean())
     n = len(labels)

@@ -21,9 +21,9 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ShapeMismatchError
 from .linalg import sigmoid
-from .network import LayerParams, MlpNetwork, forward_batch
+from .network import LayerParams, MlpNetwork, count_hits, forward_batch
 from .regularization import Mode, below_theta, group_norms
-from .trainer import EVAL_BATCH, check_shapes
+from .trainer import eval_batches
 
 
 def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
@@ -114,26 +114,22 @@ def forced_removal_curve(
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
     Each batch of step nodes is cut by _cut from the previous point's
-    layers, and each EVAL_BATCH-row eval batch re-runs only the layers from
-    the first hidden layer touched, on its cached activations. Every GEMM
-    thus has a per-point apply_mask + evaluate rebuild's operands and
-    shape, and every accuracy its bits. The curve starts at (0, unpruned
-    accuracy) and stops before any batch that would empty a hidden layer.
+    layers, and each eval batch of trainer.eval_batches, the loop behind
+    evaluate, re-runs only the layers from the first hidden layer touched,
+    on its cached activations. Every GEMM thus has a per-point apply_mask +
+    evaluate rebuild's operands and shape, and every accuracy its bits. The
+    curve starts at (0, unpruned accuracy) and stops before any batch that
+    would empty a hidden layer.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
-    check_shapes(net, eval_set)
+    batches = list(eval_batches(net, eval_set))
     ranked = _ranked_nodes(net, mode)
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
     layers = net.layers
-    batches = [
-        (forward_batch(net, eval_set.features[i : i + EVAL_BATCH]),
-         eval_set.labels[i : i + EVAL_BATCH])
-        for i in range(0, eval_set.n, EVAL_BATCH)
-    ]
 
     def accuracy() -> float:
-        return sum(int(np.sum(np.argmax(zs[-1], axis=1) == y)) for zs, y in batches) / eval_set.n
+        return sum(count_hits(zs[-1], y) for zs, y in batches) / eval_set.n
 
     curve = [(0, accuracy())]
     for count in range(step, len(ranked) + 1, step):

@@ -25,8 +25,8 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ShapeMismatchError, TrainingDiverged
 from .network import (
-    LayerParams, MlpNetwork, batch_gradients, cross_entropy, forward_batch, softmax_terms,
-    zero_layers,
+    LayerParams, MlpNetwork, batch_gradients, count_hits, cross_entropy, forward_batch,
+    softmax_terms, zero_layers,
 )
 from .regularization import Mode, below_theta, regularizer_gradient, regularizer_value
 
@@ -34,8 +34,8 @@ from .regularization import Mode, below_theta, regularizer_gradient, regularizer
 # beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
 COUPLED_BETA_RATIO = 0.1
 TRAIN_DTYPE = np.float32
-# Rows per evaluation forward pass. Row counts can move a GEMM's last bit, so
-# evaluate, mean_loss and every forced-removal curve point batch by this size.
+# Rows per eval_batches forward pass. Row counts can move a GEMM's last bit, so
+# evaluate, mean_loss and every forced-removal curve point batch through it.
 EVAL_BATCH = 512
 
 
@@ -107,25 +107,22 @@ def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int
     return [int(np.sum(below)) for below in below_theta(net, mode, threshold)]
 
 
-def _logit_batches(net: MlpNetwork, dataset: Dataset):
-    """Yield (logits, labels) for consecutive EVAL_BATCH-row batches of a dataset.
+def eval_batches(net: MlpNetwork, dataset: Dataset):
+    """Check shapes, then yield (forward_batch activations, labels) for
+    consecutive EVAL_BATCH-row slices of a dataset.
 
     Training never calls this on the train set: its epoch report comes
     from the SGD steps.
     """
     check_shapes(net, dataset)
     for start in range(0, dataset.n, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, dataset.n)
-        logits = forward_batch(net, dataset.features[start:stop])[-1]
-        yield logits, dataset.labels[start:stop]
+        stop = start + EVAL_BATCH
+        yield forward_batch(net, dataset.features[start:stop]), dataset.labels[start:stop]
 
 
 def evaluate(net: MlpNetwork, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
-    hits = 0
-    for logits, labels in _logit_batches(net, dataset):
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels))
-    return hits / dataset.n
+    return sum(count_hits(zs[-1], labels) for zs, labels in eval_batches(net, dataset)) / dataset.n
 
 
 def mean_loss(net: MlpNetwork, dataset: Dataset) -> tuple[float, float]:
@@ -137,10 +134,10 @@ def mean_loss(net: MlpNetwork, dataset: Dataset) -> tuple[float, float]:
     """
     total = 0.0
     hits = 0
-    for logits, labels in _logit_batches(net, dataset):
-        shifted, _, sums = softmax_terms(logits)
+    for zs, labels in eval_batches(net, dataset):
+        shifted, _, sums = softmax_terms(zs[-1])
         total += float(np.sum(cross_entropy(shifted, sums, labels)))
-        hits += int(np.sum(np.argmax(logits, axis=1) == labels))
+        hits += count_hits(zs[-1], labels)
     return total / dataset.n, hits / dataset.n
 
 

@@ -2,14 +2,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from glasso_prune import pruning
+from glasso_prune import pruning, trainer
 from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError
 from glasso_prune.linalg import as_vector, norms, sigmoid
 from glasso_prune.network import forward_batch, init_network
 from glasso_prune.pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
 from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import EVAL_BATCH, disposable_counts, evaluate
+from glasso_prune.trainer import EVAL_BATCH, disposable_counts, evaluate, mean_loss
 
 
 def bimodal_net(seed=0, low=1e-5, high=0.8):
@@ -330,7 +330,9 @@ def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype,
         logits.append(zs[-1].copy())
         return zs
 
-    monkeypatch.setattr(pruning, "forward_batch", recording_forward)
+    # the baseline pass runs in trainer.eval_batches, the suffix passes here
+    for module in (trainer, pruning):
+        monkeypatch.setattr(module, "forward_batch", recording_forward)
     curve = forced_removal_curve(net, mode, data, step=step)
     monkeypatch.undo()
     expected, nets = rebuilt_curve(net, mode, data, step)
@@ -351,7 +353,8 @@ def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
     def no_forward(*args, **kwargs):
         raise AssertionError("forward pass before the shape check")
 
-    monkeypatch.setattr(pruning, "forward_batch", no_forward)
+    for module in (trainer, pruning):
+        monkeypatch.setattr(module, "forward_batch", no_forward)
     net = init_network([3, 4, 2], seed=0)
     wide = Dataset(np.zeros((5, 4)), np.zeros(5, dtype=np.int64), num_classes=2)
     # labels the dataset allows but the 2-output network does not
@@ -359,6 +362,27 @@ def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
     for data, message in ((wide, "dataset dim 4"), (many_classes, "label 2 out of range")):
         with pytest.raises(ShapeMismatchError, match=message):
             forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1)
+
+
+def test_one_eval_batch_size_governs_every_evaluation_pass(monkeypatch):
+    # evaluate, mean_loss and the curve all batch through trainer.eval_batches,
+    # so one EVAL_BATCH sets the row count of each of their forward passes
+    rows = []
+
+    def recording_forward(net, xs):
+        rows.append(len(xs))
+        return forward_batch(net, xs)
+
+    monkeypatch.setattr(trainer, "EVAL_BATCH", 7)
+    for module in (trainer, pruning):
+        monkeypatch.setattr(module, "forward_batch", recording_forward)
+    data = synth_gaussians(3, 4, 6, 2.0, seed=3)
+    net = init_network([4, 6, 5, 3], seed=3)
+    evaluate(net, data)
+    mean_loss(net, data)
+    # step 20 > the 11 hidden nodes: the baseline point only
+    assert [count for count, _ in forced_removal_curve(net, Mode.GLASSO_OUT, data, step=20)] == [0]
+    assert rows == [7, 7, 4] * 3
 
 
 def test_forced_removal_rejects_empty_eval_set():
