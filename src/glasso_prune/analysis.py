@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import MlpNetwork
-from .pruning import forced_removal_curve, make_mask
+from .pruning import DEFAULT_STEP, forced_removal_curve, make_mask
 from .regularization import Mode, group_norms
 from .trainer import EpochReport
 
@@ -81,9 +81,12 @@ NORM_OUTPUTS = ("histogram", "gap", "retained")
 MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
 
 
-def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=100) -> dict:
+def diagnostics(
+    net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=DEFAULT_STEP, workers=1
+) -> dict:
     """The chosen MODEL_OUTPUTS of net, {name: rows}, with retained.csv at
-    theta and gap mapping to its JSON document."""
+    theta, gap mapping to its JSON document, and the curve drawn by at most
+    workers processes."""
     outputs = {}
     if "histogram" in chosen:
         outputs["histogram"] = norm_histogram(net, mode)
@@ -99,7 +102,7 @@ def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None
         keep = make_mask(net, mode, theta)
         outputs["retained"] = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
     if "curve" in chosen:
-        outputs["curve"] = forced_removal_curve(net, mode, test_set, step=step)
+        outputs["curve"] = forced_removal_curve(net, mode, test_set, step, workers)
     return outputs
 
 

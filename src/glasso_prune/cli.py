@@ -27,7 +27,7 @@ from .errors import (
 )
 from .model_io import load_model, save_model
 from .network import init_network
-from .pruning import apply_mask, make_mask, match_count_mask
+from .pruning import DEFAULT_STEP, apply_mask, curve_workers, make_mask, match_count_mask
 from .regularization import Mode
 from .trainer import (
     TrainConfig, TrainResult, disposable_counts, evaluate, train,
@@ -159,7 +159,8 @@ def cmd_analyze(args) -> int:
     outputs = diagnostics(
         net, _group_mode(args.mode, cfg), theta, chosen,
         test_set=cfg.load_splits()[2] if "curve" in chosen else None,
-        step=100 if args.step is None else args.step,
+        step=DEFAULT_STEP if args.step is None else args.step,
+        workers=curve_workers(),
     )
 
     out_dir = Path(args.out) if args.out else target.parent
@@ -262,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="threshold for retained.csv, and only for it (default: "
                    "theta of --data, else 1e-2)")
     p.add_argument("--step", type=int, default=None,
-                   help="nodes removed per curve point, read only for curve.csv (default 100)")
+                   help=f"nodes removed per curve point, read only for curve.csv "
+                   f"(default {DEFAULT_STEP})")
     p.add_argument("--data", default=None,
                    help="config whose dataset supplies curve evaluation")
     p.add_argument("--out", default=None, help="output directory (default: model dir)")

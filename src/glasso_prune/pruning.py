@@ -9,12 +9,19 @@ is near zero and no compensation is needed. All masks are fixed before any
 structural edit.
 One cut (_cut) serves prune and the forced-removal curve, which re-cuts
 each point's layers from the previous point's and re-runs only the layers
-a removal batch touches, on the GEMM operands apply_mask would give.
+a removal batch touches, on the GEMM operands apply_mask would give. The
+curve's points can be split across forked workers, one per free core
+(curve_workers), with the same result.
 """
 
 from __future__ import annotations
 
+import functools
+import os
+import pickle
+import signal
 import warnings
+from typing import BinaryIO
 
 import numpy as np
 
@@ -24,6 +31,10 @@ from .linalg import sigmoid
 from .network import LayerParams, MlpNetwork, count_hits, forward_batch
 from .regularization import Mode, below_theta, group_norms
 from .trainer import eval_batches
+
+DEFAULT_STEP = 100  # nodes removed per forced-removal curve point
+# variables that set BLAS threads, read in this order by curve_workers
+BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
@@ -109,29 +120,57 @@ def forced_removal_curve(
     net: MlpNetwork,
     mode: Mode,
     eval_set: Dataset,
-    step: int = 100,
+    step: int = DEFAULT_STEP,
+    workers: int = 1,
 ) -> list[tuple[int, float]]:
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
-    Each batch of step nodes is cut by _cut from the previous point's
-    layers, and each eval batch of trainer.eval_batches, the loop behind
-    evaluate, re-runs only the layers from the first hidden layer touched,
-    on its cached activations. Every GEMM thus has a per-point apply_mask +
-    evaluate rebuild's operands and shape, and every accuracy its bits. The
-    curve starts at (0, unpruned accuracy) and stops before any batch that
-    would empty a hidden layer.
+    The curve starts at (0, unpruned accuracy) and stops before any batch
+    that would empty a hidden layer. Its points are split into at most
+    workers contiguous ranges of about equal re-run GEMM work; the caller
+    evaluates the first range and a forked child each further one (see
+    _curve_points), so the curve is the same for any workers. The step
+    check, the shape check and the baseline eval pass run before any fork.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     batches = list(eval_batches(net, eval_set))
+    plan = _curve_plan(net, mode, step)
+    curve = [(0, _accuracy(batches, eval_set.n))]
+    if not plan:
+        return curve
+    starts = _split(plan, min(workers, len(plan)))
+    ranges = []
+    for a, b in zip(starts, [*starts[1:], len(plan)]):
+        # a range cuts from net's layers, so its first point re-runs from
+        # the first layer that any batch up to it touched
+        reach = min(first for _, _, first in plan[: a + 1])
+        ranges.append([(*plan[a][:2], reach), *plan[a + 1 : b]])
+    children = []  # (pid, reader of its result pipe), one per range after the first
+    try:
+        for r in ranges[1:]:
+            children.append(_fork(functools.partial(
+                _curve_points, net, mode, batches, eval_set.n, r)))
+        curve += _curve_points(net, mode, batches, eval_set.n, ranges[0])
+        for pid, reader in children:
+            curve += _result(pid, reader)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader in children:
+            reader.close()
+            os.waitpid(pid, 0)
+    return curve
+
+
+def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
+    """The curve's points after the baseline: (removed count, keep vectors
+    of every node layer, first hidden layer the point's batch touches)."""
     ranked = _ranked_nodes(net, mode)
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
-    layers = net.layers
-
-    def accuracy() -> float:
-        return sum(count_hits(zs[-1], y) for zs, y in batches) / eval_set.n
-
-    curve = [(0, accuracy())]
+    plan = []
     for count in range(step, len(ranked) + 1, step):
         removed = ranked[count - step : count]
         new = [k.copy() for k in keep]
@@ -139,14 +178,118 @@ def forced_removal_curve(
             new[l + 1][j] = False
         if not all(k.any() for k in new[1:-1]):
             break
-        first = 1 + min(l for _, l, _ in removed)
+        plan.append((count, new, 1 + min(l for _, l, _ in removed)))
+        keep = new
+    return plan
+
+
+def _split(plan: list[tuple], parts: int) -> list[int]:
+    """Start indices of parts non-empty contiguous ranges of plan.
+
+    The ranges are balanced on each point's re-run GEMM work, the
+    multiply-adds per eval row of the layers from its first on, plus a
+    fixed per-point cost, the mean point's work.
+    """
+    work = []
+    for _, new, first in plan:
+        sizes = [int(k.sum()) for k in new]
+        work.append(sum(a * b for a, b in zip(sizes[first - 1 :], sizes[first:])))
+    costs = np.asarray(work, dtype=np.float64)
+    costs += costs.mean()
+    mids = np.cumsum(costs) - costs / 2  # a point goes to the range its midpoint falls in
+    starts = [0]
+    for k in range(1, parts):
+        start = int(np.searchsorted(mids, mids[-1] * k / parts))
+        starts.append(min(max(start, starts[-1] + 1), len(plan) - parts + k))
+    return starts
+
+
+def _curve_points(
+    net: MlpNetwork, mode: Mode, batches: list, n: int, points: list[tuple]
+) -> list[tuple[int, float]]:
+    """(count, accuracy) at each planned point, starting from net's layers.
+
+    Each point is cut by _cut from the previous point's layers, and each
+    eval batch of trainer.eval_batches, the loop behind evaluate, re-runs
+    only the layers from the point's first layer on its cached activations
+    (batches, updated in place). Every GEMM thus has a per-point apply_mask
+    + evaluate rebuild's operands and shape, and every accuracy its bits.
+    """
+    keep = [np.ones(k, dtype=bool) for k in net.layer_sizes]
+    layers = net.layers
+    curve = []
+    for count, new, first in points:
         layers = _cut(net, mode, layers, keep, new, first)
         keep = new
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:
             zs[first:] = forward_batch(suffix, zs[first - 1])[1:]
-        curve.append((count, accuracy()))
+        curve.append((count, _accuracy(batches, n)))
     return curve
+
+
+def _accuracy(batches: list, n: int) -> float:
+    return sum(count_hits(zs[-1], y) for zs, y in batches) / n
+
+
+def _fork(task) -> tuple[int, BinaryIO]:
+    """Run task in a forked child; return the child's pid and a reader of
+    the pipe that carries (True, result) or (False, exception), pickled.
+
+    The child inherits the caller's memory, BLAS threads and any installed
+    tracer wrappers, and leaves through os._exit, so no exit handler runs
+    twice and no output the caller buffered is written twice.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                payload = pickle.dumps((True, task()))
+            except BaseException as e:
+                payload = pickle.dumps((False, e))
+            with open(w, "wb") as f:
+                f.write(payload)
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _result(pid: int, reader: BinaryIO):
+    """The result a _fork child sent, or its exception raised here."""
+    payload = reader.read()
+    if not payload:
+        raise ChildProcessError(f"curve worker {pid} ended without a result")
+    ok, value = pickle.loads(payload)  # bytes our own child wrote
+    if not ok:
+        raise value
+    return value
+
+
+def curve_workers() -> int:
+    """Curve workers for analyze: usable cores divided by BLAS threads.
+
+    BLAS threads are read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+    MKL_NUM_THREADS, the first one set; an unset or invalid value counts
+    as every usable core, so by default one worker, the caller, runs. So
+    do systems without os.fork or os.sched_getaffinity. Workers times
+    BLAS threads never exceed the usable cores.
+    """
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    value = next((os.environ[v] for v in BLAS_THREADS_ENV if v in os.environ), "")
+    try:
+        threads = int(value)
+    except ValueError:  # unset or not a number: BLAS may use every core
+        return 1
+    return max(1, len(os.sched_getaffinity(0)) // threads) if threads > 0 else 1
 
 
 def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> list[np.ndarray]:

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -440,6 +441,18 @@ def test_analyze_default_step_is_100(trained_run, tmp_path):
     assert [line.split(",")[0] for line in default.decode().splitlines()[1:]] == [
         "0", "100", "200"
     ]
+
+
+def test_analyze_curve_splits_across_free_cores(trained_run, tmp_path, monkeypatch, forked_pids):
+    # one BLAS thread on four usable cores: the 7 points after the 16-node
+    # curve's baseline are drawn by four workers, and the file is one core's
+    _, cfg, run = trained_run
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = _curve_bytes(run / "model.glnn", cfg, tmp_path / "a", "--step", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert _curve_bytes(run / "model.glnn", cfg, tmp_path / "b", "--step", "2") == serial
+    assert len(forked_pids) == 3
 
 
 def test_prune_theta_and_match_count_exclusive(trained_run, tmp_path, capsys):

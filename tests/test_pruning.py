@@ -1,3 +1,6 @@
+import os
+import time
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -306,11 +309,8 @@ def rebuilt_curve(net, mode, data, step):
     return curve, nets
 
 
-@pytest.mark.parametrize("mode", [Mode.GLASSO_OUT, Mode.GLASSO_IN])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rows", [40, 2 * EVAL_BATCH + 76], ids=["one-batch", "three-batches"])
-@pytest.mark.parametrize("step", [1, 3, 25])  # 25 > the 21 hidden nodes: baseline only
-def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype, rows, step):
+def curve_case(dtype, rows):
+    """A 6-9-7-5-4 network and rows samples whose curve moves at every step."""
     net = init_network([6, 9, 7, 5, 4], seed=21).copy(dtype)
     rng = np.random.default_rng(21)
     for p in net.layers:
@@ -321,7 +321,27 @@ def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype,
     # labels the unpruned net mostly gets right, so removals move the accuracy
     labels = np.argmax(forward_batch(net, features)[-1], axis=1)
     labels[::5] = rng.integers(0, 4, len(labels[::5]))
-    data = Dataset(features, labels, num_classes=4)
+    return net, Dataset(features, labels, num_classes=4)
+
+
+def curve_grid(test):
+    """Parametrize test over the curve cases: mode, dtype, rows and step."""
+    for mark in reversed([
+        pytest.mark.parametrize("mode", [Mode.GLASSO_OUT, Mode.GLASSO_IN]),
+        pytest.mark.parametrize("dtype", [np.float32, np.float64]),
+        pytest.mark.parametrize(
+            "rows", [40, 2 * EVAL_BATCH + 76], ids=["one-batch", "three-batches"]
+        ),
+        pytest.mark.parametrize("step", [1, 3, 25]),  # 25 > the 21 hidden nodes: baseline only
+    ]):
+        test = mark(test)
+    return test
+
+
+@curve_grid
+def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype, rows, step):
+    net, data = curve_case(dtype, rows)
+    features = data.features
 
     logits = []  # every eval batch's logits at every point, in curve order
 
@@ -347,6 +367,87 @@ def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype,
     ]
     assert len(logits) == len(rebuilt)
     assert all(np.array_equal(a, b) for a, b in zip(logits, rebuilt))
+
+
+@curve_grid
+@pytest.mark.parametrize("workers", [2, 3])
+def test_forced_removal_curve_is_the_same_for_any_workers(mode, dtype, rows, step, workers):
+    net, data = curve_case(dtype, rows)
+    assert forced_removal_curve(net, mode, data, step, workers) == forced_removal_curve(
+        net, mode, data, step
+    )
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_forced_removal_curve_with_more_workers_than_points(forked_pids):
+    net, data = curve_case(np.float64, 40)
+    expected = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=4)
+    assert forced_removal_curve(net, Mode.GLASSO_OUT, data, 4, workers=50) == expected
+    # one worker per point after the baseline, the caller's included
+    assert len(forked_pids) == len(expected) - 2
+    assert_reaped(forked_pids)
+
+
+@pytest.mark.parametrize("in_child", [True, False], ids=["child-raises", "caller-raises"])
+def test_forced_removal_curve_worker_error_reaches_the_caller(monkeypatch, forked_pids, in_child):
+    net, data = curve_case(np.float64, 40)
+    caller, calls = os.getpid(), []
+
+    def failing_forward(*args, **kwargs):
+        in_a_child = os.getpid() != caller
+        if in_a_child == in_child:  # the failing side fails on its second pass
+            calls.append(None)
+            if len(calls) == 2:
+                raise ShapeMismatchError("forward pass 2 failed")
+        elif in_a_child:  # children still at work when the caller fails are killed
+            time.sleep(10)
+        return forward_batch(*args, **kwargs)
+
+    monkeypatch.setattr(pruning, "forward_batch", failing_forward)
+    start = time.monotonic()
+    with pytest.raises(ShapeMismatchError, match="^forward pass 2 failed$"):
+        forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1, workers=3)
+    assert time.monotonic() - start < 5
+    assert len(forked_pids) == 2
+    assert_reaped(forked_pids)
+
+
+@pytest.mark.parametrize(
+    ("cores", "env", "expected"),
+    [
+        (2, {}, 1),  # BLAS threads unset: they count as every core
+        (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+        (8, {"OMP_NUM_THREADS": "2"}, 4),
+        (8, {"MKL_NUM_THREADS": "3"}, 2),
+        # the first variable set wins, in OpenBLAS's order
+        (8, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a thread count: every core
+        (4, {"OPENBLAS_NUM_THREADS": "two"}, 1),
+        (4, {"OPENBLAS_NUM_THREADS": "\u00b2"}, 1),  # a digit int() does not read
+    ],
+)
+def test_curve_workers_is_usable_cores_over_blas_threads(monkeypatch, cores, env, expected):
+    for var in pruning.BLAS_THREADS_ENV:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    assert pruning.curve_workers() == expected
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_curve_workers_is_one_without_fork_or_affinity(monkeypatch, missing):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.delattr(os, missing, raising=False)
+    assert pruning.curve_workers() == 1
 
 
 def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
