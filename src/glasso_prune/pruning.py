@@ -9,9 +9,9 @@ is near zero and no compensation is needed. All masks are fixed before any
 structural edit.
 One cut (_cut) serves prune and the forced-removal curve, which re-cuts
 each point's layers from the previous point's and re-runs only the layers
-a removal batch touches, on the GEMM operands apply_mask would give. The
-curve's points can be split across forked workers, one per free core
-(curve_workers), with the same result.
+the removal batches since then touch, on the GEMM operands apply_mask
+would give. The curve's points can be dealt round-robin to forked
+workers, one per free core (curve_workers), with the same result.
 """
 
 from __future__ import annotations
@@ -126,11 +126,11 @@ def forced_removal_curve(
     """Accuracy after cumulative ascending-norm removal in batches of step.
 
     The curve starts at (0, unpruned accuracy) and stops before any batch
-    that would empty a hidden layer. Its points are split into at most
-    workers contiguous ranges of about equal re-run GEMM work; the caller
-    evaluates the first range and a forked child each further one (see
-    _curve_points), so the curve is the same for any workers. The step
-    check, the shape check and the baseline eval pass run before any fork.
+    that would empty a hidden layer. Its points are dealt round-robin to W =
+    min(workers, points) workers: worker k draws points k, k + W, k + 2W, ...
+    (see _curve_points). The caller is worker 0 and a forked child each
+    other one, and the curve is the same for any workers. The step check,
+    the shape check and the baseline eval pass run before any fork.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -139,21 +139,14 @@ def forced_removal_curve(
     curve = [(0, _accuracy(batches, eval_set.n))]
     if not plan:
         return curve
-    starts = _split(plan, min(workers, len(plan)))
-    ranges = []
-    for a, b in zip(starts, [*starts[1:], len(plan)]):
-        # a range cuts from net's layers, so its first point re-runs from
-        # the first layer that any batch up to it touched
-        reach = min(first for _, _, first in plan[: a + 1])
-        ranges.append([(*plan[a][:2], reach), *plan[a + 1 : b]])
-    children = []  # (pid, reader of its result pipe), one per range after the first
+    w = min(workers, len(plan))
+    children = []  # (pid, reader of its result pipe), one per worker after the caller
     try:
-        for r in ranges[1:]:
+        for k in range(1, w):
             children.append(_fork(functools.partial(
-                _curve_points, net, mode, batches, eval_set.n, r)))
-        curve += _curve_points(net, mode, batches, eval_set.n, ranges[0])
-        for pid, reader in children:
-            curve += _result(pid, reader)
+                _curve_points, net, mode, batches, eval_set.n, plan, range(k, len(plan), w))))
+        parts = [_curve_points(net, mode, batches, eval_set.n, plan, range(0, len(plan), w))]
+        parts += [_result(pid, reader) for pid, reader in children]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -162,7 +155,7 @@ def forced_removal_curve(
         for pid, reader in children:
             reader.close()
             os.waitpid(pid, 0)
-    return curve
+    return curve + [parts[i % w][i // w] for i in range(len(plan))]
 
 
 def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
@@ -183,44 +176,26 @@ def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
     return plan
 
 
-def _split(plan: list[tuple], parts: int) -> list[int]:
-    """Start indices of parts non-empty contiguous ranges of plan.
-
-    The ranges are balanced on each point's re-run GEMM work, the
-    multiply-adds per eval row of the layers from its first on, plus a
-    fixed per-point cost, the mean point's work.
-    """
-    work = []
-    for _, new, first in plan:
-        sizes = [int(k.sum()) for k in new]
-        work.append(sum(a * b for a, b in zip(sizes[first - 1 :], sizes[first:])))
-    costs = np.asarray(work, dtype=np.float64)
-    costs += costs.mean()
-    mids = np.cumsum(costs) - costs / 2  # a point goes to the range its midpoint falls in
-    starts = [0]
-    for k in range(1, parts):
-        start = int(np.searchsorted(mids, mids[-1] * k / parts))
-        starts.append(min(max(start, starts[-1] + 1), len(plan) - parts + k))
-    return starts
-
-
 def _curve_points(
-    net: MlpNetwork, mode: Mode, batches: list, n: int, points: list[tuple]
+    net: MlpNetwork, mode: Mode, batches: list, n: int, plan: list[tuple], points: range
 ) -> list[tuple[int, float]]:
-    """(count, accuracy) at each planned point, starting from net's layers.
+    """(count, accuracy) at each of plan's points indexed by points, from net's layers.
 
-    Each point is cut by _cut from the previous point's layers, and each
+    Each point is cut by _cut from the previous drawn point's layers, and each
     eval batch of trainer.eval_batches, the loop behind evaluate, re-runs
-    only the layers from the point's first layer on its cached activations
-    (batches, updated in place). Every GEMM thus has a per-point apply_mask
-    + evaluate rebuild's operands and shape, and every accuracy its bits.
+    only the layers from the shallowest one that any batch since that point
+    touched on its cached activations (batches, updated in place). Every
+    GEMM thus has a per-point apply_mask + evaluate rebuild's operands and
+    shape, and every accuracy its bits.
     """
     keep = [np.ones(k, dtype=bool) for k in net.layer_sizes]
     layers = net.layers
-    curve = []
-    for count, new, first in points:
+    curve, done = [], 0
+    for i in points:
+        count, new, _ = plan[i]
+        first = min(f for _, _, f in plan[done : i + 1])
         layers = _cut(net, mode, layers, keep, new, first)
-        keep = new
+        keep, done = new, i + 1
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:
             zs[first:] = forward_batch(suffix, zs[first - 1])[1:]

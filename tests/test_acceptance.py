@@ -34,6 +34,7 @@ from glasso_prune.errors import DataFormatError
 from glasso_prune.model_io import load_model, model_bytes, model_from_bytes, save_model
 from glasso_prune.network import batch_gradients, forward_batch, init_network
 from glasso_prune.pruning import (
+    BLAS_THREADS_ENV,
     apply_mask,
     forced_removal_curve,
     make_mask,
@@ -57,7 +58,7 @@ CONFIGS = {
 
 
 # Worker processes read their BLAS thread count from the environment they start with.
-ONE_BLAS_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+ONE_BLAS_THREAD = {var: "1" for var in BLAS_THREADS_ENV}
 # Longest wait for a pool's trains; the fixture's 15 take about 9 s on two workers.
 POOL_TIMEOUT_S = 600
 

@@ -455,6 +455,24 @@ def test_analyze_curve_splits_across_free_cores(trained_run, tmp_path, monkeypat
     assert len(forked_pids) == 3
 
 
+def test_analyze_curve_worker_that_dies_exits_4(
+    trained_run, tmp_path, monkeypatch, forked_pids, dying_curve_worker, capsys
+):
+    _, cfg, run = trained_run
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    argv = ["analyze", str(run / "model.glnn"), "--curve", "--data", str(cfg), "--step", "2"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 4
+    assert len(forked_pids) == 1
+    assert capsys.readouterr().err == (
+        f"error: curve worker {forked_pids[0]} ended without a result\n"
+    )
+    assert not (tmp_path / "o").exists()
+    for pid in forked_pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_prune_theta_and_match_count_exclusive(trained_run, tmp_path, capsys):
     _, cfg, run = trained_run
     argv = ["prune", str(run / "model.glnn"), "--match-count", "10", "--theta", "0.5",

@@ -417,6 +417,15 @@ def test_forced_removal_curve_worker_error_reaches_the_caller(monkeypatch, forke
     assert_reaped(forked_pids)
 
 
+def test_forced_removal_curve_worker_that_dies_is_named(forked_pids, dying_curve_worker):
+    net, data = curve_case(np.float64, 40)
+    with pytest.raises(ChildProcessError) as exc:
+        forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1, workers=2)
+    assert len(forked_pids) == 1
+    assert str(exc.value) == f"curve worker {forked_pids[0]} ended without a result"
+    assert_reaped(forked_pids)
+
+
 @pytest.mark.parametrize(
     ("cores", "env", "expected"),
     [
