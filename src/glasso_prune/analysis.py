@@ -3,9 +3,10 @@ disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
 so outputs are byte-deterministic and test-friendly. train and analyze
-build a model's outputs with one function, diagnostics, as a mapping from
-output name to rows. Each CSV table is a list of rows, and one writer
-writes them all; write_json writes every JSON file. Histograms are binned
+build a model's norm outputs with one function, diagnostics, as a mapping
+from output name to rows; analyze adds the forced-removal curve from
+pruning. Each CSV table is a list of rows, and one writer writes them
+all; write_json writes every JSON file. Histograms are binned
 in log10 of the group norm; exact zeros fall in the underflow row from 0.0.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import MlpNetwork
-from .pruning import DEFAULT_STEP, forced_removal_curve, make_mask
+from .pruning import make_mask
 from .regularization import Mode, group_norms
 from .trainer import EpochReport
 
@@ -81,12 +82,9 @@ NORM_OUTPUTS = ("histogram", "gap", "retained")
 MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
 
 
-def diagnostics(
-    net: MlpNetwork, mode: Mode, theta: float, chosen, test_set=None, step=DEFAULT_STEP, workers=1
-) -> dict:
-    """The chosen MODEL_OUTPUTS of net, {name: rows}, with retained.csv at
-    theta, gap mapping to its JSON document, and the curve drawn by at most
-    workers processes."""
+def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen) -> dict:
+    """The chosen NORM_OUTPUTS of net, {name: rows}, with retained.csv at
+    theta and gap mapping to its JSON document; other names are skipped."""
     outputs = {}
     if "histogram" in chosen:
         outputs["histogram"] = norm_histogram(net, mode)
@@ -101,8 +99,6 @@ def diagnostics(
     if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
         keep = make_mask(net, mode, theta)
         outputs["retained"] = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
-    if "curve" in chosen:
-        outputs["curve"] = forced_removal_curve(net, mode, test_set, step, workers)
     return outputs
 
 

@@ -27,7 +27,9 @@ from .errors import (
 )
 from .model_io import load_model, save_model
 from .network import init_network
-from .pruning import DEFAULT_STEP, apply_mask, curve_workers, make_mask, match_count_mask
+from .pruning import (
+    DEFAULT_STEP, apply_mask, curve_workers, forced_removal_curve, make_mask, match_count_mask,
+)
 from .regularization import Mode
 from .trainer import (
     TrainConfig, TrainResult, disposable_counts, evaluate, train,
@@ -156,12 +158,12 @@ def cmd_analyze(args) -> int:
     theta = args.theta
     if theta is None:
         theta = cfg.theta if cfg is not None else TrainConfig.theta
-    outputs = diagnostics(
-        net, _group_mode(args.mode, cfg), theta, chosen,
-        test_set=cfg.load_splits()[2] if "curve" in chosen else None,
-        step=DEFAULT_STEP if args.step is None else args.step,
-        workers=curve_workers(),
-    )
+    mode = _group_mode(args.mode, cfg)
+    test_set = cfg.load_splits()[2] if "curve" in chosen else None
+    outputs = diagnostics(net, mode, theta, chosen)
+    if test_set is not None:
+        step = DEFAULT_STEP if args.step is None else args.step
+        outputs["curve"] = forced_removal_curve(net, mode, test_set, step, curve_workers())
 
     out_dir = Path(args.out) if args.out else target.parent
     for path in write_bundle(outputs, out_dir):

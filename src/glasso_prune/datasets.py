@@ -89,9 +89,10 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"count mismatch: {images_path} has {count} images but "
             f"{labels_path} has {lab_count} labels"
         )
+    if count == 0 or rows * cols == 0:
+        raise DataFormatError(f"{images_path}: no data in {count} images of {rows}x{cols} pixels")
     features = (pixels.astype(np.float64) / 255.0).reshape(count, rows * cols)
-    num_classes = int(labels.max()) + 1 if count else 1
-    return Dataset(features, labels, num_classes)
+    return Dataset(features, labels, int(labels.max()) + 1)
 
 
 def load_csv(path, label_column: str) -> Dataset:
@@ -119,6 +120,8 @@ def load_csv(path, label_column: str) -> Dataset:
         raise DataFormatError(
             f"{path}: label column {label_column!r} not in header {header}"
         )
+    if len(header) == 1:
+        raise DataFormatError(f"{path}: no feature columns besides {label_column!r}")
     label_idx = header.index(label_column)
     features, labels = [], []
     for row_no, row in enumerate(reader, start=2):

@@ -7,11 +7,11 @@ sigmoid(bias), so that contribution is folded into the next layer's biases
 before its outgoing column is removed; in outgoing mode the column itself
 is near zero and no compensation is needed. All masks are fixed before any
 structural edit.
-One cut (_cut) serves prune and the forced-removal curve, which re-cuts
-each point's layers from the previous point's and re-runs only the layers
-the removal batches since then touch, on the GEMM operands apply_mask
-would give. The curve's points can be dealt round-robin to forked
-workers, one per free core (curve_workers), with the same result.
+One cut (_cut) serves prune and the forced-removal curve. A curve point is
+a removed count and keep vectors; each is cut from the previous point's
+layers and re-runs only the layers from the first one sliced, on the GEMM
+operands apply_mask would give. The points can be dealt round-robin to
+forked workers, one per free core (curve_workers), with the same result.
 """
 
 from __future__ import annotations
@@ -74,29 +74,31 @@ def apply_mask(net: MlpNetwork, mode: Mode, keep: list) -> MlpNetwork:
         if not k.any():
             raise ValueError(f"mask would empty hidden layer {l}")
     full = [np.ones(n, dtype=bool) for n in net.layer_sizes]
-    return MlpNetwork(_cut(net, mode, net.layers, full, [full[0], *keep, full[-1]], first=1))
+    return MlpNetwork(_cut(net, mode, net.layers, full, [full[0], *keep, full[-1]])[0])
 
 
 def _cut(
-    net: MlpNetwork, mode: Mode, layers: list, keep: list, new: list, first: int
-) -> list[LayerParams]:
-    """Cut layers, net's layers under keep vectors keep, down to keep vectors new.
+    net: MlpNetwork, mode: Mode, layers: list, keep: list, new: list
+) -> tuple[list[LayerParams], int]:
+    """Cut layers, net's layers under keep vectors keep, down to keep vectors
+    new; return them and the first layer sliced (0 if none is).
 
     keep and new hold one bool vector per node layer, input (index 0) and
-    output (index L) included. Of layers first..L, those whose rows or
-    columns shrink are sliced, and in GLASSO_IN mode one that loses inputs
-    gets its bias refolded from net's layer; the rest are shared, not copied.
+    output (index L) included. Layers whose rows or columns shrink are
+    sliced, and in GLASSO_IN mode one that loses inputs gets its bias
+    refolded from net's layer; the rest are shared, not copied.
     """
-    layers = list(layers)
-    for l in range(first, len(layers) + 1):
+    layers, first = list(layers), 0
+    for l in range(1, len(layers) + 1):
         rows, cols = new[l][keep[l]], new[l - 1][keep[l - 1]]
         if rows.all() and cols.all():
             continue
+        first = first or l
         p = layers[l - 1]
         refold = mode is Mode.GLASSO_IN and not cols.all()
         bias = _folded_bias(net, l, ~new[l - 1])[new[l]] if refold else p.bias[rows]
         layers[l - 1] = LayerParams(p.weights[:, cols][rows], bias)
-    return layers
+    return layers, first
 
 
 def _folded_bias(net: MlpNetwork, l: int, dropped: np.ndarray) -> np.ndarray:
@@ -127,25 +129,23 @@ def forced_removal_curve(
 
     The curve starts at (0, unpruned accuracy) and stops before any batch
     that would empty a hidden layer. Its points are dealt round-robin to W =
-    min(workers, points) workers: worker k draws points k, k + W, k + 2W, ...
-    (see _curve_points). The caller is worker 0 and a forked child each
-    other one, and the curve is the same for any workers. The step check,
-    the shape check and the baseline eval pass run before any fork.
+    max(1, min(workers, points)) workers: worker k draws plan[k::W] (see
+    _curve_points). The caller is worker 0 and a forked child each other
+    one, and the curve is the same for any workers. The step check, the
+    shape check and the baseline eval pass run before any fork.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
     batches = list(eval_batches(net, eval_set))
     plan = _curve_plan(net, mode, step)
     curve = [(0, _accuracy(batches, eval_set.n))]
-    if not plan:
-        return curve
-    w = min(workers, len(plan))
+    w = max(1, min(workers, len(plan)))
     children = []  # (pid, reader of its result pipe), one per worker after the caller
     try:
         for k in range(1, w):
             children.append(_fork(functools.partial(
-                _curve_points, net, mode, batches, eval_set.n, plan, range(k, len(plan), w))))
-        parts = [_curve_points(net, mode, batches, eval_set.n, plan, range(0, len(plan), w))]
+                _curve_points, net, mode, batches, eval_set.n, plan[k::w])))
+        parts = [_curve_points(net, mode, batches, eval_set.n, plan[::w])]
         parts += [_result(pid, reader) for pid, reader in children]
     except BaseException:
         for pid, _ in children:
@@ -160,42 +160,39 @@ def forced_removal_curve(
 
 def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
     """The curve's points after the baseline: (removed count, keep vectors
-    of every node layer, first hidden layer the point's batch touches)."""
+    of every node layer)."""
     ranked = _ranked_nodes(net, mode)
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
     plan = []
     for count in range(step, len(ranked) + 1, step):
-        removed = ranked[count - step : count]
         new = [k.copy() for k in keep]
-        for _, l, j in removed:
+        for _, l, j in ranked[count - step : count]:
             new[l + 1][j] = False
         if not all(k.any() for k in new[1:-1]):
             break
-        plan.append((count, new, 1 + min(l for _, l, _ in removed)))
+        plan.append((count, new))
         keep = new
     return plan
 
 
 def _curve_points(
-    net: MlpNetwork, mode: Mode, batches: list, n: int, plan: list[tuple], points: range
+    net: MlpNetwork, mode: Mode, batches: list, n: int, plan: list[tuple]
 ) -> list[tuple[int, float]]:
-    """(count, accuracy) at each of plan's points indexed by points, from net's layers.
+    """(count, accuracy) at each of plan's points, in order, from net's layers.
 
-    Each point is cut by _cut from the previous drawn point's layers, and each
+    Each point is cut by _cut from the previous point's layers, and each
     eval batch of trainer.eval_batches, the loop behind evaluate, re-runs
-    only the layers from the shallowest one that any batch since that point
-    touched on its cached activations (batches, updated in place). Every
-    GEMM thus has a per-point apply_mask + evaluate rebuild's operands and
-    shape, and every accuracy its bits.
+    only the layers from the first one that cut sliced on its cached
+    activations (batches, updated in place). Every GEMM thus has a
+    per-point apply_mask + evaluate rebuild's operands and shape, and every
+    accuracy its bits.
     """
     keep = [np.ones(k, dtype=bool) for k in net.layer_sizes]
     layers = net.layers
-    curve, done = [], 0
-    for i in points:
-        count, new, _ = plan[i]
-        first = min(f for _, _, f in plan[done : i + 1])
-        layers = _cut(net, mode, layers, keep, new, first)
-        keep, done = new, i + 1
+    curve = []
+    for count, new in plan:
+        layers, first = _cut(net, mode, layers, keep, new)
+        keep = new
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:
             zs[first:] = forward_batch(suffix, zs[first - 1])[1:]
@@ -277,15 +274,13 @@ def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> list[np.ndar
         raise ValueError(f"n_remove must be >= 0, got {n_remove}")
     hidden = net.hidden_sizes
     keep = [np.ones(n, dtype=bool) for n in hidden]
-    kept_per_layer = list(hidden)
     removed = 0
     for _, l, j in _ranked_nodes(net, mode):
         if removed == n_remove:
             break
-        if kept_per_layer[l] == 1:
+        if keep[l].sum() == 1:
             continue
         keep[l][j] = False
-        kept_per_layer[l] -= 1
         removed += 1
     if removed < n_remove:
         raise ValueError(

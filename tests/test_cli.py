@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -493,6 +494,30 @@ def test_analyze_default_model_products(trained_run, tmp_path):
     assert not (out / "curve.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "selectors, names",
+    [([], ["histogram.csv", "curve.csv", "retained.csv", "gap.json"]),
+     (["--histogram", "--curve"], ["histogram.csv", "curve.csv"])],
+    ids=["data-only", "histogram-curve"],
+)
+def test_analyze_writes_each_file_as_its_single_flag_run(
+    trained_run, tmp_path, capsys, selectors, names
+):
+    # the norm outputs and the curve are built apart; the files come out in
+    # write order, each the bytes its own flag writes
+    _, cfg, run = trained_run
+    argv = ["analyze", str(run / "model.glnn"), "--data", str(cfg)]
+    out = tmp_path / "together"
+    assert main(argv + selectors + ["--step", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in names)
+    for name in names:
+        stem = name.split(".")[0]
+        step = ["--step", "2"] if stem == "curve" else []
+        assert main(argv + [f"--{stem}", *step, "--out", str(tmp_path / stem)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / stem / name}\n"
+        assert (out / name).read_bytes() == (tmp_path / stem / name).read_bytes(), name
+
+
 def test_analyze_missing_target(tmp_path, capsys):
     # a file that cannot be read is an I/O error, as for prune's model
     assert main(["analyze", str(tmp_path / "ghost.glnn")]) == 4
@@ -636,6 +661,25 @@ def write_csv_cfg(tmp_path, data: bytes):
         f"layer_sizes = 2,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n"
     )
     return cfg
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 0), None],
+                         ids=["idx-no-images", "idx-no-pixels", "csv-label-only"])
+def test_train_data_without_samples_or_features_exits_4_before_writing(tmp_path, capsys, shape):
+    # an IDX image shape, or None for a CSV holding only its label column
+    if shape is None:
+        cfg = write_csv_cfg(tmp_path, b"y\n0\n1\n0\n1\n")
+        data = tmp_path / "d.csv"
+    else:
+        data, labels = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        data.write_bytes(struct.pack(">IIII", 0x803, *shape))
+        labels.write_bytes(struct.pack(">II", 0x801, shape[0]) + bytes(shape[0]))
+        cfg = tmp_path / "idx.cfg"
+        cfg.write_text(f"dataset = idx\nidx_images = {data}\nidx_labels = {labels}\n"
+                       f"layer_sizes = 4,4,2\nmode = glasso_out\noutput_dir = {tmp_path / 'run'}\n")
+    assert main(["train", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {data}: no ")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("label", ["nan", "inf"])

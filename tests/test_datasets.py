@@ -90,6 +90,19 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(img_path, lab_path)
 
 
+@pytest.mark.parametrize(
+    "images, labels, message",
+    [(np.zeros((0, 2, 2)), [], "no data in 0 images of 2x2 pixels"),
+     (np.zeros((3, 0, 0)), [0, 1, 0], "no data in 3 images of 0x0 pixels")],
+    ids=["no-images", "no-pixels"],
+)
+def test_idx_without_samples_or_features_names_the_file(tmp_path, images, labels, message):
+    img_path, lab_path = write_idx_pair(tmp_path, images, labels)
+    with pytest.raises(DataFormatError) as err:
+        load_idx(img_path, lab_path)
+    assert str(err.value) == f"{img_path}: {message}"
+
+
 def idx_splits(img_path, lab_path, standardize):
     cfg = parse_config_text(
         f"dataset = idx\nidx_images = {img_path}\nidx_labels = {lab_path}\n"
@@ -162,6 +175,14 @@ def test_csv_missing_label_column(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_csv(path, "z")
     assert "z" in str(err.value)
+
+
+def test_csv_label_column_only_names_the_file(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("y\n0\n1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    assert str(err.value) == f"{path}: no feature columns besides 'y'"
 
 
 def test_csv_ragged_row_names_row(tmp_path):
