@@ -11,17 +11,19 @@ One cut (_cut) serves prune and the forced-removal curve. A curve point is
 a removed count and keep vectors; each is cut from the previous point's
 layers and re-runs only the layers from the first one sliced, on the GEMM
 operands apply_mask would give. The points can be dealt round-robin to
-forked workers, one per free core (curve_workers), with the same result.
+forked workers, one per free core (curve_workers), with the same result:
+each writes its accuracies into one array shared with the caller.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import os
-import pickle
 import signal
+import sys
+import traceback
 import warnings
-from typing import BinaryIO
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .trainer import eval_batches
 
 DEFAULT_STEP = 100  # nodes removed per forced-removal curve point
 # variables that set BLAS threads, read in this order by curve_workers
-BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
@@ -131,8 +133,11 @@ def forced_removal_curve(
     that would empty a hidden layer. Its points are dealt round-robin to W =
     max(1, min(workers, points)) workers: worker k draws plan[k::W] (see
     _curve_points). The caller is worker 0 and a forked child each other
-    one, and the curve is the same for any workers. The step check, the
-    shape check and the baseline eval pass run before any fork.
+    one, and the curve is the same for any workers. Each writes its
+    accuracies into one array over memory the caller shares with its
+    children; a child that does not exit 0 raises ChildProcessError here.
+    The step check, the shape check and the baseline eval pass run before
+    any fork.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
@@ -140,22 +145,23 @@ def forced_removal_curve(
     plan = _curve_plan(net, mode, step)
     curve = [(0, _accuracy(batches, eval_set.n))]
     w = max(1, min(workers, len(plan)))
-    children = []  # (pid, reader of its result pipe), one per worker after the caller
+    # an anonymous mapping is MAP_SHARED: the children's writes reach the caller
+    acc = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(plan))), dtype=np.float64)
+    draw = functools.partial(_curve_points, net, mode, batches, eval_set.n, plan, acc, w)
+    pids = []
     try:
         for k in range(1, w):
-            children.append(_fork(functools.partial(
-                _curve_points, net, mode, batches, eval_set.n, plan[k::w])))
-        parts = [_curve_points(net, mode, batches, eval_set.n, plan[::w])]
-        parts += [_result(pid, reader) for pid, reader in children]
+            pids.append(_fork(functools.partial(draw, k)))
+        draw(0)
     except BaseException:
-        for pid, _ in children:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for pid, reader in children:
-            reader.close()
-            os.waitpid(pid, 0)
-    return curve + [parts[i % w][i // w] for i in range(len(plan))]
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]  # reap every child
+    if failed:
+        raise ChildProcessError(f"curve worker {failed[0]} ended without a result")
+    return curve + [(count, float(a)) for (count, _), a in zip(plan, acc)]
 
 
 def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
@@ -176,9 +182,10 @@ def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
 
 
 def _curve_points(
-    net: MlpNetwork, mode: Mode, batches: list, n: int, plan: list[tuple]
-) -> list[tuple[int, float]]:
-    """(count, accuracy) at each of plan's points, in order, from net's layers.
+    net: MlpNetwork, mode: Mode, batches: list, n: int, plan: list[tuple],
+    acc: np.ndarray, w: int, k: int,
+) -> None:
+    """Write acc[i], the accuracy at plan[i], for i = k, k + w, ..., from net's layers.
 
     Each point is cut by _cut from the previous point's layers, and each
     eval batch of trainer.eval_batches, the loop behind evaluate, re-runs
@@ -187,72 +194,52 @@ def _curve_points(
     per-point apply_mask + evaluate rebuild's operands and shape, and every
     accuracy its bits.
     """
-    keep = [np.ones(k, dtype=bool) for k in net.layer_sizes]
+    keep = [np.ones(size, dtype=bool) for size in net.layer_sizes]
     layers = net.layers
-    curve = []
-    for count, new in plan:
+    for i in range(k, len(plan), w):
+        new = plan[i][1]
         layers, first = _cut(net, mode, layers, keep, new)
         keep = new
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:
             zs[first:] = forward_batch(suffix, zs[first - 1])[1:]
-        curve.append((count, _accuracy(batches, n)))
-    return curve
+        acc[i] = _accuracy(batches, n)
 
 
 def _accuracy(batches: list, n: int) -> float:
     return sum(count_hits(zs[-1], y) for zs, y in batches) / n
 
 
-def _fork(task) -> tuple[int, BinaryIO]:
-    """Run task in a forked child; return the child's pid and a reader of
-    the pipe that carries (True, result) or (False, exception), pickled.
+def _fork(task) -> int:
+    """Run task in a forked child and return its pid. The child exits 0
+    once task returns; if task raises, it prints the traceback to stderr
+    and exits 1.
 
     The child inherits the caller's memory, BLAS threads and any installed
     tracer wrappers, and leaves through os._exit, so no exit handler runs
     twice and no output the caller buffered is written twice.
     """
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
+    pid = os.fork()
     if pid == 0:
         try:
-            os.close(r)
-            try:
-                payload = pickle.dumps((True, task()))
-            except BaseException as e:
-                payload = pickle.dumps((False, e))
-            with open(w, "wb") as f:
-                f.write(payload)
-        finally:
+            task()
             os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-def _result(pid: int, reader: BinaryIO):
-    """The result a _fork child sent, or its exception raised here."""
-    payload = reader.read()
-    if not payload:
-        raise ChildProcessError(f"curve worker {pid} ended without a result")
-    ok, value = pickle.loads(payload)  # bytes our own child wrote
-    if not ok:
-        raise value
-    return value
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(1)
+    return pid
 
 
 def curve_workers() -> int:
     """Curve workers for analyze: usable cores divided by BLAS threads.
 
-    BLAS threads are read from OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
-    MKL_NUM_THREADS, the first one set; an unset or invalid value counts
-    as every usable core, so by default one worker, the caller, runs. So
-    do systems without os.fork or os.sched_getaffinity. Workers times
-    BLAS threads never exceed the usable cores.
+    BLAS threads are read from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS, the first one set, in OpenBLAS's order; an unset or
+    invalid value counts as every usable core, so by default one worker,
+    the caller, runs. So do systems without os.fork or os.sched_getaffinity.
+    Workers times BLAS threads never exceed the usable cores.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1

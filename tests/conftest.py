@@ -1,4 +1,5 @@
 import os
+import signal
 
 import pytest
 
@@ -20,16 +21,18 @@ def forked_pids(monkeypatch):
     return pids
 
 
-@pytest.fixture
-def dying_curve_worker(monkeypatch):
-    """Make a forked curve worker leave through os._exit(1) on its second
-    forward pass, partway through its points, before it sends anything."""
+@pytest.fixture(params=["exit-code", "signal"])
+def dying_curve_worker(request, monkeypatch):
+    """Make a forked curve worker die on its second forward pass, partway
+    through its points: through os._exit(1), or killed by SIGKILL."""
     caller, calls, forward = os.getpid(), [], pruning.forward_batch
 
     def dying_forward(*args, **kwargs):
         if os.getpid() != caller:
             calls.append(None)
             if len(calls) == 2:
+                if request.param == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
                 os._exit(1)
         return forward(*args, **kwargs)
 

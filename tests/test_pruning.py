@@ -393,8 +393,18 @@ def test_forced_removal_curve_with_more_workers_than_points(forked_pids):
     assert_reaped(forked_pids)
 
 
+def test_forced_removal_curve_with_no_point_to_deal_forks_nothing(forked_pids):
+    # a step past the removable nodes leaves the baseline alone, for any workers
+    net, data = curve_case(np.float64, 40)
+    curve = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1000, workers=4)
+    assert curve == [(0, evaluate(net, data))]
+    assert forked_pids == []
+
+
 @pytest.mark.parametrize("in_child", [True, False], ids=["child-raises", "caller-raises"])
-def test_forced_removal_curve_worker_error_reaches_the_caller(monkeypatch, forked_pids, in_child):
+def test_forced_removal_curve_worker_error_reaches_the_caller(
+    monkeypatch, forked_pids, capfd, in_child
+):
     net, data = curve_case(np.float64, 40)
     caller, calls = os.getpid(), []
 
@@ -410,11 +420,19 @@ def test_forced_removal_curve_worker_error_reaches_the_caller(monkeypatch, forke
 
     monkeypatch.setattr(pruning, "forward_batch", failing_forward)
     start = time.monotonic()
-    with pytest.raises(ShapeMismatchError, match="^forward pass 2 failed$"):
+    # a child's exception stays in the child: its traceback goes to stderr,
+    # and the caller names the first child that failed
+    expected = ChildProcessError if in_child else ShapeMismatchError
+    with pytest.raises(expected) as exc:
         forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1, workers=3)
     assert time.monotonic() - start < 5
     assert len(forked_pids) == 2
     assert_reaped(forked_pids)
+    if in_child:
+        assert str(exc.value) == f"curve worker {forked_pids[0]} ended without a result"
+        assert "ShapeMismatchError: forward pass 2 failed" in capfd.readouterr().err
+    else:
+        assert str(exc.value) == "forward pass 2 failed"
 
 
 def test_forced_removal_curve_worker_that_dies_is_named(forked_pids, dying_curve_worker):
@@ -433,9 +451,12 @@ def test_forced_removal_curve_worker_that_dies_is_named(forked_pids, dying_curve
         (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
         (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
         (8, {"OMP_NUM_THREADS": "2"}, 4),
-        (8, {"MKL_NUM_THREADS": "3"}, 2),
+        # OpenBLAS does not read MKL_NUM_THREADS: every core
+        (8, {"MKL_NUM_THREADS": "3"}, 1),
+        (2, {"MKL_NUM_THREADS": "1"}, 1),
         # the first variable set wins, in OpenBLAS's order
         (8, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
         (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
         (4, {"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a thread count: every core
         (4, {"OPENBLAS_NUM_THREADS": "two"}, 1),
