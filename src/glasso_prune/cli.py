@@ -53,10 +53,10 @@ def run_training(
 ) -> tuple[TrainResult, float]:
     """Train per cfg on its splits, write the requested files; return result, test accuracy."""
     train_set, val_set, test_set = splits
-    net = init_network(cfg.layer_sizes, cfg.seed)
-
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = train(net, train_set, val_set, cfg, log_path=out_dir / "history.jsonl")
+    # no name holds the float64 init network, so it is freed once train copies it
+    result = train(init_network(cfg.layer_sizes, cfg.seed), train_set, val_set, cfg,
+                   log_path=out_dir / "history.jsonl")
     save_model(result.best_network, out_dir / "model.glnn")
 
     test_acc = evaluate(result.best_network, test_set)

@@ -1,5 +1,6 @@
 """Experiment configuration: a flat, typed key=value file or JSON object.
 
+Config files are UTF-8, with or without a byte-order mark.
 Grammar: one `key = value` pair per line; blank lines and lines starting
 with '#' are skipped. Lists (layer_sizes, split_fractions) are comma
 separated, no item empty. A file whose first non-space character is '{' is parsed as a
@@ -243,4 +244,4 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
-    return parse_config_text(text, str(path))
+    return parse_config_text(text.removeprefix("\ufeff"), str(path))

@@ -99,8 +99,9 @@ def load_csv(path, label_column: str) -> Dataset:
     """Numeric CSV with a header row; one column holds integer labels.
 
     Every cell must be a finite number: nan and inf are rejected, not
-    carried into training. A file that is not UTF-8 text is rejected with
-    the row (counting the header as row 1) where decoding fails.
+    carried into training. The file is UTF-8 text, with or without a
+    byte-order mark; any other file is rejected with the row (counting the
+    header as row 1) where decoding fails.
     """
     path = str(path)
     raw = Path(path).read_bytes()
@@ -111,7 +112,7 @@ def load_csv(path, label_column: str) -> Dataset:
         raise DataFormatError(
             f"{path}: row {row_no} is not UTF-8 text ({e.reason})"
         ) from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -34,14 +34,8 @@ class Mode(enum.Enum):
     L2_ALL = "l2"
 
     @classmethod
-    def from_string(cls, name: str) -> "Mode":
-        for mode in cls:
-            if mode.value == name:
-                return mode
-        raise ValueError(
-            f"unknown mode {name!r}, expected one of "
-            f"{[m.value for m in cls]}"
-        )
+    def _missing_(cls, value):
+        raise ValueError(f"unknown mode {value!r}, expected one of {[m.value for m in cls]}")
 
     @property
     def grouped(self) -> bool:

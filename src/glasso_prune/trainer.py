@@ -18,6 +18,7 @@ included, computes on the same values in the same dtype.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.beta_coupling and self.beta != 0:
             raise ValueError("key 'beta' must be 0 when key 'beta_coupling' sets it from alpha")
-        mode = Mode.from_string(self.mode)
+        mode = Mode(self.mode)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError(f"alpha and beta must be nonnegative, got {self.alpha}, {self.beta}")
         if mode is Mode.L2_ALL and self.alpha != 0:
@@ -186,13 +187,14 @@ def train(
 ) -> TrainResult:
     """Run the full training schedule and return the best-validation snapshot.
 
-    The input network is left untouched; training operates on a float32
-    copy, and the snapshot is returned in float32. When log_path is given,
-    one EpochReport JSON line is appended per epoch.
+    The input network is only read: training operates on a float32 copy,
+    and the snapshot is returned in float32, so a caller that keeps no
+    reference to the input lets it be freed once the copy is made. When
+    log_path is given, one EpochReport JSON line is appended per epoch.
     """
     check_shapes(net, train_set)
     check_shapes(net, val_set)
-    mode = Mode.from_string(cfg.mode)
+    mode = Mode(cfg.mode)
     beta = COUPLED_BETA_RATIO * cfg.alpha if cfg.beta_coupling else cfg.beta
     net = net.copy(TRAIN_DTYPE)
     velocity = zero_layers(net)
@@ -201,8 +203,7 @@ def train(
     best_epoch = 0
     best_val = -1.0
     lr = cfg.learning_rate
-    log_file = open(log_path, "w", encoding="utf-8", newline="") if log_path else None
-    try:
+    with open(log_path, "w", encoding="utf-8", newline="") if log_path else nullcontext() as log:
         for epoch in range(1, cfg.epochs + 1):
             perm = _epoch_rng(cfg.seed, epoch).permutation(train_set.n)
             ce_sum = 0.0
@@ -220,6 +221,7 @@ def train(
                 hit_sum += hits
                 regularizer_gradient(net, mode, cfg.alpha, beta, grads)
                 _sgd_step(net, velocity, grads, lr, cfg.momentum)
+                del grads  # so the next batch_gradients is not allocated beside it
             report = EpochReport(
                 epoch=epoch,
                 train_loss=ce_sum / train_set.n + regularizer_value(net, mode, cfg.alpha, beta),
@@ -231,9 +233,9 @@ def train(
             if not np.isfinite(report.train_loss):
                 raise TrainingDiverged(f"non-finite train loss at the end of epoch {epoch}")
             history.append(report)
-            if log_file:
-                log_file.write(report.to_json_line() + "\n")
-                log_file.flush()
+            if log:
+                log.write(report.to_json_line() + "\n")
+                log.flush()
             # >= so ties go to the latest epoch: with equal validation
             # accuracy the later snapshot has had more time to shrink
             # group norms, which is the model worth keeping.
@@ -242,7 +244,4 @@ def train(
                 best_epoch = epoch
                 best_net = net.copy()
             lr *= cfg.lr_decay
-    finally:
-        if log_file:
-            log_file.close()
     return TrainResult(best_net, best_epoch, best_val, history)

@@ -109,7 +109,7 @@ def reference_runs():
     runs = {}
     for (key, seed), result in zip(pairs, results):
         cfg = cfgs[key]
-        mode = Mode.from_string(cfg.mode)
+        mode = Mode(cfg.mode)
         net = result.best_network
         rec = SimpleNamespace(
             net=net,

@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import struct
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from glasso_prune.analysis import (
 from glasso_prune.cli import entry, main
 from glasso_prune.config import ExperimentConfig, parse_config
 from glasso_prune.model_io import load_model, model_bytes, save_model
-from glasso_prune.network import init_network
+from glasso_prune.network import batch_gradients, init_network
 from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import EpochReport, evaluate
 
@@ -737,6 +739,53 @@ def test_train_diverging_last_step_exits_3(tmp_path, capsys, penalty):
     assert not (run / "model.glnn").exists()
     for path in run.iterdir():
         assert b"NaN" not in path.read_bytes() and b"Infinity" not in path.read_bytes(), path
+
+
+@pytest.mark.parametrize("held", [
+    "gradient",
+    pytest.param("init_network", marks=pytest.mark.skipif(
+        sys.version_info < (3, 11),
+        reason="CPython 3.10 keeps a call's arguments referenced until the call returns, so a "
+        "width-2048 train there frees the init network only after train returns")),
+])
+def test_train_holds_no_stale_network_or_gradient(tmp_path, monkeypatch, held):
+    # before each step, count the arrays still alive of the init network, or
+    # of the previous step's gradient: train has dropped them all by then
+    refs, live = [], []
+
+    def tracked_init(layer_sizes, seed):
+        net = init_network(layer_sizes, seed)
+        if held == "init_network":
+            refs.append([weakref.ref(a) for p in net.layers for a in (p.weights, p.bias)])
+        return net
+
+    def tracked_step(*args):
+        if refs:
+            live.append(sum(ref() is not None for ref in refs[-1]))
+        loss, hits, grads = batch_gradients(*args)
+        if held == "gradient":
+            refs.append([weakref.ref(a) for g in grads for a in (g.weights, g.bias)])
+        return loss, hits, grads
+
+    monkeypatch.setattr("glasso_prune.cli.init_network", tracked_init)
+    monkeypatch.setattr("glasso_prune.trainer.batch_gradients", tracked_step)
+    cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'run'}\n")
+    assert main(["train", str(cfg)]) == 0
+    assert len(live) > 2 and live == [0] * len(live)
+
+
+def test_train_reads_bom_config_and_csv_as_without(tmp_path):
+    # a byte-order mark before a config or a CSV file changes no output byte
+    rows = b"y,a,b\n" + b"".join(b"%d,%d,%d\n" % (k % 2, k, 2 * k) for k in range(40))
+    runs = {}
+    for name, bom in (("plain", b""), ("bom", "\ufeff".encode("utf-8"))):
+        (tmp_path / name).mkdir()
+        cfg = write_csv_cfg(tmp_path / name, bom + rows)
+        cfg.write_bytes(bom + cfg.read_bytes())
+        assert main(["train", str(cfg)]) == 0
+        runs[name] = tmp_path / name / "run"
+    for out in ("model.glnn", "history.jsonl", "disposable.csv"):
+        assert (runs["bom"] / out).read_bytes() == (runs["plain"] / out).read_bytes(), out
 
 
 def test_train_non_utf8_config_exits_2(tmp_path, capsys):

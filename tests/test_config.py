@@ -305,6 +305,29 @@ def test_non_utf8_config_names_file(tmp_path):
     assert "UTF-8" in str(err.value)
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+def test_config_file_reads_with_or_without_bom(tmp_path, bom):
+    path = tmp_path / "exp.cfg"
+    text = (CONFIGS / "reference_glasso_out.cfg").read_text(encoding="utf-8")
+    path.write_bytes(bom + text.encode("utf-8"))
+    assert parse_config(path) == parse_config_text(text)
+    as_json = parse_config_text(text).to_dict()
+    path.write_bytes(bom + json.dumps(as_json).encode("utf-8"))
+    assert parse_config(path).to_dict() == as_json
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+def test_non_utf8_config_byte_offset_counts_a_bom(tmp_path, bom):
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(bom + b"dataset = synth\n\xff\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte at byte {len(bom) + 16})"
+
+
 def test_to_dict_is_complete():
     cfg = parse_config_text(FULL)
     doc = cfg.to_dict()

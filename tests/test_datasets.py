@@ -201,6 +201,26 @@ def test_csv_non_utf8_names_file_and_row(tmp_path):
     assert str(err.value).startswith(f"{path}: row 3 is not UTF-8")
 
 
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("bom", [b"", BOM], ids=["plain", "bom"])
+def test_csv_label_first_reads_with_or_without_bom(tmp_path, bom):
+    path = tmp_path / "d.csv"
+    path.write_bytes(bom + b"label,a,b\n0,1,2\n1,3,4\n")
+    ds = load_csv(path, "label")
+    npt.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+    npt.assert_array_equal(ds.labels, [0, 1])
+
+
+def test_csv_non_utf8_row_counts_the_header_after_a_bom(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(BOM + b"a,b,y\n1,2,0\n3,\xff,1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    assert str(err.value) == f"{path}: row 3 is not UTF-8 text (invalid start byte)"
+
+
 def test_csv_non_numeric_cell(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,fish,0\n")

@@ -2,6 +2,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from glasso_prune.config import parse_config_text
+from glasso_prune.errors import ConfigError
 from glasso_prune.linalg import as_matrix
 from glasso_prune.network import LayerParams, MlpNetwork, init_network, zero_layers
 from glasso_prune.regularization import (
@@ -12,6 +14,7 @@ from glasso_prune.regularization import (
     regularizer_gradient,
     regularizer_value,
 )
+from glasso_prune.trainer import TrainConfig
 
 
 def net_from_weights(*weight_lists):
@@ -76,12 +79,22 @@ def value_by_loops(net, spec):
     return total
 
 
-def test_mode_from_string():
-    assert Mode.from_string("glasso_out") is Mode.GLASSO_OUT
-    assert Mode.from_string("glasso_in") is Mode.GLASSO_IN
-    assert Mode.from_string("l2") is Mode.L2_ALL
-    with pytest.raises(ValueError):
-        Mode.from_string("ridge")
+def test_mode_lookup():
+    # each value, and a member passed back in, resolve to that member
+    for mode, value in ((Mode.GLASSO_OUT, "glasso_out"), (Mode.GLASSO_IN, "glasso_in"),
+                        (Mode.L2_ALL, "l2")):
+        assert Mode(value) is mode
+        assert Mode(mode) is mode
+    # an unknown value gives one message, directly, from TrainConfig and from a config file
+    message = "unknown mode 'ridge', expected one of ['glasso_out', 'glasso_in', 'l2']"
+    with pytest.raises(ValueError) as direct:
+        Mode("ridge")
+    with pytest.raises(ValueError) as from_train_config:
+        TrainConfig(mode="ridge")
+    with pytest.raises(ConfigError) as from_file:
+        parse_config_text("dataset = synth\nlayer_sizes = 8,16,3\nmode = ridge\n", "exp.cfg")
+    assert str(direct.value) == str(from_train_config.value) == message
+    assert str(from_file.value) == f"exp.cfg: {message}"
 
 
 def test_group_norms_zero_column_flags_node():

@@ -48,7 +48,7 @@ def replay_sgd(net, train_set, val_set, cfg):
     epoch-end network) per epoch, and the best-validation network (latest
     on ties), all float32.
     """
-    mode = Mode.from_string(cfg.mode)
+    mode = Mode(cfg.mode)
     net = net.copy(np.float32)
     vw = [np.zeros_like(p.weights) for p in net.layers]
     vb = [np.zeros_like(p.bias) for p in net.layers]
@@ -416,6 +416,25 @@ def test_history_log_roundtrip(tmp_path):
         assert a.disposable == b.disposable
 
 
+def test_diverged_run_keeps_the_finished_epochs_lines(tmp_path, monkeypatch):
+    # epoch 2's first minibatch loss is nan: epoch 1's line is already written
+    calls = []
+
+    def nan_in_epoch_2(*args):
+        loss, hits, grads = batch_gradients(*args)
+        calls.append(loss)
+        return (np.nan if len(calls) == 4 else loss), hits, grads
+
+    monkeypatch.setattr(trainer, "batch_gradients", nan_in_epoch_2)
+    data = small_task(seed=8)
+    cfg = TrainConfig(mode="glasso_out", alpha=0.01, epochs=3, batch_size=40, seed=8)
+    log = tmp_path / "history.jsonl"
+    with pytest.raises(TrainingDiverged, match="epoch 2, batch 0"):
+        train(init_network([6, 5, 3], seed=8), data, data, cfg, log_path=log)
+    (line,) = log.read_text().splitlines()
+    assert json.loads(line)["epoch"] == 1
+
+
 def test_epoch_report_json_keys():
     report = EpochReport(
         epoch=2,
@@ -613,7 +632,7 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         assert len(lines) == len(replayed) == cfg.epochs
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
             assert end_net.dtype == np.float32
-            penalty = regularizer_value(end_net, Mode.from_string(cfg.mode), cfg.alpha, cfg.beta)
+            penalty = regularizer_value(end_net, Mode(cfg.mode), cfg.alpha, cfg.beta)
             assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
 
