@@ -96,7 +96,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def load_csv(path, label_column: str) -> Dataset:
-    """Numeric CSV with a header row; one column holds integer labels.
+    """Numeric CSV with a header row; the one column named label_column
+    holds integer labels, and a header naming it twice is rejected.
 
     Every cell must be a finite number: nan and inf are rejected, not
     carried into training. The file is UTF-8 text, with or without a
@@ -117,9 +118,14 @@ def load_csv(path, label_column: str) -> Dataset:
         header = next(reader)
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
-    if label_column not in header:
+    repeats = header.count(label_column)
+    if repeats == 0:
         raise DataFormatError(
             f"{path}: label column {label_column!r} not in header {header}"
+        )
+    if repeats > 1:
+        raise DataFormatError(
+            f"{path}: label column {label_column!r} appears {repeats} times in header {header}"
         )
     if len(header) == 1:
         raise DataFormatError(f"{path}: no feature columns besides {label_column!r}")

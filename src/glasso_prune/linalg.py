@@ -58,9 +58,11 @@ def sigmoid(v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def norms(m: np.ndarray, axis: int) -> np.ndarray:
+def norms(m: np.ndarray, axis: int, dtype=None) -> np.ndarray:
     """Euclidean norm along axis (0: of every column, 1: of every row).
 
-    Uses np.linalg.norm's own formula, so the bits match it.
+    Uses np.linalg.norm's own formula, so the bits match it. The squares
+    and their sums are taken in dtype (by default m's own), each element
+    widened as it is squared, so no widened copy of m is made.
     """
-    return np.sqrt(np.add.reduce(m * m, axis=axis))
+    return np.sqrt(np.add.reduce(np.square(m, dtype=dtype), axis=axis))

@@ -32,13 +32,16 @@ _ELEMENT_DTYPES = {4: np.dtype(np.float32), 8: np.dtype(np.float64)}
 
 
 def model_bytes(net: MlpNetwork) -> bytes:
-    """Serialize a network to the GLNN wire format, in its own dtype."""
+    """Serialize a network to the GLNN wire format, in its own dtype.
+
+    The arrays' own buffers are joined: each is copied once, into the result.
+    """
     wire = net.dtype.newbyteorder("<")
     parts = [MAGIC, struct.pack("<III", VERSION, wire.itemsize, net.num_layers)]
     for p in net.layers:
         parts.append(struct.pack("<II", *p.weights.shape))
-        parts.append(np.ascontiguousarray(p.weights, dtype=wire).tobytes())
-        parts.append(np.ascontiguousarray(p.bias, dtype=wire).tobytes())
+        parts.append(np.ascontiguousarray(p.weights, dtype=wire))
+        parts.append(np.ascontiguousarray(p.bias, dtype=wire))
     return b"".join(parts)
 
 
@@ -48,11 +51,12 @@ def save_model(net: MlpNetwork, path) -> None:
 
 class _Reader:
     def __init__(self, data: bytes, name: str):
-        self.data = data
+        self.data = memoryview(data)
         self.name = name
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
+        """The next n bytes, as a view into the data, not a copy."""
         if self.pos + n > len(self.data):
             raise ModelFormatError(
                 f"{self.name}: truncated at byte {self.pos}, "
@@ -85,7 +89,7 @@ def model_from_bytes(data: bytes, name: str = "<bytes>") -> MlpNetwork:
     r = _Reader(data, name)
     magic = r.take(4)
     if magic != MAGIC:
-        raise ModelFormatError(f"{name}: bad magic {magic!r}, expected {MAGIC!r}")
+        raise ModelFormatError(f"{name}: bad magic {bytes(magic)!r}, expected {MAGIC!r}")
     dtype = _element_dtype(r)
     wire = dtype.newbyteorder("<")
     num_layers = r.u32()

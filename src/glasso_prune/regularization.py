@@ -61,13 +61,14 @@ def group_layout(net: MlpNetwork, mode: Mode) -> list[tuple[int, int]]:
 def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
     """Per-hidden-layer group norms, one entry per node of layers 1..L-1.
 
-    A float32 network's weights are widened to float64 first, which is
-    exact, so its norms are bit for bit those of the model file it saves to.
+    Squares and sums are taken in float64 whatever the network's dtype.
+    A float32 weight's square is exact in float64, so a float32 network's
+    norms are bit for bit those of its float64 copy, without making one.
     """
     if not mode.grouped:
         raise ValueError("group norms are undefined for L2_ALL (no grouping)")
     return [
-        norms(net.layers[l].weights.astype(np.float64, copy=False), axis)
+        norms(net.layers[l].weights, axis, np.float64)
         for l, axis in group_layout(net, mode)
     ]
 

@@ -189,8 +189,9 @@ def train(
 
     The input network is only read: training operates on a float32 copy,
     and the snapshot is returned in float32, so a caller that keeps no
-    reference to the input lets it be freed once the copy is made. When
-    log_path is given, one EpochReport JSON line is appended per epoch.
+    reference to the input lets it be freed once the copy is made. The
+    snapshot starts empty: epoch 1 always takes it, since epochs >= 1.
+    When log_path is given, one EpochReport JSON line is appended per epoch.
     """
     check_shapes(net, train_set)
     check_shapes(net, val_set)
@@ -199,7 +200,7 @@ def train(
     net = net.copy(TRAIN_DTYPE)
     velocity = zero_layers(net)
     history: list[EpochReport] = []
-    best_net = net.copy()
+    best_net = None
     best_epoch = 0
     best_val = -1.0
     lr = cfg.learning_rate

@@ -1,5 +1,6 @@
 import os
 import signal
+import tracemalloc
 
 import pytest
 
@@ -37,3 +38,18 @@ def dying_curve_worker(request, monkeypatch):
         return forward(*args, **kwargs)
 
     monkeypatch.setattr(pruning, "forward_batch", dying_forward)
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn(*args) and returns the peak bytes
+    tracemalloc saw allocated during the call."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak

@@ -712,6 +712,13 @@ def test_train_csv_label_past_layer_sizes_exits_2_before_split(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_train_csv_label_column_named_twice_exits_4(tmp_path, capsys):
+    cfg = write_csv_cfg(tmp_path, b"y,a,y\n0,1,0\n1,2,1\n0,3,0\n1,4,1\n")
+    assert main(["train", str(cfg)]) == 4
+    assert f"{tmp_path / 'd.csv'}: label column 'y' appears 2 times" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_non_utf8_csv_exits_4(tmp_path, capsys):
     cfg = write_csv_cfg(tmp_path, b"a,b,y\n1,2,0\n3,4,1\n5,\xff,1\n")
     assert main(["train", str(cfg)]) == 4

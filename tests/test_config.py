@@ -75,6 +75,17 @@ def test_comments_and_blank_lines_skipped():
     assert cfg.layer_sizes == [8, 16, 3]
 
 
+def test_trailing_hash_stays_in_the_value(tmp_path, capsys):
+    # only a line that starts with '#' is a comment; a note after a value is kept
+    cfg = parse_config_text(MINIMAL + "output_dir = runs/a  # first try\n")
+    assert cfg.output_dir == "runs/a  # first try"
+    path = tmp_path / "note.cfg"
+    path.write_text(MINIMAL + f"output_dir = {tmp_path / 'run'}\nalpha = 0.013  # tuned\n")
+    assert main(["train", str(path)]) == 2
+    assert "key 'alpha'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError) as err:
         parse_config_text(MINIMAL + "banana = 3\n")

@@ -185,6 +185,17 @@ def test_csv_label_column_only_names_the_file(tmp_path):
     assert str(err.value) == f"{path}: no feature columns besides 'y'"
 
 
+def test_csv_label_column_named_twice_names_the_column(tmp_path):
+    # the second 'label' column would otherwise train as a copy of the label
+    path = tmp_path / "d.csv"
+    path.write_text("label,a,label\n0,1,0\n1,2,1\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "label")
+    assert str(err.value) == (
+        f"{path}: label column 'label' appears 2 times in header ['label', 'a', 'label']"
+    )
+
+
 def test_csv_ragged_row_names_row(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("a,b,y\n1,2,0\n3,4\n")

@@ -50,6 +50,16 @@ def test_roundtrip_bytes_identical():
             assert model_bytes(back) == blob
 
 
+def test_writing_and_reading_copy_no_array_twice(traced_peak):
+    # the file is joined from the arrays' own buffers and read through a view,
+    # so each direction allocates about one network's worth of bytes
+    net = init_network([16, 1024, 1024, 4], 0).copy(np.float32)
+    blob = model_bytes(net)
+    assert traced_peak(model_bytes, net) < 1.5 * len(blob)
+    params = sum(p.weights.nbytes + p.bias.nbytes for p in net.layers)
+    assert traced_peak(model_from_bytes, blob) < 1.5 * params
+
+
 def test_roundtrip_preserves_values():
     net = init_network([3, 7, 4], seed=5)
     net.layers[0].bias[:] = [np.pi, -1e-300, 0.1, 7e200, 0.0, -0.0, 2.5]

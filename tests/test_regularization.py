@@ -135,19 +135,34 @@ def test_group_norms_lengths_match_hidden_sizes():
         assert all(np.all(v >= 0) for v in norms)
 
 
-def test_float32_group_norms_are_those_of_the_float64_widening():
+@pytest.mark.parametrize("sizes", [[3, 5, 4, 2], [16, 300, 200, 4]])
+def test_float32_group_norms_are_those_of_the_float64_widening(sizes):
     # selection decides on the norms of the float64 model that is saved;
     # the penalty gradient keeps the network's own dtype
     spec = (Mode.GLASSO_OUT, 0.02, 0.002)
     for seed in range(3):
-        net32 = init_network([3, 5, 4, 2], seed).copy(np.float32)
+        net32 = init_network(sizes, seed).copy(np.float32)
         net64 = net32.copy(np.float64)
         for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
-            for a, b in zip(group_norms(net32, mode), group_norms(net64, mode)):
+            widened = [
+                np.sqrt(np.add.reduce(net64.layers[l].weights * net64.layers[l].weights, axis))
+                for l, axis in group_layout(net64, mode)
+            ]
+            for a, b, want in zip(group_norms(net32, mode), group_norms(net64, mode), widened):
                 assert a.dtype == np.float64
                 npt.assert_array_equal(a, b)
+                npt.assert_array_equal(a, want)
         grad = penalty_gradient(net32, spec)
         assert all(a.dtype == np.float32 for g in grad for a in (g.weights, g.bias))
+
+
+def test_group_norms_make_no_widened_copy(traced_peak):
+    # each weight is widened as it is squared, so the peak is one float64
+    # 1024x1024 square, not a widened copy of the matrix and then its square
+    net = init_network([16, 1024, 1024, 4], 0).copy(np.float32)
+    one_copy = 1024 * 1024 * 8
+    for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
+        assert traced_peak(group_norms, net, mode) < 1.5 * one_copy
 
 
 def test_group_norms_transpose_duality():

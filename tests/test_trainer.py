@@ -139,6 +139,22 @@ def test_zero_everything_leaves_network_unchanged():
     assert networks_equal(result.best_network, net.copy(np.float32))
 
 
+def test_one_epoch_train_copies_the_network_twice(monkeypatch):
+    # the float32 working copy and epoch 1's snapshot: no snapshot is taken
+    # before epoch 1, which would always replace it unread
+    calls = []
+    copy = MlpNetwork.copy
+
+    def counted(self, dtype=None):
+        calls.append(dtype)
+        return copy(self, dtype)
+
+    monkeypatch.setattr(MlpNetwork, "copy", counted)
+    data = small_task()
+    train(init_network([6, 5, 3], seed=1), data, data, TrainConfig(mode="glasso_out", epochs=1))
+    assert calls == [np.float32, None]
+
+
 def test_train_does_not_mutate_input_network():
     data = small_task()
     net = init_network([6, 5, 3], seed=1)
