@@ -1,7 +1,8 @@
 """Command line front end: train, prune, analyze, sweep.
 
-Exit codes: 0 on success, 2 for configuration or usage errors, 3 when
-training diverges, 4 for I/O and file-format errors.
+Exit codes: 0 on success; for an error, the exit_code its type declares in
+errors.py: 2 for a config error, 3 when training diverges, 4 for data, model
+and shape errors. Of other errors, OSError exits 4 and ValueError 2.
 """
 
 from __future__ import annotations
@@ -18,13 +19,7 @@ from .analysis import (
 )
 from .config import ExperimentConfig, convert_value, parse_config
 from .datasets import Dataset
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    ModelFormatError,
-    ShapeMismatchError,
-    TrainingDiverged,
-)
+from .errors import ConfigError, GlassoPruneError
 from .model_io import load_model, save_model
 from .network import init_network
 from .pruning import (
@@ -285,18 +280,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (GlassoPruneError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except TrainingDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (DataFormatError, ModelFormatError, ShapeMismatchError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 4
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return getattr(e, "exit_code", 4 if isinstance(e, OSError) else 2)
 
 
 def entry() -> None:

@@ -17,8 +17,12 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .datasets import Dataset, load_csv, load_idx, split, standardize, synth_gaussians
+from .datasets import (
+    Dataset, check_split_fractions, check_synth_sizes, load_csv, load_idx, split, standardize,
+    synth_gaussians,
+)
 from .errors import ConfigError
+from .network import check_layer_sizes
 from .trainer import TrainConfig
 
 
@@ -98,31 +102,13 @@ class ExperimentConfig(TrainConfig):
             raise ConfigError("dataset idx requires keys 'idx_images' and 'idx_labels'")
         if self.dataset == "csv" and not (self.csv_path and self.csv_label_column):
             raise ConfigError("dataset csv requires keys 'csv_path' and 'csv_label_column'")
-        if len(self.layer_sizes) < 3:
-            raise ConfigError(
-                f"key 'layer_sizes' needs at least input,hidden,output, got {self.layer_sizes}"
-            )
-        if min(self.layer_sizes) < 1:
-            raise ConfigError(f"key 'layer_sizes' must all be >= 1, got {self.layer_sizes}")
-        if self.data_seed < 0:
-            raise ConfigError(f"key 'data_seed' must be nonnegative, got {self.data_seed}")
-        for key, least in (("synth_classes", 2), ("synth_dim", 1), ("synth_per_class", 1)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"key {key!r} must be >= {least}, got {getattr(self, key)}")
-        if len(self.split_fractions) != 3:
-            raise ConfigError(
-                f"key 'split_fractions' needs exactly three values, got {self.split_fractions}"
-            )
-        if min(self.split_fractions) <= 0:
-            raise ConfigError(
-                f"key 'split_fractions' must all be positive, got {self.split_fractions}"
-            )
-        if abs(sum(self.split_fractions) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"key 'split_fractions' must sum to 1, got sum {sum(self.split_fractions)!r}"
-            )
-        # TrainConfig checks the training keys, each message naming its key
+        # the library's checks and TrainConfig's, each message naming its key
         try:
+            check_layer_sizes(self.layer_sizes)
+            if self.data_seed < 0:
+                raise ValueError(f"key 'data_seed' must be nonnegative, got {self.data_seed}")
+            check_synth_sizes(self.synth_classes, self.synth_dim, self.synth_per_class)
+            check_split_fractions(self.split_fractions)
             super().__post_init__()
         except ValueError as e:
             raise ConfigError(str(e)) from None
@@ -141,7 +127,7 @@ class ExperimentConfig(TrainConfig):
         else:
             full = load_csv(self.csv_path, self.csv_label_column)
         self.check_fit(full)  # before split, whose class scan is as long as the class count
-        splits = split(full, tuple(self.split_fractions), self.data_seed)
+        splits = split(full, self.split_fractions, self.data_seed)
         if min(part.n for part in splits) == 0:
             raise ConfigError(
                 f"key 'split_fractions' {self.split_fractions} leaves a split empty: "

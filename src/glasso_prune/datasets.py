@@ -162,6 +162,16 @@ def load_csv(path, label_column: str) -> Dataset:
     return Dataset(np.array(features), labels_arr, int(labels_arr.max()) + 1)
 
 
+def check_synth_sizes(num_classes: int, dim: int, n_per_class: int) -> None:
+    """Raise ValueError, naming the first failing config key, unless 'synth_classes'
+    is >= 2 and 'synth_dim' and 'synth_per_class' are >= 1.
+    """
+    for key, value, least in (("synth_classes", num_classes, 2), ("synth_dim", dim, 1),
+                              ("synth_per_class", n_per_class, 1)):
+        if value < least:
+            raise ValueError(f"key {key!r} must be >= {least}, got {value}")
+
+
 def synth_gaussians(
     num_classes: int,
     dim: int,
@@ -175,8 +185,7 @@ def synth_gaussians(
     directions are exactly orthonormal (QR of a seeded Gaussian matrix);
     otherwise they are normalized Gaussian draws.
     """
-    if num_classes < 2 or dim < 1:
-        raise ValueError(f"need num_classes >= 2 and dim >= 1, got {num_classes}, {dim}")
+    check_synth_sizes(num_classes, dim, n_per_class)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, num_classes))
     if num_classes <= dim:
@@ -195,18 +204,25 @@ def synth_gaussians(
     return Dataset(features, labels, num_classes)
 
 
+def check_split_fractions(fractions: list[float]) -> None:
+    """Raise ValueError unless config key 'split_fractions' holds three positives summing to 1."""
+    if len(fractions) != 3:
+        raise ValueError(f"key 'split_fractions' needs exactly three values, got {fractions}")
+    if min(fractions) <= 0:
+        raise ValueError(f"key 'split_fractions' must all be positive, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:
+        raise ValueError(f"key 'split_fractions' must sum to 1, got sum {sum(fractions)!r}")
+
+
 def split(
-    ds: Dataset, fractions: tuple[float, float, float], seed: int
+    ds: Dataset, fractions: list[float], seed: int
 ) -> tuple[Dataset, Dataset, Dataset]:
     """Seeded shuffle, then contiguous train/val/test cut.
 
     Sizes are round(n * fraction) for train and val, remainder for test.
     Every class must appear in the train split.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise ValueError(f"fractions must be three positive values, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got sum {sum(fractions)!r}")
+    check_split_fractions(fractions)
     perm = np.random.default_rng(seed).permutation(ds.n)
     n_train = int(round(ds.n * fractions[0]))
     n_val = int(round(ds.n * fractions[1]))

@@ -1,8 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each declares exit_code, the CLI's exit status when it ends a command."""
 
 
 class GlassoPruneError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 4
 
 
 class ShapeMismatchError(GlassoPruneError, ValueError):
@@ -19,7 +22,9 @@ class DataFormatError(GlassoPruneError, ValueError):
 
 class TrainingDiverged(GlassoPruneError):
     """The loss became non-finite; the message names the epoch, and the batch if known."""
+    exit_code = 3
 
 
 class ConfigError(GlassoPruneError):
     """An experiment config failed validation; the message names the key."""
+    exit_code = 2

@@ -94,18 +94,21 @@ def zero_layers(net: MlpNetwork) -> list[LayerParams]:
     return [LayerParams(np.zeros_like(p.weights), np.zeros_like(p.bias)) for p in net.layers]
 
 
+def check_layer_sizes(sizes: list[int]) -> None:
+    """Raise ValueError unless config key 'layer_sizes' holds input,hidden,output sizes >= 1."""
+    if len(sizes) < 3:
+        raise ValueError(f"key 'layer_sizes' needs at least input,hidden,output, got {sizes}")
+    if min(sizes) < 1:
+        raise ValueError(f"key 'layer_sizes' must all be >= 1, got {sizes}")
+
+
 def init_network(layer_sizes: list[int], seed: int) -> MlpNetwork:
     """Seeded uniform initialization, scale sqrt(6 / (n_in + n_out)).
 
     Biases start at zero. Two calls with the same sizes and seed produce
     bitwise-identical networks.
     """
-    if len(layer_sizes) < 3:
-        raise ValueError(
-            f"need at least [input, hidden, output] sizes, got {layer_sizes}"
-        )
-    if any(n < 1 for n in layer_sizes):
-        raise ValueError(f"all layer sizes must be >= 1, got {layer_sizes}")
+    check_layer_sizes(layer_sizes)
     rng = np.random.default_rng(seed)
     layers = []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):

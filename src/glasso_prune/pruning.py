@@ -47,9 +47,11 @@ def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
     largest-norm one is retained and a warning is issued.
     """
     keep = [~below for below in below_theta(net, mode, theta)]
+    norms = None  # computed again only for a layer that needs a rescue
     for l, k in enumerate(keep, start=1):
         if not k.any():
-            k[int(np.argmax(group_norms(net, mode)[l - 1]))] = True
+            norms = norms or group_norms(net, mode)
+            k[int(np.argmax(norms[l - 1]))] = True
             warnings.warn(
                 f"thresholding would empty hidden layer {l}; "
                 f"keeping its largest-norm node"

@@ -13,6 +13,10 @@ from glasso_prune.analysis import (
 )
 from glasso_prune.cli import entry, main
 from glasso_prune.config import ExperimentConfig, parse_config
+from glasso_prune.errors import (
+    ConfigError, DataFormatError, GlassoPruneError, ModelFormatError, ShapeMismatchError,
+    TrainingDiverged,
+)
 from glasso_prune.model_io import load_model, model_bytes, save_model
 from glasso_prune.network import batch_gradients, init_network
 from glasso_prune.regularization import Mode, group_norms
@@ -1119,3 +1123,31 @@ def test_console_entry_exits_with_main_code(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         entry()
     assert exc.value.code == 4
+
+
+class UndeclaredError(GlassoPruneError):
+    """A package error whose type declares no exit code of its own."""
+
+
+@pytest.mark.parametrize(
+    "error,code",
+    [
+        (ConfigError("key 'alpha' must be nonnegative"), 2),
+        (TrainingDiverged("non-finite loss at epoch 1, batch 1"), 3),
+        (DataFormatError("data.csv: empty file"), 4),
+        (ModelFormatError("model.glnn: bad magic"), 4),
+        (ShapeMismatchError("batch shape (2, 3) does not match input dim 4"), 4),
+        (ChildProcessError("curve worker 1 exited with code 1"), 4),
+        (FileNotFoundError("no such file: model.glnn"), 4),
+        (ValueError("mask would empty hidden layer 1"), 2),
+        (UndeclaredError("an error of the package"), 4),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_is_declared_by_the_error_type(tmp_path, monkeypatch, capsys, error, code):
+    def failing_command(args):
+        raise error
+
+    monkeypatch.setattr("glasso_prune.cli.cmd_analyze", failing_command)
+    assert main(["analyze", str(tmp_path / "model.glnn")]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"

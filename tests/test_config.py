@@ -7,9 +7,11 @@ import pytest
 import numpy as np
 
 from glasso_prune.cli import main
-from glasso_prune.config import ExperimentConfig, parse_config, parse_config_text
+from glasso_prune.config import ExperimentConfig, convert_value, parse_config, parse_config_text
+from glasso_prune.datasets import split, synth_gaussians
 from glasso_prune.errors import ConfigError
 from glasso_prune.model_io import load_model
+from glasso_prune.network import init_network
 from glasso_prune.trainer import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -422,6 +424,42 @@ def test_malformed_value_rejected_at_parse(key, json_value, kv_value):
         with pytest.raises(ConfigError) as err:
             parse_config_text(text)
         assert key in str(err.value)
+
+
+# per config key, a call of the library function that reads it, given the key's value
+LIBRARY_CALLS = {
+    "layer_sizes": lambda sizes: init_network(sizes, seed=0),
+    "split_fractions": lambda fractions: split(
+        synth_gaussians(2, 2, 10, 3.0, seed=0), fractions, seed=0
+    ),
+    "synth_classes": lambda n: synth_gaussians(n, 64, 300, 4.0, seed=42),
+    "synth_dim": lambda n: synth_gaussians(10, n, 300, 4.0, seed=42),
+    "synth_per_class": lambda n: synth_gaussians(10, 64, n, 4.0, seed=42),
+}
+
+
+@pytest.mark.parametrize(
+    "key,text",
+    [
+        ("layer_sizes", "64,10"),
+        ("layer_sizes", "64,0,10"),
+        ("split_fractions", "0.5,0.5"),
+        ("split_fractions", "1.2,-0.1,-0.1"),
+        ("split_fractions", "0.5,0.3,0.3"),
+        ("synth_classes", "1"),
+        ("synth_dim", "0"),
+        ("synth_per_class", "0"),
+    ],
+)
+def test_config_rule_and_library_rule_give_one_message(key, text):
+    # the config calls the check of the library function that reads the key
+    kv = {"dataset": "synth", "layer_sizes": "8,16,3", "mode": "glasso_out", key: text}
+    with pytest.raises(ConfigError) as config_err:
+        parse_config_text("".join(f"{k} = {v}\n" for k, v in kv.items()))
+    with pytest.raises(ValueError) as library_err:
+        LIBRARY_CALLS[key](convert_value(key, text, "test"))
+    assert type(library_err.value) is ValueError
+    assert str(config_err.value).removeprefix("<config>: ") == str(library_err.value)
 
 
 def test_json_integral_float_accepted_for_int_key():

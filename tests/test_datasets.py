@@ -278,6 +278,13 @@ def test_synth_validation():
         synth_gaussians(2, 0, 10, 1.0, seed=0)
 
 
+@pytest.mark.parametrize("n_per_class", [0, -1])
+def test_synth_rejects_fewer_than_one_sample_per_class(n_per_class):
+    with pytest.raises(ValueError) as err:
+        synth_gaussians(3, 4, n_per_class, 1.0, seed=0)
+    assert str(err.value) == f"key 'synth_per_class' must be >= 1, got {n_per_class}"
+
+
 def test_synth_shapes_and_balance():
     ds = synth_gaussians(3, 7, 15, 2.0, seed=12)
     assert ds.features.shape == (45, 7)

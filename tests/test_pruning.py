@@ -83,6 +83,25 @@ def test_make_mask_never_empties_a_layer():
     assert keep[0][int(np.argmax(norms))]
 
 
+def test_make_mask_rescues_every_layer_from_one_more_norm_pass(monkeypatch):
+    # below_theta reads the norms once; rescuing all three layers reads them once more
+    net = init_network([8, 16, 16, 16, 3], seed=0)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return group_norms(*args)
+
+    # below_theta looks the name up in regularization, make_mask in pruning
+    monkeypatch.setattr("glasso_prune.regularization.group_norms", counted)
+    monkeypatch.setattr(pruning, "group_norms", counted)
+    with pytest.warns(UserWarning):
+        keep = make_mask(net, Mode.GLASSO_OUT, 1e9)
+    assert len(calls) == 2
+    for k, layer_norms in zip(keep, group_norms(net, Mode.GLASSO_OUT)):
+        assert k.sum() == 1 and k[int(np.argmax(layer_norms))]
+
+
 def test_apply_mask_rejects_empty_layer():
     net = init_network([3, 2, 4, 2], seed=0)
     with pytest.raises(ValueError, match="mask would empty hidden layer 2"):
