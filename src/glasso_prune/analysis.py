@@ -5,13 +5,14 @@ Everything is written as CSV/JSON data files rather than rendered plots,
 so outputs are byte-deterministic and test-friendly. train and analyze
 build a model's norm outputs with one function, diagnostics, as a mapping
 from output name to rows; analyze adds the forced-removal curve from
-pruning. Each CSV table is a list of rows, and one writer writes them
-all; write_json writes every JSON file. Histograms are binned
-in log10 of the group norm; exact zeros fall in the underflow row from 0.0.
+pruning. write_csv writes every CSV table, sweep's summary.csv included,
+and write_json every JSON file. Histograms are binned in log10 of the
+group norm; exact zeros fall in the underflow row from 0.0.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -112,10 +113,6 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
-def _cell(x) -> str:
-    return fmt_float(x) if isinstance(x, (float, np.floating)) else str(int(x))
-
-
 def write_bundle(outputs: dict, out_dir) -> list[Path]:
     """Write the given outputs into out_dir, the CSV tables in CSV_HEADERS
     order, then gap.json; names not given are skipped. Returns written paths."""
@@ -123,17 +120,22 @@ def write_bundle(outputs: dict, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for name, header in CSV_HEADERS.items():
-        if name not in outputs:
-            continue
-        path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(header + "\n")
-            f.writelines(",".join(map(_cell, row)) + "\n" for row in outputs[name])
-        written.append(path)
+        if name in outputs:
+            path = out_dir / f"{name}.csv"
+            write_csv(path, header.split(","), outputs[name])
+            written.append(path)
     if "gap" in outputs:
         write_json(out_dir / "gap.json", outputs["gap"])
         written.append(out_dir / "gap.json")
     return written
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write header and rows by csv.writer: floats as fmt_float, a cell with a comma quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        for r in [header, *rows]:
+            writer.writerow([fmt_float(x) if isinstance(x, float | np.floating) else x for x in r])
 
 
 def write_json(path, doc) -> None:

@@ -8,14 +8,14 @@ and shape errors. Of other errors, OSError exits 4 and ValueError 2.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import itertools
 import sys
 from pathlib import Path
 
 from .analysis import (
-    MODEL_OUTPUTS, NORM_OUTPUTS, diagnostics, disposable_rows, fmt_float, write_bundle, write_json,
+    MODEL_OUTPUTS, NORM_OUTPUTS, diagnostics, disposable_rows, fmt_float, write_bundle, write_csv,
+    write_json,
 )
 from .config import ExperimentConfig, convert_value, parse_config
 from .datasets import Dataset
@@ -134,17 +134,16 @@ def cmd_analyze(args) -> int:
     target = Path(args.target)
     net = load_model(target)  # a target that is not a model exits 4 before any option check
     chosen = [name for name in MODEL_OUTPUTS if getattr(args, name)]
-    options = [n for n in ("data", "mode", "theta", "step") if getattr(args, n) is not None]
 
     if not chosen:  # default: everything derivable from the given files
         chosen = MODEL_OUTPUTS if args.data is not None else NORM_OUTPUTS
     for option, output in (("theta", "retained"), ("step", "curve")):
-        if option in options and output not in chosen:
+        if getattr(args, option) is not None and output not in chosen:
             raise ConfigError(f"--{option} is read only for {output}.csv, not written here")
     # --data sets the direction unless --mode does, and theta unless --theta does
     data_read = "curve" in chosen or args.mode is None or (
         "retained" in chosen and args.theta is None)
-    if "data" in options and not data_read:
+    if args.data is not None and not data_read:
         raise ConfigError("--data is read only for curve.csv, for the group direction "
                           "without --mode and for retained.csv's theta without --theta")
     cfg = parse_config(args.data) if args.data is not None else None
@@ -205,15 +204,14 @@ def cmd_sweep(args) -> int:
         mode = _group_mode(None, run_cfg)
         disposable = sum(disposable_counts(net, mode, run_cfg.theta))
         post_acc = evaluate(apply_mask(net, mode, make_mask(net, mode, run_cfg.theta)), splits[2])
-        rows.append([*cells, fmt_float(result.best_val_accuracy), disposable, fmt_float(post_acc)])
+        rows.append([*cells, result.best_val_accuracy, disposable, post_acc])
         print(
             f"{sub.name}: best val acc {fmt_float(result.best_val_accuracy)}, "
             f"{disposable} disposable, post-prune acc {fmt_float(post_acc)}"
         )
 
     out_root.mkdir(parents=True, exist_ok=True)
-    with open(out_root / "summary.csv", "w", encoding="utf-8", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(rows)
+    write_csv(out_root / "summary.csv", rows[0], rows[1:])
     print(f"wrote {out_root / 'summary.csv'}")
     return 0
 

@@ -21,7 +21,7 @@ from .datasets import (
     Dataset, check_split_fractions, check_synth_sizes, load_csv, load_idx, split, standardize,
     synth_gaussians,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .network import check_layer_sizes
 from .trainer import TrainConfig
 
@@ -127,6 +127,11 @@ class ExperimentConfig(TrainConfig):
         else:
             full = load_csv(self.csv_path, self.csv_label_column)
         self.check_fit(full)  # before split, whose class scan is as long as the class count
+        # a loader counts max label + 1 classes, so a label no row has is the file's fault
+        absent = sorted(set(range(full.num_classes)) - set(full.labels.tolist()))
+        if absent:
+            source = self.csv_path if self.dataset == "csv" else self.idx_labels
+            raise DataFormatError(f"{source}: no row has label {absent}")
         splits = split(full, self.split_fractions, self.data_seed)
         if min(part.n for part in splits) == 0:
             raise ConfigError(

@@ -30,9 +30,9 @@ import numpy as np
 from .datasets import Dataset
 from .errors import ShapeMismatchError
 from .linalg import sigmoid
-from .network import LayerParams, MlpNetwork, count_hits, forward_batch
+from .network import LayerParams, MlpNetwork, forward_batch
 from .regularization import Mode, below_theta, group_norms
-from .trainer import eval_batches
+from .trainer import accuracy, eval_batches
 
 DEFAULT_STEP = 100  # nodes removed per forced-removal curve point
 # variables that set BLAS threads, read in this order by curve_workers
@@ -46,11 +46,10 @@ def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
     A layer is never emptied: if every node falls below theta the
     largest-norm one is retained and a warning is issued.
     """
-    keep = [~below for below in below_theta(net, mode, theta)]
-    norms = None  # computed again only for a layer that needs a rescue
+    norms = group_norms(net, mode)
+    keep = [~below for below in below_theta(norms, theta)]
     for l, k in enumerate(keep, start=1):
         if not k.any():
-            norms = norms or group_norms(net, mode)
             k[int(np.argmax(norms[l - 1]))] = True
             warnings.warn(
                 f"thresholding would empty hidden layer {l}; "
@@ -145,7 +144,7 @@ def forced_removal_curve(
         raise ValueError(f"step must be >= 1, got {step}")
     batches = list(eval_batches(net, eval_set))
     plan = _curve_plan(net, mode, step)
-    curve = [(0, _accuracy(batches, eval_set.n))]
+    curve = [(0, accuracy(batches, eval_set.n))]
     w = max(1, min(workers, len(plan)))
     # an anonymous mapping is MAP_SHARED: the children's writes reach the caller
     acc = np.frombuffer(mmap.mmap(-1, 8 * max(1, len(plan))), dtype=np.float64)
@@ -193,8 +192,8 @@ def _curve_points(
     eval batch of trainer.eval_batches, the loop behind evaluate, re-runs
     only the layers from the first one that cut sliced on its cached
     activations (batches, updated in place). Every GEMM thus has a
-    per-point apply_mask + evaluate rebuild's operands and shape, and every
-    accuracy its bits.
+    per-point apply_mask + evaluate rebuild's operands and shape, and
+    trainer.accuracy, evaluate's sum, gives every accuracy its bits.
     """
     keep = [np.ones(size, dtype=bool) for size in net.layer_sizes]
     layers = net.layers
@@ -205,11 +204,7 @@ def _curve_points(
         suffix = MlpNetwork(layers[first - 1 :])
         for zs, _ in batches:
             zs[first:] = forward_batch(suffix, zs[first - 1])[1:]
-        acc[i] = _accuracy(batches, n)
-
-
-def _accuracy(batches: list, n: int) -> float:
-    return sum(count_hits(zs[-1], y) for zs, y in batches) / n
+        acc[i] = accuracy(batches, n)
 
 
 def _fork(task) -> int:

@@ -73,15 +73,15 @@ def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
     ]
 
 
-def below_theta(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
-    """Per hidden layer, True for each node whose group norm is below theta.
+def below_theta(norms: list[np.ndarray], theta: float) -> list[np.ndarray]:
+    """Per hidden layer of group_norms' norms, True for each node below theta.
 
-    This is the selection rule: every disposable count and every threshold
-    mask is built from it, so one theta means one thing everywhere.
+    The selection rule and theta's one check: every mask, disposable count
+    and TrainConfig goes through it, so one theta means one thing everywhere.
     """
     if not 0 < theta < np.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
-    return [layer_norms < theta for layer_norms in group_norms(net, mode)]
+    return [layer_norms < theta for layer_norms in norms]
 
 
 def regularizer_value(net: MlpNetwork, mode: Mode, alpha: float, beta: float) -> float:

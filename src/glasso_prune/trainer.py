@@ -8,7 +8,7 @@ An epoch's train loss and accuracy are running means over its minibatches,
 each taken at the weights before that minibatch's step, so they cost no
 extra forward pass; the loss adds the penalty at the epoch-end weights.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
-run is fully reproducible from its config.
+run is fully reproducible. accuracy scores evaluate and every curve point.
 The SGD loop computes in float32, and the best snapshot it returns is that
 float32 network, so the model file stores it as trained and every
 evaluation after the loop, the validation accuracy that chose it
@@ -29,7 +29,7 @@ from .network import (
     LayerParams, MlpNetwork, batch_gradients, count_hits, cross_entropy, forward_batch,
     softmax_terms, zero_layers,
 )
-from .regularization import Mode, below_theta, regularizer_gradient, regularizer_value
+from .regularization import Mode, below_theta, group_norms, regularizer_gradient, regularizer_value
 
 
 # beta_coupling = true trains with beta = COUPLED_BETA_RATIO * alpha
@@ -77,8 +77,7 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.seed < 0:
             raise ValueError(f"key 'seed' must be nonnegative, got {self.seed}")
-        if not 0 < self.theta < np.inf:
-            raise ValueError(f"theta must be positive and finite, got {self.theta}")
+        below_theta([], self.theta)  # theta's one check
 
 
 @dataclass
@@ -105,7 +104,7 @@ class TrainResult:
 
 def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int]:
     """Hidden nodes per layer whose group norm falls below the threshold."""
-    return [int(np.sum(below)) for below in below_theta(net, mode, threshold)]
+    return [int(np.sum(below)) for below in below_theta(group_norms(net, mode), threshold)]
 
 
 def eval_batches(net: MlpNetwork, dataset: Dataset):
@@ -121,9 +120,14 @@ def eval_batches(net: MlpNetwork, dataset: Dataset):
         yield forward_batch(net, dataset.features[start:stop]), dataset.labels[start:stop]
 
 
+def accuracy(batches, n: int) -> float:
+    """Fraction of n samples whose argmax logit matches the label, over (activations, labels)."""
+    return sum(count_hits(zs[-1], labels) for zs, labels in batches) / n
+
+
 def evaluate(net: MlpNetwork, dataset: Dataset) -> float:
     """Fraction of samples whose argmax logit matches the label."""
-    return sum(count_hits(zs[-1], labels) for zs, labels in eval_batches(net, dataset)) / dataset.n
+    return accuracy(eval_batches(net, dataset), dataset.n)
 
 
 def mean_loss(net: MlpNetwork, dataset: Dataset) -> tuple[float, float]:

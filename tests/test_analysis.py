@@ -21,6 +21,7 @@ from glasso_prune.analysis import (
     read_curve_csv,
     read_histogram_csv,
     write_bundle,
+    write_csv,
 )
 from glasso_prune.network import init_network
 from glasso_prune.pruning import make_mask
@@ -214,6 +215,14 @@ def test_write_bundle_lf_endings(tmp_path):
     raw = (tmp_path / "histogram.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def test_write_csv_formats_floats_and_quotes_text_cells(tmp_path):
+    # a float32 cell is written as the float64 it widens to, a numpy integer
+    # as its digits, and a cell holding commas is quoted
+    write_csv(tmp_path / "t.csv", ["a", "b", "c", "d"],
+              [(np.float32(0.1), np.int64(3), 1.5, "8,4,3")])
+    assert (tmp_path / "t.csv").read_bytes() == b'a,b,c,d\n0.10000000149011612,3,1.5,"8,4,3"\n'
 
 
 def test_write_bundle_deterministic_bytes(tmp_path):

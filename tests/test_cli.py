@@ -716,6 +716,34 @@ def test_train_csv_label_past_layer_sizes_exits_2_before_split(tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+def test_train_labels_that_skip_a_class_exit_4_naming_the_file(tmp_path, capsys, monkeypatch):
+    # loaders count max label + 1 classes; a label no row has is the data file's
+    # fault, found before split and before train makes its output directory
+    def unreachable(*args):
+        raise AssertionError("split ran before the label check")
+
+    monkeypatch.setattr("glasso_prune.config.split", unreachable)
+    csv_dir, idx_dir = tmp_path / "csv", tmp_path / "idx"
+    csv_dir.mkdir()
+    idx_dir.mkdir()
+    rows = "".join(f"{i},{i % 5},{1 + i % 3}\n" for i in range(12))
+    cfg = write_csv_cfg(csv_dir, f"a,b,y\n{rows}".encode())
+    cfg.write_text(cfg.read_text().replace("layer_sizes = 2,4,2", "layer_sizes = 2,4,4"))
+    assert main(["train", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"error: {csv_dir / 'd.csv'}: no row has label [0]\n"
+    assert not (csv_dir / "run").exists()
+
+    images, labels = idx_dir / "imgs.idx", idx_dir / "labs.idx"
+    images.write_bytes(struct.pack(">IIII", 0x803, 4, 1, 2) + bytes(range(8)))
+    labels.write_bytes(struct.pack(">II", 0x801, 4) + bytes([1, 3, 3, 1]))
+    cfg = idx_dir / "idx.cfg"
+    cfg.write_text(f"dataset = idx\nidx_images = {images}\nidx_labels = {labels}\n"
+                   f"layer_sizes = 2,4,4\nmode = glasso_out\noutput_dir = {idx_dir / 'run'}\n")
+    assert main(["train", str(cfg)]) == 4
+    assert capsys.readouterr().err == f"error: {labels}: no row has label [0, 2]\n"
+    assert not (idx_dir / "run").exists()
+
+
 def test_train_csv_label_column_named_twice_exits_4(tmp_path, capsys):
     cfg = write_csv_cfg(tmp_path, b"y,a,y\n0,1,0\n1,2,1\n0,3,0\n1,4,1\n")
     assert main(["train", str(cfg)]) == 4
@@ -989,6 +1017,8 @@ def test_sweep_grid_over_two_keys(tmp_path):
     assert [row[:2] for row in rows[1:]] == [
         ["0.0", "8,4,3"], ["0.0", "8,16,3"], ["0.02", "8,4,3"], ["0.02", "8,16,3"]
     ]
+    # analysis.write_csv quotes a layer_sizes cell, as csv.reader reads it back
+    assert (out_root / "summary.csv").read_text().splitlines()[1].startswith('0.0,"8,4,3",')
     for alpha, sizes in [row[:2] for row in rows[1:]]:
         run = out_root / f"alpha_{alpha}_layer_sizes_{sizes}"
         assert load_model(run / "model.glnn").layer_sizes == [int(n) for n in sizes.split(",")]

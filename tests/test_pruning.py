@@ -11,8 +11,8 @@ from glasso_prune.errors import ShapeMismatchError
 from glasso_prune.linalg import as_vector, norms, sigmoid
 from glasso_prune.network import forward_batch, init_network
 from glasso_prune.pruning import apply_mask, forced_removal_curve, make_mask, match_count_mask
-from glasso_prune.regularization import Mode, group_norms
-from glasso_prune.trainer import EVAL_BATCH, disposable_counts, evaluate, mean_loss
+from glasso_prune.regularization import Mode, below_theta, group_norms
+from glasso_prune.trainer import EVAL_BATCH, TrainConfig, disposable_counts, evaluate, mean_loss
 
 
 def bimodal_net(seed=0, low=1e-5, high=0.8):
@@ -64,14 +64,20 @@ def test_make_mask_agrees_with_loop_oracle():
 
 
 def test_make_mask_rejects_nonpositive_theta():
-    # the threshold rule behind masks and disposable counts takes only a
-    # positive finite theta
+    # the threshold rule behind masks, disposable counts and TrainConfig takes
+    # only a positive finite theta, with one message
     net = init_network([3, 4, 2], seed=0)
     for theta in (0.0, -1.0, float("nan"), float("inf")):
+        message = f"theta must be positive and finite, got {theta}"
         with pytest.raises(ValueError, match="positive and finite"):
             make_mask(net, Mode.GLASSO_OUT, theta)
         with pytest.raises(ValueError, match="positive and finite"):
             disposable_counts(net, Mode.GLASSO_OUT, theta)
+        with pytest.raises(ValueError) as rule:
+            below_theta([], theta)
+        with pytest.raises(ValueError) as config:
+            TrainConfig(mode="l2", theta=theta)
+        assert str(rule.value) == str(config.value) == message
 
 
 def test_make_mask_never_empties_a_layer():
@@ -83,8 +89,9 @@ def test_make_mask_never_empties_a_layer():
     assert keep[0][int(np.argmax(norms))]
 
 
-def test_make_mask_rescues_every_layer_from_one_more_norm_pass(monkeypatch):
-    # below_theta reads the norms once; rescuing all three layers reads them once more
+def test_make_mask_rescues_every_layer_from_its_one_norm_pass(monkeypatch):
+    # the norms below_theta reads are those that rescue all three layers;
+    # a pass through either module's name counts
     net = init_network([8, 16, 16, 16, 3], seed=0)
     calls = []
 
@@ -92,9 +99,10 @@ def test_make_mask_rescues_every_layer_from_one_more_norm_pass(monkeypatch):
         calls.append(args)
         return group_norms(*args)
 
-    # below_theta looks the name up in regularization, make_mask in pruning
     monkeypatch.setattr("glasso_prune.regularization.group_norms", counted)
     monkeypatch.setattr(pruning, "group_norms", counted)
+    make_mask(net, Mode.GLASSO_OUT, 1e-9)
+    assert len(calls) == 1
     with pytest.warns(UserWarning):
         keep = make_mask(net, Mode.GLASSO_OUT, 1e9)
     assert len(calls) == 2
