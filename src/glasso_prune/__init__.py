@@ -10,7 +10,7 @@ imported from its module (network, trainer, pruning, ...).
 from .config import parse_config
 from .network import init_network
 from .pruning import apply_mask, make_mask
-from .regularization import Mode
+from .regularization import Mode, group_norms
 from .trainer import evaluate, train
 
 __version__ = "0.1.0"
@@ -19,6 +19,7 @@ __all__ = [
     "Mode",
     "apply_mask",
     "evaluate",
+    "group_norms",
     "init_network",
     "make_mask",
     "parse_config",

@@ -3,11 +3,11 @@ disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
 so outputs are byte-deterministic and test-friendly. train and analyze
-build a model's norm outputs with one function, diagnostics, as a mapping
-from output name to rows; analyze adds the forced-removal curve from
-pruning. write_csv writes every CSV table, sweep's summary.csv included,
-and write_json every JSON file. Histograms are binned in log10 of the
-group norm; exact zeros fall in the underflow row from 0.0.
+build a model's norm outputs with one function, diagnostics, from one
+group_norms pass, as rows by output name; analyze adds the forced-removal
+curve from pruning. write_csv writes every CSV table, sweep's summary.csv
+included, and write_json every JSON file. Histograms are binned in log10
+of the group norm; exact zeros fall in the underflow row from 0.0.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ GAP_BAND_LO = 1e-2
 GAP_BAND_HI = 1e-1
 
 
-def norm_histogram(net: MlpNetwork, mode: Mode) -> list[tuple[float, float, int, int]]:
-    """The rows of histogram.csv: (bin_lo, bin_hi, layer, count).
+def norm_histogram(norms: list[np.ndarray]) -> list[tuple[float, float, int, int]]:
+    """The rows of histogram.csv from group_norms' norms: (bin_lo, bin_hi, layer, count).
 
     The pooled layer comes first, then each hidden layer. Each layer has an
     underflow row from 0.0, HIST_BINS log10 bins and an overflow row to inf.
@@ -54,11 +54,10 @@ def norm_histogram(net: MlpNetwork, mode: Mode) -> list[tuple[float, float, int,
     width = (HIST_LOG10_MAX - HIST_LOG10_MIN) / HIST_BINS
     logs = np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
     edges = [0.0, *(10.0 ** logs).tolist(), np.inf]
-    per_layer = group_norms(net, mode)
     rows = []
-    for layer, norms in enumerate([np.concatenate(per_layer), *per_layer], start=POOLED_LAYER):
+    for layer, layer_norms in enumerate([np.concatenate(norms), *norms], start=POOLED_LAYER):
         with np.errstate(divide="ignore"):  # an exact zero's log10 is -inf, an underflow
-            bins = np.floor((np.log10(norms) - HIST_LOG10_MIN) / width)
+            bins = np.floor((np.log10(layer_norms) - HIST_LOG10_MIN) / width)
         # slot 0 is the underflow row, slot HIST_BINS + 1 the overflow row
         slots = np.clip(bins + 1, 0, HIST_BINS + 1).astype(np.int64)
         counts = np.bincount(slots, minlength=HIST_BINS + 2).tolist()
@@ -66,16 +65,16 @@ def norm_histogram(net: MlpNetwork, mode: Mode) -> list[tuple[float, float, int,
     return rows
 
 
-def bimodality_gap(net: MlpNetwork, mode: Mode) -> float:
-    """Fraction of hidden-node group norms inside [GAP_BAND_LO, GAP_BAND_HI].
+def bimodality_gap(norms: list[np.ndarray]) -> float:
+    """Fraction of group_norms' norms inside [GAP_BAND_LO, GAP_BAND_HI].
 
     A trained network whose norms split cleanly into a prunable cluster
     and a retained cluster leaves almost no mass in this band, which is
     what makes the pruning threshold easy to place.
     """
-    norms = np.concatenate(group_norms(net, mode))
-    inside = np.sum((norms >= GAP_BAND_LO) & (norms <= GAP_BAND_HI))
-    return float(inside / len(norms))
+    pooled = np.concatenate(norms)
+    inside = np.sum((pooled >= GAP_BAND_LO) & (pooled <= GAP_BAND_HI))
+    return float(inside / len(pooled))
 
 
 # a model's outputs: those of its group norms alone, and the curve, which needs data
@@ -85,20 +84,22 @@ MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
 
 def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen) -> dict:
     """The chosen NORM_OUTPUTS of net, {name: rows}, with retained.csv at
-    theta and gap mapping to its JSON document; other names are skipped."""
+    theta and gap mapping to its JSON document; other names are skipped.
+    All read one group_norms pass, taken only when one of them is chosen."""
     outputs = {}
+    norms = group_norms(net, mode) if set(NORM_OUTPUTS) & set(chosen) else None
     if "histogram" in chosen:
-        outputs["histogram"] = norm_histogram(net, mode)
+        outputs["histogram"] = norm_histogram(norms)
     if "gap" in chosen:
         outputs["gap"] = {
             "mode": mode.value,
             "band_lo": GAP_BAND_LO,
             "band_hi": GAP_BAND_HI,
-            "gap_fraction": bimodality_gap(net, mode),
+            "gap_fraction": bimodality_gap(norms),
             "hidden_nodes": sum(net.hidden_sizes),
         }
     if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
-        keep = make_mask(net, mode, theta)
+        keep = make_mask(norms, theta)
         outputs["retained"] = [(l, int(k.sum()), int(k.size)) for l, k in enumerate(keep, 1)]
     return outputs
 

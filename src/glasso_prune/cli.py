@@ -25,7 +25,7 @@ from .network import init_network
 from .pruning import (
     DEFAULT_STEP, apply_mask, curve_workers, forced_removal_curve, make_mask, match_count_mask,
 )
-from .regularization import Mode
+from .regularization import Mode, group_norms
 from .trainer import (
     TrainConfig, TrainResult, disposable_counts, evaluate, train,
 )
@@ -44,10 +44,11 @@ def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
 
 
 def run_training(
-    cfg: ExperimentConfig, splits: tuple[Dataset, Dataset, Dataset], out_dir: Path
+    cfg: ExperimentConfig, splits: tuple[Dataset, Dataset, Dataset]
 ) -> tuple[TrainResult, float]:
-    """Train per cfg on its splits, write the requested files; return result, test accuracy."""
+    """Train per cfg on its splits, writing into cfg.output_dir; return result, test accuracy."""
     train_set, val_set, test_set = splits
+    out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # no name holds the float64 init network, so it is freed once train copies it
     result = train(init_network(cfg.layer_sizes, cfg.seed), train_set, val_set, cfg,
@@ -78,7 +79,7 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' is required for train")
-    result, test_acc = run_training(cfg, cfg.load_splits(), Path(cfg.output_dir))
+    result, test_acc = run_training(cfg, cfg.load_splits())
     print(
         f"trained {cfg.epochs} epochs; best val acc {fmt_float(result.best_val_accuracy)} "
         f"at epoch {result.best_epoch}; test acc {fmt_float(test_acc)}"
@@ -91,12 +92,13 @@ def cmd_prune(args) -> int:
     net = load_model(args.model)
     cfg = parse_config(args.data)
     mode = _group_mode(args.mode, cfg)
+    norms = group_norms(net, mode)
     theta = None  # a --match-count prune has no threshold
     if args.match_count is not None:
-        keep = match_count_mask(net, mode, args.match_count)
+        keep = match_count_mask(norms, args.match_count)
     else:
         theta = cfg.theta if args.theta is None else args.theta
-        keep = make_mask(net, mode, theta)
+        keep = make_mask(norms, theta)
 
     _, _, test_set = cfg.load_splits()
     before = evaluate(net, test_set)
@@ -198,12 +200,12 @@ def cmd_sweep(args) -> int:
 
     rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]
     for run_cfg, splits, sub, cells in points:
-        result, _ = run_training(run_cfg, splits, sub)
+        result, _ = run_training(run_cfg, splits)
 
-        net = result.best_network
-        mode = _group_mode(None, run_cfg)
-        disposable = sum(disposable_counts(net, mode, run_cfg.theta))
-        post_acc = evaluate(apply_mask(net, mode, make_mask(net, mode, run_cfg.theta)), splits[2])
+        net, mode = result.best_network, _group_mode(None, run_cfg)
+        norms = group_norms(net, mode)
+        disposable = sum(disposable_counts(norms, run_cfg.theta))
+        post_acc = evaluate(apply_mask(net, mode, make_mask(norms, run_cfg.theta)), splits[2])
         rows.append([*cells, result.best_val_accuracy, disposable, post_acc])
         print(
             f"{sub.name}: best val acc {fmt_float(result.best_val_accuracy)}, "

@@ -1,12 +1,13 @@
 """Structural node removal driven by group norms.
 
-The selection procedure: compute every hidden node's group norm on the
-trained network, threshold at theta, then rebuild the network without the
-dropped nodes. In incoming mode a dropped node still emits the constant
-sigmoid(bias), so that contribution is folded into the next layer's biases
-before its outgoing column is removed; in outgoing mode the column itself
-is near zero and no compensation is needed. All masks are fixed before any
-structural edit.
+The selection procedure: take every hidden node's group norm on the
+trained network once (group_norms), keep those at least theta (make_mask)
+or all but the n smallest (match_count_mask), which read only those
+arrays, then rebuild the network without the dropped nodes. In incoming
+mode a dropped node still emits the constant sigmoid(bias), so that
+contribution is folded into the next layer's biases before its outgoing
+column is removed; in outgoing mode the column itself is near zero and
+no compensation is needed. All masks are fixed before any structural edit.
 One cut (_cut) serves prune and the forced-removal curve. A curve point is
 a removed count and keep vectors; each is cut from the previous point's
 layers and re-runs only the layers from the first one sliced, on the GEMM
@@ -39,14 +40,13 @@ DEFAULT_STEP = 100  # nodes removed per forced-removal curve point
 BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def make_mask(net: MlpNetwork, mode: Mode, theta: float) -> list[np.ndarray]:
-    """Per hidden layer, a bool keep vector: True for each node whose group
-    norm is at least theta.
+def make_mask(norms: list[np.ndarray], theta: float) -> list[np.ndarray]:
+    """Per hidden layer of group_norms' norms, a bool keep vector: True for
+    each node whose group norm is at least theta.
 
     A layer is never emptied: if every node falls below theta the
     largest-norm one is retained and a warning is issued.
     """
-    norms = group_norms(net, mode)
     keep = [~below for below in below_theta(norms, theta)]
     for l, k in enumerate(keep, start=1):
         if not k.any():
@@ -110,15 +110,11 @@ def _folded_bias(net: MlpNetwork, l: int, dropped: np.ndarray) -> np.ndarray:
     return p.bias + p.weights[:, dropped] @ sigmoid(net.layers[l - 2].bias[dropped])
 
 
-def _ranked_nodes(net: MlpNetwork, mode: Mode) -> list[tuple[float, int, int]]:
-    """All hidden nodes as (norm, layer_index, node_index), ascending."""
-    ranked = [
-        (float(norm), l, j)
-        for l, norms in enumerate(group_norms(net, mode))
-        for j, norm in enumerate(norms)
-    ]
-    ranked.sort()
-    return ranked
+def _ranked_nodes(norms: list[np.ndarray]) -> list[tuple[float, int, int]]:
+    """All hidden nodes of per-layer norms as (norm, layer_index, node_index), ascending."""
+    return sorted(
+        (float(norm), l, j) for l, layer in enumerate(norms) for j, norm in enumerate(layer)
+    )
 
 
 def forced_removal_curve(
@@ -168,7 +164,7 @@ def forced_removal_curve(
 def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
     """The curve's points after the baseline: (removed count, keep vectors
     of every node layer)."""
-    ranked = _ranked_nodes(net, mode)
+    ranked = _ranked_nodes(group_norms(net, mode))
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
     plan = []
     for count in range(step, len(ranked) + 1, step):
@@ -248,18 +244,18 @@ def curve_workers() -> int:
     return max(1, len(os.sched_getaffinity(0)) // threads) if threads > 0 else 1
 
 
-def match_count_mask(net: MlpNetwork, mode: Mode, n_remove: int) -> list[np.ndarray]:
-    """Keep vectors removing exactly the n_remove smallest-norm hidden nodes.
+def match_count_mask(norms: list[np.ndarray], n_remove: int) -> list[np.ndarray]:
+    """Keep vectors removing exactly the n_remove smallest of group_norms' norms.
 
     Nodes whose removal would empty their layer are skipped in favor of the
     next-smallest candidates.
     """
     if n_remove < 0:
         raise ValueError(f"n_remove must be >= 0, got {n_remove}")
-    hidden = net.hidden_sizes
+    hidden = [len(layer) for layer in norms]
     keep = [np.ones(n, dtype=bool) for n in hidden]
     removed = 0
-    for _, l, j in _ranked_nodes(net, mode):
+    for _, l, j in _ranked_nodes(norms):
         if removed == n_remove:
             break
         if keep[l].sum() == 1:

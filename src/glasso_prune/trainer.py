@@ -102,9 +102,9 @@ class TrainResult:
     history: list[EpochReport]
 
 
-def disposable_counts(net: MlpNetwork, mode: Mode, threshold: float) -> list[int]:
-    """Hidden nodes per layer whose group norm falls below the threshold."""
-    return [int(np.sum(below)) for below in below_theta(group_norms(net, mode), threshold)]
+def disposable_counts(norms: list[np.ndarray], threshold: float) -> list[int]:
+    """Hidden nodes per layer of group_norms' norms that fall below the threshold."""
+    return [int(np.sum(below)) for below in below_theta(norms, threshold)]
 
 
 def eval_batches(net: MlpNetwork, dataset: Dataset):
@@ -227,12 +227,13 @@ def train(
                 regularizer_gradient(net, mode, cfg.alpha, beta, grads)
                 _sgd_step(net, velocity, grads, lr, cfg.momentum)
                 del grads  # so the next batch_gradients is not allocated beside it
+            norms = group_norms(net, mode) if mode.grouped else []
             report = EpochReport(
                 epoch=epoch,
                 train_loss=ce_sum / train_set.n + regularizer_value(net, mode, cfg.alpha, beta),
                 train_acc=hit_sum / train_set.n,
                 val_acc=evaluate(net, val_set),
-                disposable=disposable_counts(net, mode, cfg.theta) if mode.grouped else [],
+                disposable=disposable_counts(norms, cfg.theta),
             )
             # a step can diverge after its minibatch loss passed the check above
             if not np.isfinite(report.train_loss):

@@ -1,10 +1,12 @@
 import os
 import signal
+import sys
 import tracemalloc
 
 import pytest
 
-from glasso_prune import pruning
+import glasso_prune.cli  # noqa: F401  (every module, so norm_passes patches every binding)
+from glasso_prune import pruning, regularization
 
 
 @pytest.fixture
@@ -53,3 +55,21 @@ def traced_peak():
             tracemalloc.stop()
 
     return peak
+
+
+@pytest.fixture
+def norm_passes(monkeypatch):
+    """The group_norms calls made during the test, one args tuple per call,
+    counted through every binding of group_norms in the package."""
+    calls, group_norms = [], regularization.group_norms
+
+    def counted(*args):
+        calls.append(args)
+        return group_norms(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "glasso_prune":
+            for attr, value in list(vars(module).items()):
+                if value is group_norms:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -82,6 +82,11 @@ def _randomize(net, rng, w_scale=0.7, b_scale=0.4):
         p.bias[...] = rng.normal(0.0, b_scale, size=p.bias.shape)
 
 
+def _match_count_prune(net, mode, count):
+    """net without its count smallest-norm hidden nodes."""
+    return apply_mask(net, mode, match_count_mask(group_norms(net, mode), count))
+
+
 def _v1_bytes(net) -> bytes:
     """A version 1 file of net: its float64 version 2 body after a 12-byte header."""
     return b"GLNN" + struct.pack("<II", 1, net.num_layers) + model_bytes(net.copy(np.float64))[16:]
@@ -119,10 +124,11 @@ def reference_runs():
             ],
         )
         if mode is not Mode.L2_ALL:
-            keep = make_mask(net, mode, cfg.theta)
+            norms = group_norms(net, mode)
+            keep = make_mask(norms, cfg.theta)
             rec.removed = sum(int(np.sum(~k)) for k in keep)
             rec.pruned_acc = evaluate(apply_mask(net, mode, keep), test_set)
-            rec.gap = bimodality_gap(net, mode)
+            rec.gap = bimodality_gap(norms)
         runs[(key, seed)] = rec
     return SimpleNamespace(
         runs=runs,
@@ -347,9 +353,7 @@ def test_criterion_5_prune_without_loss_vs_l2(reference_runs):
         )
         drops = []
         for mode, count in ((Mode.GLASSO_OUT, out_r.removed), (Mode.GLASSO_IN, in_r.removed)):
-            acc = evaluate(
-                apply_mask(l2_r.net, mode, match_count_mask(l2_r.net, mode, count)), R.test_set
-            )
+            acc = evaluate(_match_count_prune(l2_r.net, mode, count), R.test_set)
             drops.append(l2_r.base - acc)
         least_l2_drop = min(least_l2_drop, *drops)
         if glasso_ok and all(d > 0.05 for d in drops):
@@ -373,18 +377,8 @@ def test_criterion_6_low_norm_cluster_removal(reference_runs):
         out_r = R.runs[("out", seed)]
         l2_r = R.runs[("l2", seed)]
         count = out_r.removed
-        g_acc = evaluate(
-            apply_mask(
-                out_r.net, Mode.GLASSO_OUT, match_count_mask(out_r.net, Mode.GLASSO_OUT, count)
-            ),
-            R.test_set,
-        )
-        l_acc = evaluate(
-            apply_mask(
-                l2_r.net, Mode.GLASSO_OUT, match_count_mask(l2_r.net, Mode.GLASSO_OUT, count)
-            ),
-            R.test_set,
-        )
+        g_acc = evaluate(_match_count_prune(out_r.net, Mode.GLASSO_OUT, count), R.test_set)
+        l_acc = evaluate(_match_count_prune(l2_r.net, Mode.GLASSO_OUT, count), R.test_set)
         worst_dev = max(worst_dev, abs(g_acc - out_r.base))
         least_l2_drop = min(least_l2_drop, l2_r.base - l_acc)
         if not (abs(g_acc - out_r.base) <= 0.01 and l2_r.base - l_acc > 0.05):
@@ -490,7 +484,7 @@ def test_criterion_9_file_format_roundtrips(tmp_path, reference_runs):
         and model_bytes(wide.copy(np.float32)) == raw
     )
 
-    hist = norm_histogram(net, Mode.GLASSO_OUT)
+    hist = norm_histogram(group_norms(net, Mode.GLASSO_OUT))
     curve = forced_removal_curve(net, Mode.GLASSO_OUT, R.test_set, step=256)
     write_bundle({"histogram": hist, "curve": curve}, tmp_path)
     hist_ok = read_histogram_csv(tmp_path / "histogram.csv") == hist

@@ -23,21 +23,16 @@ from glasso_prune.analysis import (
     write_bundle,
     write_csv,
 )
-from glasso_prune.network import init_network
 from glasso_prune.pruning import make_mask
-from glasso_prune.regularization import Mode, group_norms
 from glasso_prune.trainer import EpochReport, disposable_counts
 
+UNIT_NORMS = [np.ones(4), np.ones(4)]
 
-def unit_norm_net():
-    net = init_network([3, 4, 4, 2], seed=0)
-    # make every outgoing column a unit vector
-    for l in (1, 2):
-        w = net.layers[l].weights
-        w[:] = 0.0
-        for j in range(w.shape[1]):
-            w[0, j] = 1.0
-    return net
+
+def spread_norms(seed, sizes=(6, 5)):
+    """Per-layer group norms, log-uniform over [1e-4, 10]."""
+    rng = np.random.default_rng(seed)
+    return [10.0 ** rng.uniform(-4, 1, n) for n in sizes]
 
 
 def counts_by_layer(rows):
@@ -48,7 +43,7 @@ def counts_by_layer(rows):
 
 
 def test_all_unit_norms_land_in_one_bin():
-    rows = norm_histogram(unit_norm_net(), Mode.GLASSO_OUT)
+    rows = norm_histogram(UNIT_NORMS)
     pooled = [row for row in rows if row[2] == POOLED_LAYER]
     assert rows[: len(pooled)] == pooled  # pooled rows come first
     assert len(pooled) == HIST_BINS + 2
@@ -62,29 +57,23 @@ def test_all_unit_norms_land_in_one_bin():
 
 def test_histogram_mass_conservation():
     for seed in range(3):
-        net = init_network([3, 6, 5, 2], seed=seed)
-        by_layer = counts_by_layer(norm_histogram(net, Mode.GLASSO_OUT))
+        by_layer = counts_by_layer(norm_histogram(spread_norms(seed)))
         assert list(by_layer) == [POOLED_LAYER, 1, 2]
         assert all(len(counts) == HIST_BINS + 2 for counts in by_layer.values())
-        assert sum(by_layer[POOLED_LAYER]) == sum(net.hidden_sizes)
-        for l, width in enumerate(net.hidden_sizes, start=1):
-            assert sum(by_layer[l]) == width
+        assert sum(by_layer[POOLED_LAYER]) == 11
+        assert [sum(by_layer[1]), sum(by_layer[2])] == [6, 5]
         # the pooled row is the sum of the per-layer rows of the same bin
         assert by_layer[POOLED_LAYER] == [a + b for a, b in zip(by_layer[1], by_layer[2])]
 
 
 def test_exact_zero_norm_goes_to_underflow():
-    net = init_network([3, 4, 2], seed=1)
-    net.layers[1].weights[:, 2] = 0.0
-    rows = norm_histogram(net, Mode.GLASSO_OUT)
+    rows = norm_histogram([np.array([0.5, 0.3, 0.0, 1.2])])
     assert rows[0] == (0.0, 10.0**HIST_LOG10_MIN, POOLED_LAYER, 1)
     assert counts_by_layer(rows)[1][0] == 1
 
 
 def test_overflow_bucket():
-    net = init_network([3, 4, 2], seed=2)
-    net.layers[1].weights[:, 0] = 1e10
-    rows = norm_histogram(net, Mode.GLASSO_OUT)
+    rows = norm_histogram([np.array([1e10, 0.5, 0.3, 0.2])])
     lo, hi, layer, count = rows[HIST_BINS + 1]  # the pooled overflow row
     assert (lo, hi, layer) == (10.0**HIST_LOG10_MAX, np.inf, POOLED_LAYER)
     assert count == 1
@@ -104,30 +93,24 @@ def test_histogram_matches_loop_binning():
     # every bin edge, both float neighbours of each, exact zeros, norms far
     # outside the binned range and log-uniform draws
     edges = 10.0 ** np.linspace(HIST_LOG10_MIN, HIST_LOG10_MAX, HIST_BINS + 1)
-    draws = 10.0 ** np.random.default_rng(0).uniform(-10, 4, 300)
+    draws = 10.0 ** np.random.default_rng(0).uniform(-10, 4, 450)
     values = np.concatenate(
         [edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), [0.0, 1e-12, 1e5], draws]
     )
-    net = init_network([2, len(values), 150, 2], seed=0)
-    net.layers[1].weights[:] = 0.0
-    net.layers[1].weights[0] = values
-    per_layer = group_norms(net, Mode.GLASSO_OUT)
-    by_layer = counts_by_layer(norm_histogram(net, Mode.GLASSO_OUT))
+    per_layer = [values[:-150], values[-150:]]
+    by_layer = counts_by_layer(norm_histogram(per_layer))
     assert by_layer[POOLED_LAYER] == loop_bin_counts(np.concatenate(per_layer))
     for l, norms in enumerate(per_layer, start=1):
         assert by_layer[l] == loop_bin_counts(norms)
 
 
 def test_gap_zero_when_all_norms_large():
-    assert bimodality_gap(unit_norm_net(), Mode.GLASSO_OUT) == 0.0
+    assert bimodality_gap(UNIT_NORMS) == 0.0
 
 
 def test_gap_full_band_is_one():
-    # every group scaled into the fixed band, both edges included
-    net = unit_norm_net()
-    for l in (1, 2):
-        net.layers[l].weights[0] = np.linspace(GAP_BAND_LO, GAP_BAND_HI, 4)
-    assert bimodality_gap(net, Mode.GLASSO_OUT) == 1.0
+    # every norm inside the fixed band, both edges included
+    assert bimodality_gap([np.linspace(GAP_BAND_LO, GAP_BAND_HI, 4)] * 2) == 1.0
 
 
 def test_gap_matches_loop_count():
@@ -136,14 +119,12 @@ def test_gap_matches_loop_count():
     outside = [np.nextafter(GAP_BAND_LO, 0), np.nextafter(GAP_BAND_HI, 1), 1e-5, 1.0]
     scales = [[GAP_BAND_LO, GAP_BAND_HI, 0.05, 0.02], outside]
     for seed in range(3):
-        net = init_network([3, 6, 4, 2], seed=seed)
-        net.layers[1].weights[:] *= 10.0 ** np.linspace(-3.5, 1.5, 6)
-        net.layers[2].weights[:] = 0.0
-        net.layers[2].weights[0] = scales[seed % 2]
-        norms = np.concatenate(group_norms(net, Mode.GLASSO_OUT))
+        spread = np.random.default_rng(seed).uniform(0.5, 2.0, 6)
+        per_layer = [spread * 10.0 ** np.linspace(-3.5, 1.5, 6), np.array(scales[seed % 2])]
+        norms = np.concatenate(per_layer)
         count = sum(1 for n in norms if 1e-2 <= n <= 1e-1)
         assert 0 < count < len(norms)
-        assert bimodality_gap(net, Mode.GLASSO_OUT) == pytest.approx(
+        assert bimodality_gap(per_layer) == pytest.approx(
             count / len(norms), abs=1e-15
         )
 
@@ -154,9 +135,8 @@ def test_write_bundle_empty_curve_header_only(tmp_path):
 
 
 def test_write_bundle_headers_bit_exact(tmp_path):
-    net = init_network([3, 5, 2], seed=5)
     bundle = {
-        "histogram": norm_histogram(net, Mode.GLASSO_OUT),
+        "histogram": norm_histogram(spread_norms(5, (5,))),
         "curve": [(0, 0.9), (2, 0.85)],
         "disposable": disposable_rows([
             EpochReport(1, 0.6, 0.7, 0.65, [2]),
@@ -210,8 +190,7 @@ def test_write_bundle_fixed_order_skips_names_not_given(tmp_path):
 
 
 def test_write_bundle_lf_endings(tmp_path):
-    net = init_network([3, 5, 2], seed=6)
-    write_bundle({"histogram": norm_histogram(net, Mode.GLASSO_OUT)}, tmp_path)
+    write_bundle({"histogram": norm_histogram(spread_norms(6, (5,)))}, tmp_path)
     raw = (tmp_path / "histogram.csv").read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -226,11 +205,11 @@ def test_write_csv_formats_floats_and_quotes_text_cells(tmp_path):
 
 
 def test_write_bundle_deterministic_bytes(tmp_path):
-    net = init_network([3, 6, 4, 2], seed=7)
+    norms = spread_norms(7, (6, 4))
     bundle = {
-        "histogram": norm_histogram(net, Mode.GLASSO_OUT),
+        "histogram": norm_histogram(norms),
         "curve": [(0, 1 / 3), (5, 0.1)],
-        "gap": {"gap_fraction": bimodality_gap(net, Mode.GLASSO_OUT)},
+        "gap": {"gap_fraction": bimodality_gap(norms)},
     }
     d1, d2 = tmp_path / "a", tmp_path / "b"
     write_bundle(bundle, d1)
@@ -240,15 +219,12 @@ def test_write_bundle_deterministic_bytes(tmp_path):
 
 
 def test_histogram_csv_roundtrip(tmp_path):
-    net = init_network([3, 6, 4, 2], seed=8)
-    hist = norm_histogram(net, Mode.GLASSO_OUT)
+    hist = norm_histogram(spread_norms(8, (6, 4)))
     write_bundle({"histogram": hist}, tmp_path)
     rows = read_histogram_csv(tmp_path / "histogram.csv")
     assert rows == hist
     by_layer = counts_by_layer(rows)
-    assert sum(by_layer[POOLED_LAYER]) == sum(net.hidden_sizes)
-    for l, width in enumerate(net.hidden_sizes, start=1):
-        assert sum(by_layer[l]) == width
+    assert [sum(by_layer[l]) for l in (POOLED_LAYER, 1, 2)] == [10, 6, 4]
 
 
 def test_curve_csv_roundtrip(tmp_path):
@@ -290,8 +266,8 @@ def test_final_disposable_equals_mask_removals():
     # when no layer floor triggers, "disposable" and "removed at theta"
     # are the same censorship of the same norms
     for seed in range(3):
-        net = init_network([4, 6, 5, 3], seed=seed)
-        net.layers[1].weights[:, :2] *= 1e-6
-        counts = disposable_counts(net, Mode.GLASSO_OUT, 1e-2)
-        removed = [int((~k).sum()) for k in make_mask(net, Mode.GLASSO_OUT, 1e-2)]
+        norms = spread_norms(seed)
+        counts = disposable_counts(norms, 1e-2)
+        removed = [int((~k).sum()) for k in make_mask(norms, 1e-2)]
+        assert 0 < sum(counts) and all(c < len(n) for c, n in zip(counts, norms))
         assert counts == removed

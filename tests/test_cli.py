@@ -1129,7 +1129,7 @@ def test_analyze_mode_defaults_to_data_config(trained_run, tmp_path, data_mode, 
     assert main(argv + (["--mode", flag] if flag else [])) == 0
     assert json.loads((out / "gap.json").read_text())["mode"] == expected
     net = load_model(run / "model.glnn")
-    write_bundle({"histogram": norm_histogram(net, Mode(expected))}, tmp_path)
+    write_bundle({"histogram": norm_histogram(group_norms(net, Mode(expected)))}, tmp_path)
     assert (out / "histogram.csv").read_bytes() == (tmp_path / "histogram.csv").read_bytes()
 
 
@@ -1144,8 +1144,38 @@ def test_gap_json_band_is_fixed(trained_run, tmp_path):
     assert list(doc) == ["mode", "band_lo", "band_hi", "gap_fraction", "hidden_nodes"]
     assert (doc["band_lo"], doc["band_hi"]) == (1e-2, 1e-1)
     net = load_model(run / "model.glnn")
-    assert doc["gap_fraction"] == bimodality_gap(net, Mode.GLASSO_OUT)
+    assert doc["gap_fraction"] == bimodality_gap(group_norms(net, Mode.GLASSO_OUT))
     assert doc["hidden_nodes"] == 16
+
+
+@pytest.mark.parametrize(
+    "command, passes",
+    [
+        # diagnostics' histogram, gap and retained.csv share one pass; the curve takes its own
+        (["analyze", "{model}", "--data", "{cfg}"], 2),
+        (["analyze", "{model}"], 1),
+        (["analyze", "{model}", "--curve", "--step", "8", "--data", "{cfg}"], 1),
+        (["prune", "{model}", "--data", "{cfg}"], 1),
+        (["prune", "{model}", "--match-count", "2", "--data", "{cfg}"], 1),
+        # per epoch the penalty value and the disposable count, then the bundle's one
+        (["train", "{bundle_cfg}"], 2 * 3 + 1),
+        # per point its train, then one pass for its disposable total and its mask
+        (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (7 + 1)),
+    ],
+    ids=["analyze-data", "analyze", "analyze-curve", "prune", "prune-match-count", "train",
+         "sweep"],
+)
+def test_each_command_takes_a_networks_norms_once(
+    trained_run, tmp_path, norm_passes, command, passes
+):
+    _, cfg, run = trained_run
+    bundle_cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {tmp_path / 'run'}\n")
+    names = {"model": run / "model.glnn", "cfg": cfg, "bundle_cfg": bundle_cfg}
+    argv = [arg.format(**names) for arg in command]
+    if command[0] in ("analyze", "prune"):
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert len(norm_passes) == passes
 
 
 def test_console_entry_exits_with_main_code(tmp_path, monkeypatch):

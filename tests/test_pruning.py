@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from glasso_prune import pruning, trainer
+from glasso_prune.analysis import NORM_OUTPUTS, diagnostics
 from glasso_prune.datasets import Dataset, synth_gaussians
 from glasso_prune.errors import ShapeMismatchError
 from glasso_prune.linalg import as_vector, norms, sigmoid
@@ -37,17 +38,15 @@ def logits_close(a, b, inputs, tol=1e-12):
 
 
 def test_make_mask_threshold_separates_clusters():
-    net = bimodal_net(seed=1)
-    keep = make_mask(net, Mode.GLASSO_OUT, 1e-2)
-    for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT)):
-        npt.assert_array_equal(keep[l], norms >= 1e-2)
-        # the clusters really are separated: nothing within a decade of theta
-        assert not np.any((norms > 1e-3) & (norms < 1e-1))
+    norms = [np.array([1e-5, 0.8, 2e-6, 0.6, 1e-2]), np.array([0.9, 9.99e-3, 0.7])]
+    keep = make_mask(norms, 1e-2)
+    npt.assert_array_equal(keep[0], [False, True, False, True, True])  # theta itself is kept
+    npt.assert_array_equal(keep[1], [True, False, True])
 
 
 def test_make_mask_below_all_norms_is_identity():
     net = init_network([3, 5, 4, 2], seed=2)
-    keep = make_mask(net, Mode.GLASSO_OUT, 1e-9)
+    keep = make_mask(group_norms(net, Mode.GLASSO_OUT), 1e-9)
     assert all(np.all(k) for k in keep)
     pruned = apply_mask(net, Mode.GLASSO_OUT, keep)
     assert pruned.layer_sizes == net.layer_sizes
@@ -56,9 +55,10 @@ def test_make_mask_below_all_norms_is_identity():
 
 
 def test_make_mask_agrees_with_loop_oracle():
-    net = init_network([3, 6, 4, 2], seed=3)
-    theta = float(np.median(np.concatenate(group_norms(net, Mode.GLASSO_IN))))
-    for keep, norms in zip(make_mask(net, Mode.GLASSO_IN, theta), group_norms(net, Mode.GLASSO_IN)):
+    rng = np.random.default_rng(3)
+    per_layer = [rng.uniform(0.0, 2.0, n) for n in (6, 4, 9)]
+    theta = float(np.median(np.concatenate(per_layer)))
+    for keep, norms in zip(make_mask(per_layer, theta), per_layer):
         for j in range(len(norms)):
             assert keep[j] == (norms[j] >= theta)
 
@@ -66,13 +66,13 @@ def test_make_mask_agrees_with_loop_oracle():
 def test_make_mask_rejects_nonpositive_theta():
     # the threshold rule behind masks, disposable counts and TrainConfig takes
     # only a positive finite theta, with one message
-    net = init_network([3, 4, 2], seed=0)
+    norms = [np.ones(4)]
     for theta in (0.0, -1.0, float("nan"), float("inf")):
         message = f"theta must be positive and finite, got {theta}"
         with pytest.raises(ValueError, match="positive and finite"):
-            make_mask(net, Mode.GLASSO_OUT, theta)
+            make_mask(norms, theta)
         with pytest.raises(ValueError, match="positive and finite"):
-            disposable_counts(net, Mode.GLASSO_OUT, theta)
+            disposable_counts(norms, theta)
         with pytest.raises(ValueError) as rule:
             below_theta([], theta)
         with pytest.raises(ValueError) as config:
@@ -81,33 +81,23 @@ def test_make_mask_rejects_nonpositive_theta():
 
 
 def test_make_mask_never_empties_a_layer():
-    net = init_network([3, 4, 2], seed=4)
-    with pytest.warns(UserWarning):
-        keep = make_mask(net, Mode.GLASSO_OUT, 1e6)
-    assert keep[0].sum() == 1
-    norms = group_norms(net, Mode.GLASSO_OUT)[0]
-    assert keep[0][int(np.argmax(norms))]
+    norms = [np.array([0.3, 0.9, 0.1, 0.5]), np.array([2.0, 3.0])]
+    with pytest.warns(UserWarning, match="would empty hidden layer 1"):
+        keep = make_mask(norms, 1.0)
+    npt.assert_array_equal(keep[0], [False, True, False, False])  # the largest norm stays
+    npt.assert_array_equal(keep[1], [True, True])
 
 
-def test_make_mask_rescues_every_layer_from_its_one_norm_pass(monkeypatch):
-    # the norms below_theta reads are those that rescue all three layers;
-    # a pass through either module's name counts
+def test_diagnostics_rescues_every_layer_from_its_one_norm_pass(norm_passes):
+    # retained.csv, the histogram and the gap all read one norm pass, also
+    # when that pass's norms rescue every layer
     net = init_network([8, 16, 16, 16, 3], seed=0)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return group_norms(*args)
-
-    monkeypatch.setattr("glasso_prune.regularization.group_norms", counted)
-    monkeypatch.setattr(pruning, "group_norms", counted)
-    make_mask(net, Mode.GLASSO_OUT, 1e-9)
-    assert len(calls) == 1
     with pytest.warns(UserWarning):
-        keep = make_mask(net, Mode.GLASSO_OUT, 1e9)
-    assert len(calls) == 2
-    for k, layer_norms in zip(keep, group_norms(net, Mode.GLASSO_OUT)):
-        assert k.sum() == 1 and k[int(np.argmax(layer_norms))]
+        outputs = diagnostics(net, Mode.GLASSO_OUT, 1e9, NORM_OUTPUTS)
+    assert len(norm_passes) == 1
+    assert outputs["retained"] == [(1, 1, 16), (2, 1, 16), (3, 1, 16)]
+    diagnostics(net, Mode.GLASSO_OUT, 1e9, ["curve"])  # no norm output: no pass
+    assert len(norm_passes) == 1
 
 
 def test_apply_mask_rejects_empty_layer():
@@ -212,7 +202,7 @@ def test_in_mode_constant_output_lipschitz_bound():
 
 def test_structural_accounting():
     net = bimodal_net(seed=10)
-    keep = make_mask(net, Mode.GLASSO_OUT, 1e-2)
+    keep = make_mask(group_norms(net, Mode.GLASSO_OUT), 1e-2)
     retained = [int(np.sum(k)) for k in keep]
     removed = [int(np.sum(~k)) for k in keep]
     hidden = net.hidden_sizes
@@ -551,20 +541,19 @@ def test_forced_removal_rejects_empty_eval_set():
 
 
 def test_match_count_zero_is_identity():
-    net = init_network([3, 5, 2], seed=14)
-    keep = match_count_mask(net, Mode.GLASSO_OUT, 0)
-    assert all(np.all(k) for k in keep)
-    assert apply_mask(net, Mode.GLASSO_OUT, keep).layer_sizes == net.layer_sizes
+    keep = match_count_mask([np.array([0.0, 1e-9, 0.5]), np.array([2.0, 0.1])], 0)
+    assert [k.tolist() for k in keep] == [[True] * 3, [True] * 2]
 
 
 def test_match_count_removes_smallest_norms():
-    net = bimodal_net(seed=15)
+    rng = np.random.default_rng(15)
+    per_layer = [rng.uniform(0.0, 1.0, n) for n in (6, 5)]
     n_remove = 4
-    keep_vectors = match_count_mask(net, Mode.GLASSO_OUT, n_remove)
+    keep_vectors = match_count_mask(per_layer, n_remove)
     assert sum(int(np.sum(~k)) for k in keep_vectors) == n_remove
     ranked = sorted(
         (float(n), l, j)
-        for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT))
+        for l, norms in enumerate(per_layer)
         for j, n in enumerate(norms)
     )
     expected = {(l, j) for _, l, j in ranked[:n_remove]}
@@ -578,8 +567,8 @@ def test_match_count_removes_smallest_norms():
 
 
 def test_match_count_too_large_errors():
-    net = init_network([3, 4, 3, 2], seed=16)
-    with pytest.raises(ValueError):
-        match_count_mask(net, Mode.GLASSO_OUT, 7)  # would empty both layers
-    with pytest.raises(ValueError):
-        match_count_mask(net, Mode.GLASSO_OUT, 100)
+    norms = [np.ones(4), np.ones(3)]
+    with pytest.raises(ValueError, match="cannot remove 7 of 7 hidden nodes"):
+        match_count_mask(norms, 7)  # would empty both layers
+    with pytest.raises(ValueError, match="cannot remove 100 of 7 hidden nodes"):
+        match_count_mask(norms, 100)

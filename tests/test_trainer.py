@@ -404,13 +404,9 @@ def test_divergence_aborts_with_location():
 
 
 def test_disposable_counts_by_threshold():
-    net = init_network([4, 3, 2], seed=0)
-    net.layers[1].weights[:, 0] = 1e-4  # node 0 outgoing column tiny
-    net.layers[1].weights[:, 1] = 0.5
-    net.layers[1].weights[:, 2] = 0.5
-    counts = disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-2)
-    assert counts == [1]
-    assert disposable_counts(net, Mode.GLASSO_OUT, threshold=1e-5) == [0]
+    norms = [np.array([2e-4, 0.7, 0.7]), np.array([5e-3, 1e-2])]
+    assert disposable_counts(norms, threshold=1e-2) == [1, 1]
+    assert disposable_counts(norms, threshold=1e-5) == [0, 0]
     assert TrainConfig(mode="glasso_out").theta == 1e-2
 
 
@@ -591,7 +587,8 @@ def test_evaluation_unaffected_by_other_networks():
     data = odd_task(5)
     net_a = init_network([6, 40, 30, 3], seed=5)
     wider = init_network([6, 90, 70, 3], seed=6)
-    narrower = apply_mask(net_a, Mode.GLASSO_OUT, match_count_mask(net_a, Mode.GLASSO_OUT, 40))
+    keep = match_count_mask(group_norms(net_a, Mode.GLASSO_OUT), 40)
+    narrower = apply_mask(net_a, Mode.GLASSO_OUT, keep)
 
     def results(net):
         return evaluate(net, data), mean_loss(net, data)
