@@ -2,10 +2,10 @@
 disposable-node trajectories, and retained-node profiles.
 
 Everything is written as CSV/JSON data files rather than rendered plots,
-so outputs are byte-deterministic and test-friendly. train and analyze
-build a model's norm outputs with one function, diagnostics, from one
-group_norms pass, as rows by output name; analyze adds the forced-removal
-curve from pruning. write_csv writes every CSV table, sweep's summary.csv
+so outputs are byte-deterministic and test-friendly. diagnostics builds
+a model's norm outputs, as rows by output name, from the group_norms pass
+its caller takes; analyze ranks pruning's forced-removal curve by that
+same pass. write_csv writes every CSV table, sweep's summary.csv
 included, and write_json every JSON file. Histograms are binned in log10
 of the group norm; exact zeros fall in the underflow row from 0.0.
 """
@@ -18,9 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import MlpNetwork
 from .pruning import make_mask
-from .regularization import Mode, group_norms
+from .regularization import Mode
 from .trainer import EpochReport
 
 # output name -> header of its CSV file, in the order write_bundle writes them
@@ -82,12 +81,11 @@ NORM_OUTPUTS = ("histogram", "gap", "retained")
 MODEL_OUTPUTS = (*NORM_OUTPUTS, "curve")
 
 
-def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen) -> dict:
-    """The chosen NORM_OUTPUTS of net, {name: rows}, with retained.csv at
-    theta and gap mapping to its JSON document; other names are skipped.
-    All read one group_norms pass, taken only when one of them is chosen."""
+def diagnostics(norms: list[np.ndarray], mode: Mode, theta: float, chosen) -> dict:
+    """The chosen NORM_OUTPUTS of norms, one network's group_norms, as {name:
+    rows}, with retained.csv at theta and gap mapping to its JSON document,
+    which mode only labels; other names are skipped."""
     outputs = {}
-    norms = group_norms(net, mode) if set(NORM_OUTPUTS) & set(chosen) else None
     if "histogram" in chosen:
         outputs["histogram"] = norm_histogram(norms)
     if "gap" in chosen:
@@ -96,7 +94,7 @@ def diagnostics(net: MlpNetwork, mode: Mode, theta: float, chosen) -> dict:
             "band_lo": GAP_BAND_LO,
             "band_hi": GAP_BAND_HI,
             "gap_fraction": bimodality_gap(norms),
-            "hidden_nodes": sum(net.hidden_sizes),
+            "hidden_nodes": sum(len(layer_norms) for layer_norms in norms),
         }
     if "retained" in chosen:  # (layer, kept, total), as a theta prune keeps them
         keep = make_mask(norms, theta)

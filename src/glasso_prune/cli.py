@@ -68,8 +68,9 @@ def run_training(
 
     outputs = {"disposable": disposable_rows(result.history)}
     if cfg.emit_bundle:
-        net, mode = result.best_network, _group_mode(None, cfg)
-        outputs.update(diagnostics(net, mode, cfg.theta, NORM_OUTPUTS))
+        mode = _group_mode(None, cfg)
+        norms = group_norms(result.best_network, mode)
+        outputs.update(diagnostics(norms, mode, cfg.theta, NORM_OUTPUTS))
     write_bundle(outputs, out_dir)
 
     return result, float(test_acc)
@@ -156,10 +157,11 @@ def cmd_analyze(args) -> int:
         theta = cfg.theta if cfg is not None else TrainConfig.theta
     mode = _group_mode(args.mode, cfg)
     test_set = cfg.load_splits()[2] if "curve" in chosen else None
-    outputs = diagnostics(net, mode, theta, chosen)
+    norms = group_norms(net, mode)
+    outputs = diagnostics(norms, mode, theta, chosen)
     if test_set is not None:
         step = DEFAULT_STEP if args.step is None else args.step
-        outputs["curve"] = forced_removal_curve(net, mode, test_set, step, curve_workers())
+        outputs["curve"] = forced_removal_curve(net, mode, norms, test_set, step, curve_workers())
 
     out_dir = Path(args.out) if args.out else target.parent
     for path in write_bundle(outputs, out_dir):

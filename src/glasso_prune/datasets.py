@@ -95,6 +95,20 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(features, labels, int(labels.max()) + 1)
 
 
+def _csv_rows(path: str, text: str):
+    """Yield (row number, cells) for each CSV row of text, the first numbered 1.
+
+    A row that csv cannot read, such as one with a cell past
+    csv.field_size_limit() or, on Python 3.10, a NUL, raises DataFormatError.
+    """
+    row_no = 0
+    try:
+        for row_no, row in enumerate(csv.reader(io.StringIO(text, newline="")), start=1):
+            yield row_no, row
+    except csv.Error as e:
+        raise DataFormatError(f"{path}: row {row_no + 1} is not valid CSV ({e})") from None
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Numeric CSV with a header row; the one column named label_column
     holds integer labels, and a header naming it twice is rejected.
@@ -113,9 +127,9 @@ def load_csv(path, label_column: str) -> Dataset:
         raise DataFormatError(
             f"{path}: row {row_no} is not UTF-8 text ({e.reason})"
         ) from None
-    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=""))
+    rows = _csv_rows(path, text.removeprefix("\ufeff"))
     try:
-        header = next(reader)
+        _, header = next(rows)
     except StopIteration:
         raise DataFormatError(f"{path}: empty file") from None
     repeats = header.count(label_column)
@@ -131,7 +145,7 @@ def load_csv(path, label_column: str) -> Dataset:
         raise DataFormatError(f"{path}: no feature columns besides {label_column!r}")
     label_idx = header.index(label_column)
     features, labels = [], []
-    for row_no, row in enumerate(reader, start=2):
+    for row_no, row in rows:
         if len(row) != len(header):
             raise DataFormatError(
                 f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}"

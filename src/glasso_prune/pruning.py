@@ -8,12 +8,13 @@ mode a dropped node still emits the constant sigmoid(bias), so that
 contribution is folded into the next layer's biases before its outgoing
 column is removed; in outgoing mode the column itself is near zero and
 no compensation is needed. All masks are fixed before any structural edit.
-One cut (_cut) serves prune and the forced-removal curve. A curve point is
-a removed count and keep vectors; each is cut from the previous point's
-layers and re-runs only the layers from the first one sliced, on the GEMM
-operands apply_mask would give. The points can be dealt round-robin to
-forked workers, one per free core (curve_workers), with the same result:
-each writes its accuracies into one array shared with the caller.
+One cut (_cut) serves prune and the forced-removal curve, which removes
+nodes in ascending order of the scores it is given, group norms or any
+other. A curve point is a removed count and keep vectors; each is cut from
+the previous point's layers and re-runs only the layers from the first one
+sliced, on the GEMM operands apply_mask would give. The points can be dealt
+round-robin to forked workers, one per free core (curve_workers), with the
+same result: each writes its accuracies into one array shared with the caller.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .datasets import Dataset
 from .errors import ShapeMismatchError
 from .linalg import sigmoid
 from .network import LayerParams, MlpNetwork, forward_batch
-from .regularization import Mode, below_theta, group_norms
+from .regularization import Mode, below_theta
 from .trainer import accuracy, eval_batches
 
 DEFAULT_STEP = 100  # nodes removed per forced-removal curve point
@@ -68,16 +69,20 @@ def apply_mask(net: MlpNetwork, mode: Mode, keep: list) -> MlpNetwork:
     no removal touches is shared with net, not copied.
     """
     keep = [np.asarray(k, dtype=bool) for k in keep]
-    if [len(k) for k in keep] != net.hidden_sizes:
-        raise ShapeMismatchError(
-            f"mask lengths {[len(k) for k in keep]} do not match "
-            f"hidden layer sizes {net.hidden_sizes}"
-        )
+    _check_lengths(net, keep, "mask")
     for l, k in enumerate(keep, start=1):
         if not k.any():
             raise ValueError(f"mask would empty hidden layer {l}")
     full = [np.ones(n, dtype=bool) for n in net.layer_sizes]
     return MlpNetwork(_cut(net, mode, net.layers, full, [full[0], *keep, full[-1]])[0])
+
+
+def _check_lengths(net: MlpNetwork, per_node: list, what: str) -> None:
+    """Raise ShapeMismatchError unless per_node has one entry per node of each hidden layer."""
+    if (lengths := [len(a) for a in per_node]) != net.hidden_sizes:
+        raise ShapeMismatchError(
+            f"{what} lengths {lengths} do not match hidden layer sizes {net.hidden_sizes}"
+        )
 
 
 def _cut(
@@ -120,11 +125,13 @@ def _ranked_nodes(norms: list[np.ndarray]) -> list[tuple[float, int, int]]:
 def forced_removal_curve(
     net: MlpNetwork,
     mode: Mode,
+    norms: list[np.ndarray],
     eval_set: Dataset,
     step: int = DEFAULT_STEP,
     workers: int = 1,
 ) -> list[tuple[int, float]]:
-    """Accuracy after cumulative ascending-norm removal in batches of step.
+    """Accuracy after cumulative removal in batches of step, in ascending
+    order of norms (any per-node scores); mode sets only _cut's bias fold.
 
     The curve starts at (0, unpruned accuracy) and stops before any batch
     that would empty a hidden layer. Its points are dealt round-robin to W =
@@ -133,13 +140,14 @@ def forced_removal_curve(
     one, and the curve is the same for any workers. Each writes its
     accuracies into one array over memory the caller shares with its
     children; a child that does not exit 0 raises ChildProcessError here.
-    The step check, the shape check and the baseline eval pass run before
-    any fork.
+    The step check, the score and data shape checks and the baseline eval
+    pass run before any fork.
     """
     if step < 1:
         raise ValueError(f"step must be >= 1, got {step}")
+    _check_lengths(net, norms, "score")
     batches = list(eval_batches(net, eval_set))
-    plan = _curve_plan(net, mode, step)
+    plan = _curve_plan(net, norms, step)
     curve = [(0, accuracy(batches, eval_set.n))]
     w = max(1, min(workers, len(plan)))
     # an anonymous mapping is MAP_SHARED: the children's writes reach the caller
@@ -161,10 +169,10 @@ def forced_removal_curve(
     return curve + [(count, float(a)) for (count, _), a in zip(plan, acc)]
 
 
-def _curve_plan(net: MlpNetwork, mode: Mode, step: int) -> list[tuple]:
-    """The curve's points after the baseline: (removed count, keep vectors
-    of every node layer)."""
-    ranked = _ranked_nodes(group_norms(net, mode))
+def _curve_plan(net: MlpNetwork, norms: list[np.ndarray], step: int) -> list[tuple]:
+    """The curve's points after the baseline, removing nodes in ascending
+    order of norms: (removed count, keep vectors of every node layer)."""
+    ranked = _ranked_nodes(norms)
     keep = [np.ones(n, dtype=bool) for n in net.layer_sizes]
     plan = []
     for count in range(step, len(ranked) + 1, step):

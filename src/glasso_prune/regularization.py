@@ -13,7 +13,8 @@ Three configurations:
 The group penalty per node is alpha * ||w||, so its gradient is the unit
 vector alpha * w / ||w||: a constant-magnitude pull that drives unneeded
 groups to near-zero norm during training. At exactly zero norm the pull is
-defined as zero (subgradient choice, guarded by EPSILON_NORM).
+defined as zero (subgradient choice, guarded by EPSILON_NORM). The penalty
+sums the group norms its caller took; the gradient takes its own.
 """
 
 from __future__ import annotations
@@ -84,13 +85,15 @@ def below_theta(norms: list[np.ndarray], theta: float) -> list[np.ndarray]:
     return [layer_norms < theta for layer_norms in norms]
 
 
-def regularizer_value(net: MlpNetwork, mode: Mode, alpha: float, beta: float) -> float:
-    """Total penalty: alpha * sum of group norms + beta * L2 terms."""
+def regularizer_value(
+    net: MlpNetwork, mode: Mode, norms: list[np.ndarray], alpha: float, beta: float
+) -> float:
+    """Total penalty: alpha * sum of norms (group_norms', [] for L2_ALL) + beta * L2 terms."""
     grouped = {l for l, _ in group_layout(net, mode)}
     glasso = 0.0
     l2 = 0.0
     if grouped:
-        for layer_norms in group_norms(net, mode):
+        for layer_norms in norms:
             glasso += float(np.sum(layer_norms))
         for l, p in enumerate(net.layers):
             if l not in grouped:

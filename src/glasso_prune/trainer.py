@@ -230,7 +230,8 @@ def train(
             norms = group_norms(net, mode) if mode.grouped else []
             report = EpochReport(
                 epoch=epoch,
-                train_loss=ce_sum / train_set.n + regularizer_value(net, mode, cfg.alpha, beta),
+                train_loss=ce_sum / train_set.n
+                + regularizer_value(net, mode, norms, cfg.alpha, beta),
                 train_acc=hit_sum / train_set.n,
                 val_acc=evaluate(net, val_set),
                 disposable=disposable_counts(norms, cfg.theta),

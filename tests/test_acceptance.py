@@ -192,7 +192,9 @@ def test_criterion_1_total_gradient_matches_finite_differences():
                 return layer == last or norms[layer][i] >= 1e-3
 
             def total():
-                return mean_loss(net, batch)[0] + regularizer_value(net, *penalty)
+                # the perturbed network's own norms, never the outer norms
+                own = group_norms(net, mode)
+                return mean_loss(net, batch)[0] + regularizer_value(net, mode, own, *penalty[1:])
 
             for layer, p in enumerate(net.layers):
                 for i in range(p.weights.shape[0]):
@@ -484,8 +486,9 @@ def test_criterion_9_file_format_roundtrips(tmp_path, reference_runs):
         and model_bytes(wide.copy(np.float32)) == raw
     )
 
-    hist = norm_histogram(group_norms(net, Mode.GLASSO_OUT))
-    curve = forced_removal_curve(net, Mode.GLASSO_OUT, R.test_set, step=256)
+    norms = group_norms(net, Mode.GLASSO_OUT)
+    hist = norm_histogram(norms)
+    curve = forced_removal_curve(net, Mode.GLASSO_OUT, norms, R.test_set, step=256)
     write_bundle({"histogram": hist, "curve": curve}, tmp_path)
     hist_ok = read_histogram_csv(tmp_path / "histogram.csv") == hist
     curve_ok = read_curve_csv(tmp_path / "curve.csv") == [

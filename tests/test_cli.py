@@ -751,6 +751,13 @@ def test_train_csv_label_column_named_twice_exits_4(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_csv_cell_past_the_field_limit_exits_4_before_writing(tmp_path, capsys):
+    cfg = write_csv_cfg(tmp_path, b"a,b,y\n1,2,0\n3,4,1\n5," + b"6" * 140_000 + b",1\n")
+    assert main(["train", str(cfg)]) == 4
+    assert f"{tmp_path / 'd.csv'}: row 4 is not valid CSV (field larger" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_train_non_utf8_csv_exits_4(tmp_path, capsys):
     cfg = write_csv_cfg(tmp_path, b"a,b,y\n1,2,0\n3,4,1\n5,\xff,1\n")
     assert main(["train", str(cfg)]) == 4
@@ -1151,16 +1158,16 @@ def test_gap_json_band_is_fixed(trained_run, tmp_path):
 @pytest.mark.parametrize(
     "command, passes",
     [
-        # diagnostics' histogram, gap and retained.csv share one pass; the curve takes its own
-        (["analyze", "{model}", "--data", "{cfg}"], 2),
+        # diagnostics' histogram, gap and retained.csv and the curve share one pass
+        (["analyze", "{model}", "--data", "{cfg}"], 1),
         (["analyze", "{model}"], 1),
         (["analyze", "{model}", "--curve", "--step", "8", "--data", "{cfg}"], 1),
         (["prune", "{model}", "--data", "{cfg}"], 1),
         (["prune", "{model}", "--match-count", "2", "--data", "{cfg}"], 1),
-        # per epoch the penalty value and the disposable count, then the bundle's one
-        (["train", "{bundle_cfg}"], 2 * 3 + 1),
-        # per point its train, then one pass for its disposable total and its mask
-        (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (7 + 1)),
+        # per epoch one pass for the penalty value and the disposable count, then the bundle's
+        (["train", "{bundle_cfg}"], 3 + 1),
+        # per point its train's 3 + 1, then one pass for its disposable total and its mask
+        (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (3 + 1 + 1)),
     ],
     ids=["analyze-data", "analyze", "analyze-curve", "prune", "prune-match-count", "train",
          "sweep"],

@@ -1,3 +1,4 @@
+import csv
 import struct
 
 import numpy as np
@@ -202,6 +203,20 @@ def test_csv_ragged_row_names_row(tmp_path):
     with pytest.raises(DataFormatError) as err:
         load_csv(path, "y")
     assert "3" in str(err.value)  # 1-based row number of the bad line
+
+
+@pytest.mark.parametrize("row", [1, 3], ids=["header", "data-row"])
+def test_csv_cell_past_the_field_limit_names_file_and_row(tmp_path, row):
+    # csv.reader's own error, not a traceback: a cell longer than csv.field_size_limit()
+    long_cell = "1" * (csv.field_size_limit() + 1)
+    lines = ["a,b,y", "1,2,0", "3,4,1", "5,6,0"]
+    lines[row - 1] = f"{long_cell},{lines[row - 1]}"
+    path = tmp_path / "d.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as err:
+        load_csv(path, "y")
+    reason = f"field larger than field limit ({csv.field_size_limit()})"
+    assert str(err.value) == f"{path}: row {row} is not valid CSV ({reason})"
 
 
 def test_csv_non_utf8_names_file_and_row(tmp_path):

@@ -37,6 +37,11 @@ def logits_close(a, b, inputs, tol=1e-12):
     return float(np.max(np.abs(la - lb))) <= tol
 
 
+def norm_curve(net, mode, data, *args, **kwargs):
+    """The forced-removal curve ranked by net's group norms, as analyze draws it."""
+    return forced_removal_curve(net, mode, group_norms(net, mode), data, *args, **kwargs)
+
+
 def test_make_mask_threshold_separates_clusters():
     norms = [np.array([1e-5, 0.8, 2e-6, 0.6, 1e-2]), np.array([0.9, 9.99e-3, 0.7])]
     keep = make_mask(norms, 1e-2)
@@ -88,16 +93,14 @@ def test_make_mask_never_empties_a_layer():
     npt.assert_array_equal(keep[1], [True, True])
 
 
-def test_diagnostics_rescues_every_layer_from_its_one_norm_pass(norm_passes):
-    # retained.csv, the histogram and the gap all read one norm pass, also
-    # when that pass's norms rescue every layer
+def test_diagnostics_rescues_every_layer():
+    # at a theta above every norm, retained.csv keeps each layer's largest-norm node
     net = init_network([8, 16, 16, 16, 3], seed=0)
-    with pytest.warns(UserWarning):
-        outputs = diagnostics(net, Mode.GLASSO_OUT, 1e9, NORM_OUTPUTS)
-    assert len(norm_passes) == 1
+    norms = group_norms(net, Mode.GLASSO_OUT)
+    with pytest.warns(UserWarning) as record:
+        outputs = diagnostics(norms, Mode.GLASSO_OUT, 1e9, NORM_OUTPUTS)
+    assert len(record) == 3
     assert outputs["retained"] == [(1, 1, 16), (2, 1, 16), (3, 1, 16)]
-    diagnostics(net, Mode.GLASSO_OUT, 1e9, ["curve"])  # no norm output: no pass
-    assert len(norm_passes) == 1
 
 
 def test_apply_mask_rejects_empty_layer():
@@ -216,7 +219,7 @@ def test_structural_accounting():
 def test_forced_removal_curve_starts_at_baseline():
     net = bimodal_net(seed=11)
     data = synth_gaussians(3, 4, 30, 3.0, seed=11)
-    curve = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=2)
+    curve = norm_curve(net, Mode.GLASSO_OUT, data, step=2)
     assert curve[0][0] == 0
     assert curve[0][1] == pytest.approx(evaluate(net, data), abs=1e-15)
     removed_counts = [c for c, _ in curve]
@@ -228,7 +231,7 @@ def test_forced_removal_curve_starts_at_baseline():
 def test_forced_removal_curve_never_empties_layer():
     net = init_network([3, 4, 3, 2], seed=12)
     data = synth_gaussians(2, 3, 20, 3.0, seed=12)
-    curve = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1)
+    curve = norm_curve(net, Mode.GLASSO_OUT, data, step=1)
     # 7 hidden nodes across [4, 3]; at most 5 can go before a layer empties
     assert curve[-1][0] <= 5
 
@@ -237,7 +240,7 @@ def test_forced_removal_follows_ascending_norms():
     net = bimodal_net(seed=13)
     data = synth_gaussians(3, 4, 30, 3.0, seed=13)
     step = 3
-    curve = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=step)
+    curve = norm_curve(net, Mode.GLASSO_OUT, data, step=step)
     ranked = sorted(
         (float(n), l, j)
         for l, norms in enumerate(group_norms(net, Mode.GLASSO_OUT))
@@ -307,12 +310,12 @@ def test_apply_mask_equals_reference_prune(mode, dtype, removed):
         assert (p is net.layers[l - 1]) == untouched
 
 
-def rebuilt_curve(net, mode, data, step):
-    """The forced-removal curve and its networks, one apply_mask per point."""
+def rebuilt_curve(net, mode, scores, data, step):
+    """The forced-removal curve by scores and its networks, one apply_mask per point."""
     ranked = sorted(
         (float(n), l, j)
-        for l, norms in enumerate(group_norms(net, mode))
-        for j, n in enumerate(norms)
+        for l, layer_scores in enumerate(scores)
+        for j, n in enumerate(layer_scores)
     )
     keep = [np.ones(w, dtype=bool) for w in net.hidden_sizes]
     curve, nets = [(0, evaluate(net, data))], [net]
@@ -356,9 +359,15 @@ def curve_grid(test):
 
 
 @curve_grid
-def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype, rows, step):
+@pytest.mark.parametrize("negated", [False, True], ids=["by-norms", "by-negated-norms"])
+def test_forced_removal_curve_equals_per_point_rebuild(
+    monkeypatch, mode, dtype, rows, step, negated
+):
+    # any per-node scores rank the curve, not only the group norms: negated,
+    # the largest-norm nodes go first
     net, data = curve_case(dtype, rows)
     features = data.features
+    scores = [-n if negated else n for n in group_norms(net, mode)]
 
     logits = []  # every eval batch's logits at every point, in curve order
 
@@ -370,9 +379,9 @@ def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype,
     # the baseline pass runs in trainer.eval_batches, the suffix passes here
     for module in (trainer, pruning):
         monkeypatch.setattr(module, "forward_batch", recording_forward)
-    curve = forced_removal_curve(net, mode, data, step=step)
+    curve = forced_removal_curve(net, mode, scores, data, step=step)
     monkeypatch.undo()
-    expected, nets = rebuilt_curve(net, mode, data, step)
+    expected, nets = rebuilt_curve(net, mode, scores, data, step)
     assert curve == expected
     if step < 25:
         assert len(curve) > 4 and len({acc for _, acc in curve}) > 2
@@ -390,9 +399,7 @@ def test_forced_removal_curve_equals_per_point_rebuild(monkeypatch, mode, dtype,
 @pytest.mark.parametrize("workers", [2, 3])
 def test_forced_removal_curve_is_the_same_for_any_workers(mode, dtype, rows, step, workers):
     net, data = curve_case(dtype, rows)
-    assert forced_removal_curve(net, mode, data, step, workers) == forced_removal_curve(
-        net, mode, data, step
-    )
+    assert norm_curve(net, mode, data, step, workers) == norm_curve(net, mode, data, step)
 
 
 def assert_reaped(pids):
@@ -403,8 +410,8 @@ def assert_reaped(pids):
 
 def test_forced_removal_curve_with_more_workers_than_points(forked_pids):
     net, data = curve_case(np.float64, 40)
-    expected = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=4)
-    assert forced_removal_curve(net, Mode.GLASSO_OUT, data, 4, workers=50) == expected
+    expected = norm_curve(net, Mode.GLASSO_OUT, data, step=4)
+    assert norm_curve(net, Mode.GLASSO_OUT, data, 4, workers=50) == expected
     # one worker per point after the baseline, the caller's included
     assert len(forked_pids) == len(expected) - 2
     assert_reaped(forked_pids)
@@ -413,8 +420,32 @@ def test_forced_removal_curve_with_more_workers_than_points(forked_pids):
 def test_forced_removal_curve_with_no_point_to_deal_forks_nothing(forked_pids):
     # a step past the removable nodes leaves the baseline alone, for any workers
     net, data = curve_case(np.float64, 40)
-    curve = forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1000, workers=4)
+    curve = norm_curve(net, Mode.GLASSO_OUT, data, step=1000, workers=4)
     assert curve == [(0, evaluate(net, data))]
+    assert forked_pids == []
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda norms: [norms[0][:-1], *norms[1:]],  # a layer one score short
+        lambda norms: norms[:-1],  # a hidden layer without scores
+        lambda norms: [*norms, norms[-1]],  # one layer too many
+    ],
+    ids=["short-layer", "missing-layer", "extra-layer"],
+)
+def test_forced_removal_curve_rejects_scores_that_do_not_fit(monkeypatch, forked_pids, fit):
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward pass before the score check")
+
+    net, data = curve_case(np.float64, 40)
+    scores = fit(group_norms(net, Mode.GLASSO_OUT))
+    for module in (trainer, pruning):
+        monkeypatch.setattr(module, "forward_batch", no_forward)
+    with pytest.raises(ShapeMismatchError) as exc:
+        forced_removal_curve(net, Mode.GLASSO_OUT, scores, data, step=1, workers=4)
+    lengths = [len(s) for s in scores]
+    assert str(exc.value) == f"score lengths {lengths} do not match hidden layer sizes [9, 7, 5]"
     assert forked_pids == []
 
 
@@ -441,7 +472,7 @@ def test_forced_removal_curve_worker_error_reaches_the_caller(
     # and the caller names the first child that failed
     expected = ChildProcessError if in_child else ShapeMismatchError
     with pytest.raises(expected) as exc:
-        forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1, workers=3)
+        norm_curve(net, Mode.GLASSO_OUT, data, step=1, workers=3)
     assert time.monotonic() - start < 5
     assert len(forked_pids) == 2
     assert_reaped(forked_pids)
@@ -455,7 +486,7 @@ def test_forced_removal_curve_worker_error_reaches_the_caller(
 def test_forced_removal_curve_worker_that_dies_is_named(forked_pids, dying_curve_worker):
     net, data = curve_case(np.float64, 40)
     with pytest.raises(ChildProcessError) as exc:
-        forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1, workers=2)
+        norm_curve(net, Mode.GLASSO_OUT, data, step=1, workers=2)
     assert len(forked_pids) == 1
     assert str(exc.value) == f"curve worker {forked_pids[0]} ended without a result"
     assert_reaped(forked_pids)
@@ -509,7 +540,7 @@ def test_forced_removal_rejects_eval_set_that_does_not_fit(monkeypatch):
     many_classes = Dataset(np.zeros((5, 3)), np.arange(5) % 3, num_classes=3)
     for data, message in ((wide, "dataset dim 4"), (many_classes, "label 2 out of range")):
         with pytest.raises(ShapeMismatchError, match=message):
-            forced_removal_curve(net, Mode.GLASSO_OUT, data, step=1)
+            norm_curve(net, Mode.GLASSO_OUT, data, step=1)
 
 
 def test_one_eval_batch_size_governs_every_evaluation_pass(monkeypatch):
@@ -529,7 +560,7 @@ def test_one_eval_batch_size_governs_every_evaluation_pass(monkeypatch):
     evaluate(net, data)
     mean_loss(net, data)
     # step 20 > the 11 hidden nodes: the baseline point only
-    assert [count for count, _ in forced_removal_curve(net, Mode.GLASSO_OUT, data, step=20)] == [0]
+    assert [count for count, _ in norm_curve(net, Mode.GLASSO_OUT, data, step=20)] == [0]
     assert rows == [7, 7, 4] * 3
 
 
@@ -537,7 +568,7 @@ def test_forced_removal_rejects_empty_eval_set():
     net = init_network([3, 4, 2], seed=0)
     empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), num_classes=2)
     with pytest.raises(ValueError, match="dataset is empty"):
-        forced_removal_curve(net, Mode.GLASSO_OUT, empty, step=1)
+        norm_curve(net, Mode.GLASSO_OUT, empty, step=1)
 
 
 def test_match_count_zero_is_identity():

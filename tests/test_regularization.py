@@ -29,6 +29,13 @@ def penalty_gradient(net, spec):
     return regularizer_gradient(net, *spec, zero_layers(net))
 
 
+def penalty_value(net, spec):
+    """regularizer_value on net's own group norms, taken as train takes them."""
+    mode, alpha, beta = spec
+    norms = group_norms(net, mode) if mode.grouped else []
+    return regularizer_value(net, mode, norms, alpha, beta)
+
+
 def layers_of(weights, biases):
     return [LayerParams(w, b) for w, b in zip(weights, biases)]
 
@@ -179,14 +186,24 @@ def test_value_zero_network():
     net = net_from_weights(np.zeros((3, 2)), np.zeros((2, 3)))
     for mode in Mode:
         spec = (mode, 0.0 if mode is Mode.L2_ALL else 1.0, 1.0)
-        assert regularizer_value(net, *spec) == 0.0
+        assert penalty_value(net, spec) == 0.0
 
 
 def test_value_single_column_345():
     # grouped matrix [[3,0],[4,0]] under column grouping: one 3-4-5 column
     net = net_from_weights(np.zeros((2, 2)), [[3.0, 0.0], [4.0, 0.0]])
     spec = (Mode.GLASSO_OUT, 1.0, 0.0)
-    assert regularizer_value(net, *spec) == pytest.approx(5.0, abs=1e-15)
+    assert penalty_value(net, spec) == pytest.approx(5.0, abs=1e-15)
+
+
+def test_value_sums_the_norms_it_is_given():
+    # the group term is the sum of the given norms, whatever the weights;
+    # the L2 terms still follow mode's layout
+    net = net_from_weights([[1.0, 2.0], [0.0, 3.0]], [[4.0, 0.0]])  # own norms 4 and 0
+    given = [np.array([0.25, 1.25])]
+    assert regularizer_value(net, Mode.GLASSO_OUT, given, 2.0, 0.0) == 3.0
+    assert regularizer_value(net, Mode.GLASSO_OUT, given, 0.0, 2.0) == 14.0
+    assert regularizer_value(net, Mode.L2_ALL, [], 0.0, 2.0) == 30.0
 
 
 def test_value_matches_loop_oracle():
@@ -195,7 +212,7 @@ def test_value_matches_loop_oracle():
         p.bias[:] = np.linspace(-0.5, 0.5, len(p.bias))
     for mode in Mode:
         spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.3, 0.07)
-        assert regularizer_value(net, *spec) == pytest.approx(
+        assert penalty_value(net, spec) == pytest.approx(
             value_by_loops(net, spec), rel=1e-12
         )
 
@@ -229,9 +246,9 @@ def test_gradient_finite_differences():
                 for idx in np.ndindex(p.weights.shape):
                     orig = p.weights[idx]
                     p.weights[idx] = orig + h
-                    hi = regularizer_value(net, *spec)
+                    hi = penalty_value(net, spec)
                     p.weights[idx] = orig - h
-                    lo = regularizer_value(net, *spec)
+                    lo = penalty_value(net, spec)
                     p.weights[idx] = orig
                     numeric = (hi - lo) / (2 * h)
                     assert grads[l].weights[idx] == pytest.approx(
@@ -240,9 +257,9 @@ def test_gradient_finite_differences():
                 for i in range(len(p.bias)):
                     orig = p.bias[i]
                     p.bias[i] = orig + h
-                    hi = regularizer_value(net, *spec)
+                    hi = penalty_value(net, spec)
                     p.bias[i] = orig - h
-                    lo = regularizer_value(net, *spec)
+                    lo = penalty_value(net, spec)
                     p.bias[i] = orig
                     numeric = (hi - lo) / (2 * h)
                     assert grads[l].bias[i] == pytest.approx(
@@ -270,15 +287,15 @@ def test_positive_homogeneity():
     net = init_network([3, 5, 4, 2], seed=9)
     glasso = (Mode.GLASSO_OUT, 0.4, 0.0)
     l2 = (Mode.L2_ALL, 0.0, 0.4)
-    base_g = regularizer_value(net, *glasso)
-    base_l = regularizer_value(net, *l2)
+    base_g = penalty_value(net, glasso)
+    base_l = penalty_value(net, l2)
     for c in (0.5, 2.0, 7.0):
         scaled = net.copy()
         for p in scaled.layers:
             p.weights *= c
             p.bias *= c
-        assert regularizer_value(scaled, *glasso) == pytest.approx(c * base_g, rel=1e-12)
-        assert regularizer_value(scaled, *l2) == pytest.approx(c * c * base_l, rel=1e-12)
+        assert penalty_value(scaled, glasso) == pytest.approx(c * base_g, rel=1e-12)
+        assert penalty_value(scaled, l2) == pytest.approx(c * c * base_l, rel=1e-12)
 
 
 def test_mode_symmetry_value():
@@ -288,8 +305,8 @@ def test_mode_symmetry_value():
         spec_in = (Mode.GLASSO_IN, 0.7, 0.2)
         spec_out = (Mode.GLASSO_OUT, 0.7, 0.2)
         flipped = transposed_reversed(net)
-        assert regularizer_value(net, *spec_in) == pytest.approx(
-            regularizer_value(flipped, *spec_out), rel=1e-12
+        assert penalty_value(net, spec_in) == pytest.approx(
+            penalty_value(flipped, spec_out), rel=1e-12
         )
 
 
@@ -414,7 +431,7 @@ def test_penalty_bit_identical_to_mode_branches(sizes, mode):
     net.layers[1].weights[:, 1] = 0.0
     net.layers[0].weights[2, :] = 0.0
     spec = (mode, 0.0 if mode is Mode.L2_ALL else 0.013, 0.0013)
-    assert_bits_equal(regularizer_value(net, *spec), value_by_mode_branches(net, spec))
+    assert_bits_equal(penalty_value(net, spec), value_by_mode_branches(net, spec))
 
     def random_grads():
         g = np.random.default_rng(99)

@@ -506,7 +506,8 @@ def test_train_loss_includes_regularizer():
         cfg = TrainConfig(mode="glasso_out", alpha=alpha, epochs=1, batch_size=16, seed=3)
         reported = train(net, data, data, cfg).history[0].train_loss
         [(ce_mean, _, end_net)], _ = replay_sgd(net, data, data, cfg)
-        penalties.append(regularizer_value(end_net, Mode.GLASSO_OUT, alpha, 0.0))
+        norms = group_norms(end_net, Mode.GLASSO_OUT)
+        penalties.append(regularizer_value(end_net, Mode.GLASSO_OUT, norms, alpha, 0.0))
         assert reported == ce_mean + penalties[-1]
     assert penalties[0] == 0.0
     assert penalties[1] > 1.0
@@ -645,7 +646,9 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         assert len(lines) == len(replayed) == cfg.epochs
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
             assert end_net.dtype == np.float32
-            penalty = regularizer_value(end_net, Mode(cfg.mode), cfg.alpha, cfg.beta)
+            mode = Mode(cfg.mode)
+            norms = group_norms(end_net, mode) if mode.grouped else []
+            penalty = regularizer_value(end_net, mode, norms, cfg.alpha, cfg.beta)
             assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
 
