@@ -45,8 +45,8 @@ def _group_mode(name: str | None, cfg: ExperimentConfig | None) -> Mode:
 
 def run_training(
     cfg: ExperimentConfig, splits: tuple[Dataset, Dataset, Dataset]
-) -> tuple[TrainResult, float]:
-    """Train per cfg on its splits, writing into cfg.output_dir; return result, test accuracy."""
+) -> tuple[TrainResult, float, list]:
+    """Train per cfg into cfg.output_dir; return result, test accuracy, best_network's norms."""
     train_set, val_set, test_set = splits
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -66,21 +66,21 @@ def run_training(
         "test_acc": float(test_acc),
     })
 
+    mode = _group_mode(None, cfg)
+    norms = group_norms(result.best_network, mode)
     outputs = {"disposable": disposable_rows(result.history)}
     if cfg.emit_bundle:
-        mode = _group_mode(None, cfg)
-        norms = group_norms(result.best_network, mode)
         outputs.update(diagnostics(norms, mode, cfg.theta, NORM_OUTPUTS))
     write_bundle(outputs, out_dir)
 
-    return result, float(test_acc)
+    return result, float(test_acc), norms
 
 
 def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if not cfg.output_dir:
         raise ConfigError("key 'output_dir' is required for train")
-    result, test_acc = run_training(cfg, cfg.load_splits())
+    result, test_acc, _ = run_training(cfg, cfg.load_splits())
     print(
         f"trained {cfg.epochs} epochs; best val acc {fmt_float(result.best_val_accuracy)} "
         f"at epoch {result.best_epoch}; test acc {fmt_float(test_acc)}"
@@ -202,10 +202,8 @@ def cmd_sweep(args) -> int:
 
     rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]
     for run_cfg, splits, sub, cells in points:
-        result, _ = run_training(run_cfg, splits)
-
+        result, _, norms = run_training(run_cfg, splits)
         net, mode = result.best_network, _group_mode(None, run_cfg)
-        norms = group_norms(net, mode)
         disposable = sum(disposable_counts(norms, run_cfg.theta))
         post_acc = evaluate(apply_mask(net, mode, make_mask(norms, run_cfg.theta)), splits[2])
         rows.append([*cells, result.best_val_accuracy, disposable, post_acc])

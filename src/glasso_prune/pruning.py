@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import mmap
 import os
+import re
 import signal
 import sys
 import traceback
@@ -236,20 +237,20 @@ def _fork(task) -> int:
 def curve_workers() -> int:
     """Curve workers for analyze: usable cores divided by BLAS threads.
 
-    BLAS threads are read from OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-    OMP_NUM_THREADS, the first one set, in OpenBLAS's order; an unset or
-    invalid value counts as every usable core, so by default one worker,
-    the caller, runs. So do systems without os.fork or os.sched_getaffinity.
-    Workers times BLAS threads never exceed the usable cores.
+    BLAS threads are read as OpenBLAS reads them: from OPENBLAS_NUM_THREADS,
+    GOTO_NUM_THREADS or OMP_NUM_THREADS, the first one set to a positive
+    count, each parsed as C atoi parses it: leading whitespace, a sign, then
+    the ASCII digits that follow, 0 if there are none. With no positive count
+    BLAS may use every usable core, so one worker, the caller, runs. So do
+    systems without os.fork or os.sched_getaffinity. Workers times BLAS
+    threads never exceed the usable cores.
     """
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
-    value = next((os.environ[v] for v in BLAS_THREADS_ENV if v in os.environ), "")
-    try:
-        threads = int(value)
-    except ValueError:  # unset or not a number: BLAS may use every core
-        return 1
-    return max(1, len(os.sched_getaffinity(0)) // threads) if threads > 0 else 1
+    counts = (re.match(r"[ \t\n\v\f\r]*([+-]?[0-9]+)?", os.environ.get(v, ""))[1]
+              for v in BLAS_THREADS_ENV)
+    threads = next((int(c) for c in counts if c and int(c) > 0), 0)
+    return max(1, len(os.sched_getaffinity(0)) // threads) if threads else 1
 
 
 def match_count_mask(norms: list[np.ndarray], n_remove: int) -> list[np.ndarray]:

@@ -8,10 +8,10 @@ An epoch's train loss and accuracy are running means over its minibatches,
 each taken at the weights before that minibatch's step, so they cost no
 extra forward pass; the loss adds the penalty at the epoch-end weights.
 Epoch shuffles come from a counter-based RNG keyed on (seed, epoch), so a
-run is fully reproducible. accuracy scores evaluate and every curve point.
-The SGD loop computes in float32, and the best snapshot it returns is that
-float32 network, so the model file stores it as trained and every
-evaluation after the loop, the validation accuracy that chose it
+run is fully reproducible. accuracy, the one hit-count sum, scores evaluate
+and every curve point. The SGD loop computes in float32 and returns its best
+snapshot as that float32 network, so the model file stores it as trained and
+every evaluation after the loop, the validation accuracy that chose it
 included, computes on the same values in the same dtype.
 """
 
@@ -130,20 +130,17 @@ def evaluate(net: MlpNetwork, dataset: Dataset) -> float:
     return accuracy(eval_batches(net, dataset), dataset.n)
 
 
-def mean_loss(net: MlpNetwork, dataset: Dataset) -> tuple[float, float]:
-    """Mean cross-entropy (no regularizer term) and accuracy, in one pass.
+def mean_loss(net: MlpNetwork, dataset: Dataset) -> float:
+    """Mean cross-entropy of a fixed network, no regularizer term.
 
-    The accuracy equals evaluate(net, dataset) exactly. This is
-    the loss of a fixed network; the trainer's epoch report does not use
+    evaluate gives its accuracy. The trainer's epoch report does not use
     it (see the module docstring).
     """
     total = 0.0
-    hits = 0
     for zs, labels in eval_batches(net, dataset):
         shifted, _, sums = softmax_terms(zs[-1])
         total += float(np.sum(cross_entropy(shifted, sums, labels)))
-        hits += count_hits(zs[-1], labels)
-    return total / dataset.n, hits / dataset.n
+    return total / dataset.n
 
 
 def check_shapes(net: MlpNetwork, dataset: Dataset) -> None:

@@ -194,7 +194,7 @@ def test_criterion_1_total_gradient_matches_finite_differences():
             def total():
                 # the perturbed network's own norms, never the outer norms
                 own = group_norms(net, mode)
-                return mean_loss(net, batch)[0] + regularizer_value(net, mode, own, *penalty[1:])
+                return mean_loss(net, batch) + regularizer_value(net, mode, own, *penalty[1:])
 
             for layer, p in enumerate(net.layers):
                 for i in range(p.weights.shape[0]):

@@ -1164,20 +1164,24 @@ def test_gap_json_band_is_fixed(trained_run, tmp_path):
         (["analyze", "{model}", "--curve", "--step", "8", "--data", "{cfg}"], 1),
         (["prune", "{model}", "--data", "{cfg}"], 1),
         (["prune", "{model}", "--match-count", "2", "--data", "{cfg}"], 1),
-        # per epoch one pass for the penalty value and the disposable count, then the bundle's
+        # per epoch one pass for the penalty value and the disposable count, then one of
+        # the best network, read by the bundle if it is written
         (["train", "{bundle_cfg}"], 3 + 1),
-        # per point its train's 3 + 1, then one pass for its disposable total and its mask
-        (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (3 + 1 + 1)),
+        (["train", "{plain_cfg}"], 3 + 1),
+        # per point its train's 3 + 1; the summary's disposable total and mask read its last
+        (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (3 + 1)),
     ],
     ids=["analyze-data", "analyze", "analyze-curve", "prune", "prune-match-count", "train",
-         "sweep"],
+         "train-no-bundle", "sweep"],
 )
 def test_each_command_takes_a_networks_norms_once(
     trained_run, tmp_path, norm_passes, command, passes
 ):
     _, cfg, run = trained_run
     bundle_cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {tmp_path / 'run'}\n")
-    names = {"model": run / "model.glnn", "cfg": cfg, "bundle_cfg": bundle_cfg}
+    plain_cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'plain'}\n", name="plain.cfg")
+    names = {"model": run / "model.glnn", "cfg": cfg, "bundle_cfg": bundle_cfg,
+             "plain_cfg": plain_cfg}
     argv = [arg.format(**names) for arg in command]
     if command[0] in ("analyze", "prune"):
         argv += ["--out", str(tmp_path / "out")]

@@ -127,7 +127,7 @@ def cross_entropy_of(logits, target):
     net = logits_net(logits)
     one = Dataset(np.zeros((1, 1)), np.array([target]), num_classes=len(logits))
     _, _, grads = batch_gradients(net, one.features, one.labels)
-    return mean_loss(net, one)[0], grads[-1].bias
+    return mean_loss(net, one), grads[-1].bias
 
 
 def test_cross_entropy_uniform_logits():

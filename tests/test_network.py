@@ -27,7 +27,7 @@ def zero_network(sizes):
 def network_loss(net, x, target):
     # the fixed-network loss path on a one-row dataset
     one = Dataset(x[np.newaxis, :], np.array([target]), num_classes=net.layers[-1].n_out)
-    return mean_loss(net, one)[0]
+    return mean_loss(net, one)
 
 
 def row_gradients(net, x, target):

@@ -502,13 +502,21 @@ def test_forced_removal_curve_worker_that_dies_is_named(forked_pids, dying_curve
         # OpenBLAS does not read MKL_NUM_THREADS: every core
         (8, {"MKL_NUM_THREADS": "3"}, 1),
         (2, {"MKL_NUM_THREADS": "1"}, 1),
-        # the first variable set wins, in OpenBLAS's order
+        # the first variable set to a positive count wins, in OpenBLAS's order
         (8, {"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 2),
         (2, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
         (4, {"OPENBLAS_NUM_THREADS": "8"}, 1),
         (4, {"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a thread count: every core
         (4, {"OPENBLAS_NUM_THREADS": "two"}, 1),
-        (4, {"OPENBLAS_NUM_THREADS": "\u00b2"}, 1),  # a digit int() does not read
+        (4, {"OPENBLAS_NUM_THREADS": "\u00b2"}, 1),  # a digit atoi does not read
+        # OpenBLAS reads each variable with C atoi and passes over a count below 1
+        (2, {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 2),
+        (2, {"GOTO_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 2),
+        (2, {"OPENBLAS_NUM_THREADS": "1_0"}, 2),  # atoi stops at "_", int() reads 10
+        (6, {"OPENBLAS_NUM_THREADS": "\u0663"}, 1),  # atoi reads 0, int() reads 3
     ],
 )
 def test_curve_workers_is_usable_cores_over_blas_threads(monkeypatch, cores, env, expected):
