@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success; for an error, the exit_code its type declares in
 errors.py: 2 for a config error, 3 when training diverges, 4 for data, model
-and shape errors. Of other errors, OSError exits 4 and ValueError 2.
+and shape errors. Of other errors, OSError exits 4 and ValueError 2. stderr shows
+"error: <message>", and "warning: <message>" once per distinct warning per command.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import sys
+import warnings
 from pathlib import Path
 
 from .analysis import (
@@ -190,7 +192,8 @@ def cmd_sweep(args) -> int:
     splits_by_data = {}  # cells of the data-source keys -> their splits
     points = []
     for cells in itertools.product(*grid.values()):
-        sub = out_root / "_".join(f"{key}_{cell}" for key, cell in zip(grid, cells))
+        name = "_".join(f"{key}_{cell}" for key, cell in zip(grid, cells))
+        sub = out_root / name.replace("%", "%25").replace("/", "%2F")  # one directory per point
         point = {key: grid[key][cell] for key, cell in zip(grid, cells)}
         run_cfg = dataclasses.replace(cfg, **point, output_dir=str(sub))
         data = tuple(cell for key, cell in zip(grid, cells) if key not in run_keys)
@@ -279,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # on entry, each distinct warning shows once again
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except (GlassoPruneError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 4 if isinstance(e, OSError) else 2)

@@ -133,11 +133,6 @@ class ExperimentConfig(TrainConfig):
             source = self.csv_path if self.dataset == "csv" else self.idx_labels
             raise DataFormatError(f"{source}: no row has label {absent}")
         splits = split(full, self.split_fractions, self.data_seed)
-        if min(part.n for part in splits) == 0:
-            raise ConfigError(
-                f"key 'split_fractions' {self.split_fractions} leaves a split empty: "
-                f"train/val/test sizes {'/'.join(str(part.n) for part in splits)}"
-            )
         if self.standardize:
             return standardize(*splits)
         return splits

@@ -234,13 +234,16 @@ def split(
     """Seeded shuffle, then contiguous train/val/test cut.
 
     Sizes are round(n * fraction) for train and val, remainder for test.
-    Every class must appear in the train split.
+    No split may be empty, and every class must appear in the train split.
     """
     check_split_fractions(fractions)
     perm = np.random.default_rng(seed).permutation(ds.n)
     n_train = int(round(ds.n * fractions[0]))
     n_val = int(round(ds.n * fractions[1]))
     cuts = [perm[:n_train], perm[n_train : n_train + n_val], perm[n_train + n_val :]]
+    if min(map(len, cuts)) == 0:
+        raise ValueError(f"key 'split_fractions' {fractions} leaves a split empty: "
+                         f"train/val/test sizes {'/'.join(str(len(c)) for c in cuts)}")
     parts = [Dataset(ds.features[c], ds.labels[c], ds.num_classes) for c in cuts]
     train_classes = set(parts[0].labels.tolist())
     missing = [k for k in range(ds.num_classes) if k not in train_classes]

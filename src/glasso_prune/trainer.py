@@ -193,6 +193,7 @@ def train(
     reference to the input lets it be freed once the copy is made. The
     snapshot starts empty: epoch 1 always takes it, since epochs >= 1.
     When log_path is given, one EpochReport JSON line is appended per epoch.
+    An overflow raises no numpy warning: TrainingDiverged is its one report.
     """
     check_shapes(net, train_set)
     check_shapes(net, val_set)
@@ -205,7 +206,8 @@ def train(
     best_epoch = 0
     best_val = -1.0
     lr = cfg.learning_rate
-    with open(log_path, "w", encoding="utf-8", newline="") if log_path else nullcontext() as log:
+    with (open(log_path, "w", encoding="utf-8", newline="") if log_path else nullcontext() as log,
+          np.errstate(over="ignore", invalid="ignore")):
         for epoch in range(1, cfg.epochs + 1):
             perm = _epoch_rng(cfg.seed, epoch).permutation(train_set.n)
             ce_sum = 0.0

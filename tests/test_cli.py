@@ -3,6 +3,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 import weakref
 
 import numpy as np
@@ -779,7 +780,9 @@ def test_train_diverging_last_step_exits_3(tmp_path, capsys, penalty):
         f"layer_sizes = 4,8,3\n{penalty}\nepochs = 1\n"
         f"batch_size = 1000\nlearning_rate = 1e38\noutput_dir = {run}\n"
     )
-    with np.errstate(all="ignore"):
+    # train's own check is the one report: no numpy overflow warning reaches a caller
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(["train", str(cfg)]) == 3
     assert "epoch 1" in capsys.readouterr().err
     assert not (run / "model.glnn").exists()
@@ -938,23 +941,40 @@ def test_prune_json_keys_in_order(trained_run, tmp_path, how):
     assert doc["accuracy"] == doc["after_accuracy"] == evaluate(pruned, test_set)
 
 
-def test_prune_above_every_norm_keeps_each_layer_largest_node(trained_run, tmp_path):
+def rescue_warnings(hidden_layers):
+    """stderr of a prune that keeps each hidden layer's largest-norm node."""
+    return "".join(f"warning: thresholding would empty hidden layer {k}; keeping its "
+                   "largest-norm node\n" for k in range(1, hidden_layers + 1))
+
+
+def test_prune_above_every_norm_keeps_each_layer_largest_node(trained_run, tmp_path, capsys):
     # the one prune whose keep vectors are not the raw threshold: the
     # prune.json counts come from the pruned network, not from theta
     _, cfg, run = trained_run
     out = tmp_path / "o"
     argv = ["prune", str(run / "model.glnn"), "--mode", "out", "--theta", "1e6",
             "--data", str(cfg), "--out", str(out)]
-    with pytest.warns(UserWarning, match="keeping its largest-norm node") as caught:
-        assert main(argv) == 0
+    assert main(argv) == 0
     doc = json.loads((out / "prune.json").read_text())
     hidden = doc["layer_sizes_before"][1:-1]
-    assert len([w for w in caught if w.category is UserWarning]) == len(hidden)
+    assert capsys.readouterr().err == rescue_warnings(len(hidden))
     assert doc["theta"] == 1e6
     assert doc["retained_per_layer"] == [1] * len(hidden)
     assert [r + k for r, k in zip(doc["removed_per_layer"], doc["retained_per_layer"])] == hidden
     assert doc["total_removed"] == sum(hidden) - len(hidden)
     assert load_model(out / "pruned_model.glnn").layer_sizes == [8, 1, 3]
+
+
+def test_rescuing_prune_warns_each_time_it_runs(trained_run, tmp_path, capsys):
+    # each command shows each distinct warning once, however many ran before it
+    _, cfg, run = trained_run
+    errs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        argv = ["prune", str(run / "model.glnn"), "--mode", "out", "--theta", "1e6",
+                "--data", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        errs.append(capsys.readouterr().err)
+    assert errs == [rescue_warnings(1)] * 2
 
 
 @pytest.mark.parametrize("theta", ["nan", "inf"])
@@ -1032,6 +1052,32 @@ def test_sweep_grid_over_two_keys(tmp_path):
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["config"]["alpha"] == float(alpha)
         assert manifest["config"]["output_dir"] == str(run)
+
+
+def test_sweep_point_value_with_slash_is_one_directory(tmp_path, monkeypatch, capsys):
+    # two CSV paths that share a file name, and a file whose name holds the
+    # escape of one of them: each point is its own directory under output_dir
+    monkeypatch.chdir(tmp_path)
+    rows = "".join(f"{i % 7},{i % 3},{i % 2}\n" for i in range(40))
+    values = ["a/d.csv", "b/d.csv", "a%2Fd.csv"]
+    for value in values:
+        (tmp_path / value).parent.mkdir(exist_ok=True)
+        (tmp_path / value).write_text("a,b,y\n" + rows)
+    cfg = write_csv_cfg(tmp_path, b"a,b,y\n" + rows.encode())
+    cfg.write_text(cfg.read_text() + "epochs = 1\n")
+    argv = ["sweep", str(cfg)]
+    for value in values:
+        argv += ["--set", f"csv_path={value}"]
+    assert main(argv) == 0
+    names = ["csv_path_a%2Fd.csv", "csv_path_b%2Fd.csv", "csv_path_a%252Fd.csv"]
+    out_root = tmp_path / "run"
+    assert sorted(p.name for p in out_root.iterdir()) == sorted([*names, "summary.csv"])
+    for name in names:
+        assert (out_root / name / "model.glnn").exists()
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed[:-1]] == names
+    with open(out_root / "summary.csv", newline="") as f:
+        assert [row[0] for row in csv.reader(f)] == ["csv_path", *values]
 
 
 @pytest.mark.parametrize(

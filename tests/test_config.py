@@ -289,8 +289,13 @@ def test_empty_split_rejected():
         "dataset = synth\nsynth_classes = 2\nsynth_dim = 4\nsynth_per_class = 2\n"
         "layer_sizes = 4,8,2\nmode = glasso_out\n"
     )
-    with pytest.raises(ConfigError) as err:
+    # split holds the rule: load_splits raises its ValueError, message and all
+    with pytest.raises(ValueError) as err:
         cfg.load_splits()
+    full = synth_gaussians(2, 4, 2, cfg.synth_separation, cfg.data_seed)
+    with pytest.raises(ValueError) as direct:
+        split(full, cfg.split_fractions, cfg.data_seed)
+    assert str(err.value) == str(direct.value)
     assert "split_fractions" in str(err.value)
     assert "3/0/1" in str(err.value)
 

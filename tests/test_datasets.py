@@ -343,12 +343,25 @@ def test_split_fraction_validation():
 
 
 def test_split_rejects_class_missing_from_train():
-    # two samples, two classes, half split: train holds exactly one class
+    # four samples, two classes, a one-sample train split: train holds exactly one class
     ds = Dataset(
-        np.array([[0.0], [1.0]]), np.array([0, 1]), num_classes=2
+        np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0, 1, 1, 1]), num_classes=2
     )
-    with pytest.raises(ValueError):
-        split(ds, (0.5, 0.25, 0.25), seed=0)
+    with pytest.raises(ValueError, match="absent from the train split"):
+        split(ds, (0.25, 0.5, 0.25), seed=0)
+
+
+@pytest.mark.parametrize("fractions,sizes", [([0.7, 0.1, 0.2], "3/0/1"),
+                                             ([0.1, 0.7, 0.2], "0/3/1")],
+                         ids=["empty-val", "empty-train"])
+def test_split_rejects_empty_part(fractions, sizes):
+    # the empty-part rule comes before the train-class rule, so an empty
+    # train split is named as empty, not as missing every class
+    ds = synth_gaussians(2, 4, 2, 3.0, seed=19)
+    with pytest.raises(ValueError) as err:
+        split(ds, fractions, seed=0)
+    assert str(err.value) == (f"key 'split_fractions' {fractions} leaves a split empty: "
+                              f"train/val/test sizes {sizes}")
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])

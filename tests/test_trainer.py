@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -397,7 +398,9 @@ def test_divergence_aborts_with_location():
         momentum=0.0,
         seed=1,
     )
-    with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as err:
+    # TrainingDiverged is the one report: no numpy overflow warning reaches the caller
+    with warnings.catch_warnings(), pytest.raises(TrainingDiverged) as err:
+        warnings.simplefilter("error")
         train(net, data, data, cfg)
     assert "epoch" in str(err.value)
     assert "batch" in str(err.value)
