@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success; for an error, the exit_code its type declares in
 errors.py: 2 for a config error, 3 when training diverges, 4 for data, model
-and shape errors. Of other errors, OSError exits 4 and ValueError 2. stderr shows
-"error: <message>", and "warning: <message>" once per distinct warning per command.
+and shape errors. Of other errors, OSError exits 4, and ValueError and a warning
+turned into an error (python -W error) exit 2. stderr shows "error: <message>",
+and "warning: <message>" once per distinct warning per command.
 """
 
 from __future__ import annotations
@@ -202,6 +203,8 @@ def cmd_sweep(args) -> int:
         # checks every point against its data before any train
         run_cfg.check_fit(splits_by_data[data][0])
         points.append((run_cfg, splits_by_data[data], sub, cells))
+    for *_, sub, _ in points:  # a name the file system refuses exits before any train
+        sub.mkdir(parents=True, exist_ok=True)
 
     rows = [[*grid, "best_val_acc", "disposable_total", "post_prune_acc"]]
     for run_cfg, splits, sub, cells in points:
@@ -215,7 +218,6 @@ def cmd_sweep(args) -> int:
             f"{disposable} disposable, post-prune acc {fmt_float(post_acc)}"
         )
 
-    out_root.mkdir(parents=True, exist_ok=True)
     write_csv(out_root / "summary.csv", rows[0], rows[1:])
     print(f"wrote {out_root / 'summary.csv'}")
     return 0
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():  # on entry, each distinct warning shows once again
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.func(args)
-    except (GlassoPruneError, OSError, ValueError) as e:
+    except (GlassoPruneError, OSError, ValueError, Warning) as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 4 if isinstance(e, OSError) else 2)
 

@@ -8,7 +8,10 @@ Three configurations:
               biases get a plain L2 term.
   GLASSO_IN   the group is row j of W^l (incoming weights); the penalty
               spans W^1..W^(L-1) and the L2 term covers W^L plus biases.
-  L2_ALL      no grouping, L2 on every weight matrix and bias vector.
+  L2_ALL      no groups, L2 on every weight matrix and bias vector.
+
+group_axes holds this as one entry per weight matrix: the norm axis of its
+groups, or None where the L2 term covers it. Biases are never grouped.
 
 The group penalty per node is alpha * ||w||, so its gradient is the unit
 vector alpha * w / ||w||: a constant-magnitude pull that drives unneeded
@@ -38,39 +41,32 @@ class Mode(enum.Enum):
     def _missing_(cls, value):
         raise ValueError(f"unknown mode {value!r}, expected one of {[m.value for m in cls]}")
 
-    @property
-    def grouped(self) -> bool:
-        return self is not Mode.L2_ALL
-
 
 # Per grouped mode, (offset, norm axis): hidden layer l's groups lie in
 # net.layers[l - 1 + offset], as columns of W^(l+1) or rows of W^l.
 _GROUP_OFFSET_AND_AXIS = {Mode.GLASSO_OUT: (1, 0), Mode.GLASSO_IN: (0, 1)}
 
 
-def group_layout(net: MlpNetwork, mode: Mode) -> list[tuple[int, int]]:
-    """(index into net.layers, norm axis), one entry per hidden layer.
-
-    Empty for L2_ALL. Every weight matrix not listed gets the L2 term.
-    """
-    if not mode.grouped:
-        return []
-    offset, axis = _GROUP_OFFSET_AND_AXIS[mode]
-    return [(l - 1 + offset, axis) for l in range(1, net.num_layers)]
+def group_axes(net: MlpNetwork, mode: Mode) -> list[int | None]:
+    """Per weight matrix of net, the norm axis of its groups (0 for columns,
+    1 for rows), or None where the L2 term covers it: all None for L2_ALL."""
+    offset, axis = _GROUP_OFFSET_AND_AXIS.get(mode, (0, None))
+    hidden = range(offset, offset + net.num_layers - 1)  # the matrices of layers 1..L-1
+    return [axis if l in hidden else None for l in range(net.num_layers)]
 
 
 def group_norms(net: MlpNetwork, mode: Mode) -> list[np.ndarray]:
-    """Per-hidden-layer group norms, one entry per node of layers 1..L-1.
+    """Per-hidden-layer group norms, one entry per node of layers 1..L-1;
+    [] for L2_ALL, which has no groups.
 
     Squares and sums are taken in float64 whatever the network's dtype.
     A float32 weight's square is exact in float64, so a float32 network's
     norms are bit for bit those of its float64 copy, without making one.
     """
-    if not mode.grouped:
-        raise ValueError("group norms are undefined for L2_ALL (no grouping)")
     return [
-        norms(net.layers[l].weights, axis, np.float64)
-        for l, axis in group_layout(net, mode)
+        norms(p.weights, axis, np.float64)
+        for p, axis in zip(net.layers, group_axes(net, mode))
+        if axis is not None
     ]
 
 
@@ -89,22 +85,21 @@ def regularizer_value(
     net: MlpNetwork, mode: Mode, norms: list[np.ndarray], alpha: float, beta: float
 ) -> float:
     """Total penalty: alpha * sum of norms (group_norms', [] for L2_ALL) + beta * L2 terms."""
-    grouped = {l for l, _ in group_layout(net, mode)}
     glasso = 0.0
     l2 = 0.0
-    if grouped:
-        for layer_norms in norms:
-            glasso += float(np.sum(layer_norms))
-        for l, p in enumerate(net.layers):
-            if l not in grouped:
-                l2 += 0.5 * float(np.sum(p.weights**2))
-        for p in net.layers:
-            l2 += 0.5 * float(np.sum(p.bias**2))
-    else:
+    if mode is Mode.L2_ALL:
         # L2_ALL adds each layer's weight and bias terms as a pair: this
         # summation order is part of the train_loss bits in history.jsonl
         for p in net.layers:
             l2 += 0.5 * float(np.sum(p.weights**2)) + 0.5 * float(np.sum(p.bias**2))
+    else:
+        for layer_norms in norms:
+            glasso += float(np.sum(layer_norms))
+        for p, axis in zip(net.layers, group_axes(net, mode)):
+            if axis is None:
+                l2 += 0.5 * float(np.sum(p.weights**2))
+        for p in net.layers:
+            l2 += 0.5 * float(np.sum(p.bias**2))
     return alpha * glasso + beta * l2
 
 
@@ -119,14 +114,11 @@ def regularizer_gradient(
     spares the trainer a zero gradient per minibatch step; pass
     network.zero_layers(net) to get the penalty gradient alone.
     """
-    layout = group_layout(net, mode)
-    for l, axis in layout:
-        w = net.layers[l].weights
-        scale = alpha / np.maximum(norms(w, axis), EPSILON_NORM)
-        grads[l].weights += w * np.expand_dims(scale, axis)
-    grouped = {l for l, _ in layout}
-    for l, (p, g) in enumerate(zip(net.layers, grads)):
-        if l not in grouped:
+    for p, g, axis in zip(net.layers, grads, group_axes(net, mode)):
+        if axis is None:
             g.weights += beta * p.weights
+        else:
+            scale = alpha / np.maximum(norms(p.weights, axis), EPSILON_NORM)
+            g.weights += p.weights * np.expand_dims(scale, axis)
         g.bias += beta * p.bias
     return grads

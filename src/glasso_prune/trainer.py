@@ -226,7 +226,7 @@ def train(
                 regularizer_gradient(net, mode, cfg.alpha, beta, grads)
                 _sgd_step(net, velocity, grads, lr, cfg.momentum)
                 del grads  # so the next batch_gradients is not allocated beside it
-            norms = group_norms(net, mode) if mode.grouped else []
+            norms = group_norms(net, mode)
             report = EpochReport(
                 epoch=epoch,
                 train_loss=ce_sum / train_set.n

@@ -977,6 +977,19 @@ def test_rescuing_prune_warns_each_time_it_runs(trained_run, tmp_path, capsys):
     assert errs == [rescue_warnings(1)] * 2
 
 
+def test_rescuing_prune_with_warnings_as_errors_exits_2(trained_run, tmp_path, capsys):
+    # under python -W error the rescue's warning ends the command as an error line
+    _, cfg, run = trained_run
+    out = tmp_path / "o"
+    argv = ["prune", str(run / "model.glnn"), "--mode", "out", "--theta", "1e6",
+            "--data", str(cfg), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    assert capsys.readouterr().err == rescue_warnings(1).replace("warning:", "error:")
+    assert not (out / "prune.json").exists()
+
+
 @pytest.mark.parametrize("theta", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["prune", "analyze"])
 def test_non_finite_theta_exits_2(trained_run, tmp_path, capsys, command, theta):
@@ -1078,6 +1091,18 @@ def test_sweep_point_value_with_slash_is_one_directory(tmp_path, monkeypatch, ca
     assert [line.split(":")[0] for line in printed[:-1]] == names
     with open(out_root / "summary.csv", newline="") as f:
         assert [row[0] for row in csv.reader(f)] == ["csv_path", *values]
+
+
+def test_sweep_name_the_file_system_refuses_exits_4_before_any_train(tmp_path, capsys):
+    # synth data never reads csv_path, so only the second point's directory name fails
+    out_root = tmp_path / "long"
+    cfg = write_cfg(tmp_path, f"output_dir = {out_root}\n")
+    argv = ["sweep", str(cfg), "--set", "csv_path=a", "--set", f"csv_path={'x' * 300}"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not list(out_root.rglob("model.glnn"))
+    assert not (out_root / "summary.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -1214,11 +1239,13 @@ def test_gap_json_band_is_fixed(trained_run, tmp_path):
         # the best network, read by the bundle if it is written
         (["train", "{bundle_cfg}"], 3 + 1),
         (["train", "{plain_cfg}"], 3 + 1),
+        # the same for l2, whose per-epoch passes return [], and its best network read as out
+        (["train", "{l2_cfg}"], 3 + 1),
         # per point its train's 3 + 1; the summary's disposable total and mask read its last
         (["sweep", "{bundle_cfg}", "--set", "alpha=0.01", "--set", "alpha=0.02"], 2 * (3 + 1)),
     ],
     ids=["analyze-data", "analyze", "analyze-curve", "prune", "prune-match-count", "train",
-         "train-no-bundle", "sweep"],
+         "train-no-bundle", "train-l2", "sweep"],
 )
 def test_each_command_takes_a_networks_norms_once(
     trained_run, tmp_path, norm_passes, command, passes
@@ -1226,8 +1253,12 @@ def test_each_command_takes_a_networks_norms_once(
     _, cfg, run = trained_run
     bundle_cfg = write_cfg(tmp_path, f"emit_bundle = true\noutput_dir = {tmp_path / 'run'}\n")
     plain_cfg = write_cfg(tmp_path, f"output_dir = {tmp_path / 'plain'}\n", name="plain.cfg")
+    l2_cfg = tmp_path / "l2.cfg"
+    l2_cfg.write_text(BASE_CFG.replace("mode = glasso_out", "mode = l2")
+                      .replace("alpha = 0.02", "beta = 0.002").replace("beta_coupling = true\n", "")
+                      + f"output_dir = {tmp_path / 'l2'}\n")
     names = {"model": run / "model.glnn", "cfg": cfg, "bundle_cfg": bundle_cfg,
-             "plain_cfg": plain_cfg}
+             "plain_cfg": plain_cfg, "l2_cfg": l2_cfg}
     argv = [arg.format(**names) for arg in command]
     if command[0] in ("analyze", "prune"):
         argv += ["--out", str(tmp_path / "out")]

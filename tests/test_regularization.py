@@ -9,7 +9,7 @@ from glasso_prune.network import LayerParams, MlpNetwork, init_network, zero_lay
 from glasso_prune.regularization import (
     EPSILON_NORM,
     Mode,
-    group_layout,
+    group_axes,
     group_norms,
     regularizer_gradient,
     regularizer_value,
@@ -32,8 +32,7 @@ def penalty_gradient(net, spec):
 def penalty_value(net, spec):
     """regularizer_value on net's own group norms, taken as train takes them."""
     mode, alpha, beta = spec
-    norms = group_norms(net, mode) if mode.grouped else []
-    return regularizer_value(net, mode, norms, alpha, beta)
+    return regularizer_value(net, mode, group_norms(net, mode), alpha, beta)
 
 
 def layers_of(weights, biases):
@@ -128,10 +127,9 @@ def test_group_norms_in_mode_uses_rows():
     npt.assert_allclose(norms[0], [5.0, 0.0], atol=1e-15)
 
 
-def test_group_norms_rejects_l2():
+def test_l2_has_no_group_norms():
     net = init_network([2, 3, 2], 0)
-    with pytest.raises(ValueError):
-        group_norms(net, Mode.L2_ALL)
+    assert group_norms(net, Mode.L2_ALL) == []
 
 
 def test_group_norms_lengths_match_hidden_sizes():
@@ -152,8 +150,9 @@ def test_float32_group_norms_are_those_of_the_float64_widening(sizes):
         net64 = net32.copy(np.float64)
         for mode in (Mode.GLASSO_OUT, Mode.GLASSO_IN):
             widened = [
-                np.sqrt(np.add.reduce(net64.layers[l].weights * net64.layers[l].weights, axis))
-                for l, axis in group_layout(net64, mode)
+                np.sqrt(np.add.reduce(p.weights * p.weights, axis))
+                for p, axis in zip(net64.layers, group_axes(net64, mode))
+                if axis is not None
             ]
             for a, b, want in zip(group_norms(net32, mode), group_norms(net64, mode), widened):
                 assert a.dtype == np.float64
@@ -355,7 +354,7 @@ def test_gradient_adds_into_given_set():
             npt.assert_array_equal(g, b + a)
 
 
-# The penalty as it was written before the group layout table: one branch
+# The penalty as it was written before the group axis table: one branch
 # per mode. Kept as the bit-for-bit oracle of regularizer_value and
 # regularizer_gradient, whose outputs feed history.jsonl and the weights.
 
@@ -444,18 +443,18 @@ def test_penalty_bit_identical_to_mode_branches(sizes, mode):
     want = gradient_by_mode_branches(net, spec, random_grads())
     for g, w in zip(arrays_of(got), arrays_of(want)):
         assert_bits_equal(g, w)
-    if mode.grouped:
+    if mode is not Mode.L2_ALL:
         zero_node = 1 if mode is Mode.GLASSO_OUT else 2
         assert group_norms(net, mode)[0][zero_node] == 0.0
 
 
 @pytest.mark.parametrize(
-    "mode, layout",
+    "mode, axes",
     [
-        (Mode.GLASSO_OUT, [(1, 0), (2, 0), (3, 0)]),
-        (Mode.GLASSO_IN, [(0, 1), (1, 1), (2, 1)]),
-        (Mode.L2_ALL, []),
+        (Mode.GLASSO_OUT, [None, 0, 0, 0]),
+        (Mode.GLASSO_IN, [1, 1, 1, None]),
+        (Mode.L2_ALL, [None] * 4),
     ],
 )
-def test_group_layout_one_entry_per_hidden_layer(mode, layout):
-    assert group_layout(init_network([4, 5, 6, 7, 2], seed=0), mode) == layout
+def test_group_axes_one_entry_per_weight_matrix(mode, axes):
+    assert group_axes(init_network([4, 5, 6, 7, 2], seed=0), mode) == axes

@@ -642,7 +642,7 @@ def test_history_metrics_equal_minibatch_replay(tmp_path):
         for line, (ce_mean, acc, end_net) in zip(lines, replayed):
             assert end_net.dtype == np.float32
             mode = Mode(cfg.mode)
-            norms = group_norms(end_net, mode) if mode.grouped else []
+            norms = group_norms(end_net, mode)
             penalty = regularizer_value(end_net, mode, norms, cfg.alpha, cfg.beta)
             assert line["train_loss"] == ce_mean + penalty
             assert line["train_acc"] == acc
